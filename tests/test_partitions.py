@@ -63,6 +63,27 @@ def test_json_round_trip():
     assert from_json_dict(p.to_json_dict()) == p
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"boxes": [], "zero_box": []},
+        {"n": 1, "zero_box": []},
+        {"n": 1, "boxes": [["1", "1'"]]},
+        {"n": 1, "boxes": "1,1'", "zero_box": []},
+        {"n": 1, "boxes": [["1", "1'"]], "zero_box": None},
+        {"n": 1, "boxes": ["1"], "zero_box": []},
+        {"n": 1, "boxes": [[1]], "zero_box": []},
+        {"n": "x", "boxes": [], "zero_box": []},
+        {"n": -1, "boxes": [], "zero_box": []},
+        {"n": True, "boxes": [], "zero_box": []},
+        ["n", "boxes", "zero_box"],
+    ],
+)
+def test_json_malformed_documents_raise_value_error(doc):
+    with pytest.raises(ValueError):
+        from_json_dict(doc)
+
+
 # -- validation rules -----------------------------------------------------------
 
 
@@ -129,6 +150,36 @@ def test_every_enumerated_partition_is_valid_and_round_trips():
             assert text not in seen
             seen.add(text)
             assert parse(text) == p
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in _set_partitions(rest):
+        yield [[first]] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1 :]
+
+
+def _brute_partitions(n):
+    """Every set partition of {1,1',...,n,n'} plus a zero-box marker that passes validate."""
+    marker = (0, False)
+    items = [marker] + [(v, barred) for v in range(1, n + 1) for barred in (False, True)]
+    for blocks in _set_partitions(items):
+        zero = next(b for b in blocks if marker in b)
+        boxes = sorted((frozenset(b) for b in blocks if b is not zero), key=min)
+        p = LSPartition(n, tuple(boxes), frozenset(zero) - {marker})
+        if validate(p):
+            yield p
+
+
+def test_enumeration_matches_definition_level_brute_force():
+    for n in range(1, 5):
+        brute = list(_brute_partitions(n))
+        assert len(brute) == len(set(brute)) == sum(ls(n, k) for k in range(1, n + 1))
+        assert set(brute) == set(enumerate_partitions(n))
 
 
 def test_enumeration_limit_guard():

@@ -89,6 +89,10 @@ def test_isolate_roots_on_rootless_and_constant_inputs():
 def test_isolate_roots_rejects_repeated_roots_and_zero():
     with pytest.raises(ValueError):
         isolate_roots(Poly((0, 0, 1)))  # x^2
+    # (x-1)^2 (x+2)^3 shares (x-1)(x+2)^2 with its derivative
+    p = Poly((-1, 1)) * Poly((-1, 1)) * Poly((2, 1)) * Poly((2, 1)) * Poly((2, 1))
+    with pytest.raises(ValueError, match="gcd degree 3"):
+        isolate_roots(p)
     with pytest.raises(ValueError):
         isolate_roots(Poly(()))
 
