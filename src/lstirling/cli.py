@@ -23,7 +23,7 @@ from . import codes, gamma, grammar, partitions, realroots, triangles
 
 TABLE_CAPS = {"ls": 200, "lc": 200, "js": 60, "jc": 60}
 GAMMA_KMAX_CAP = 20
-CONJECTURE_KMAX_CAP = 10
+CONJECTURE_KMAX_CAP = 16
 VERIFY_DEFAULT_NMAX = {"identities": 20, "bijection": 5, "grammar": 8, "zstat": 6}
 CACHE_ENV = "LSTIRLING_CACHE_DIR"
 
@@ -262,6 +262,8 @@ def _verify_zstat(nmax: int) -> list:
 
 def cmd_verify(args) -> int:
     nmax = args.nmax if args.nmax is not None else VERIFY_DEFAULT_NMAX[args.suite]
+    if nmax < 1:
+        return _fail(f"verify {args.suite}: nmax must be at least 1", 1)
     if args.suite in ("bijection", "zstat") and nmax > partitions.ENUM_LIMIT:
         return _fail(f"verify {args.suite}: nmax capped at {partitions.ENUM_LIMIT}", 1)
     runner = {
@@ -282,15 +284,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    if not 0 <= args.kmax <= GAMMA_KMAX_CAP:
-        return _fail(f"gamma: kmax must be in 0..{GAMMA_KMAX_CAP}", 1)
+    if not 1 <= args.kmax <= GAMMA_KMAX_CAP:
+        return _fail(f"gamma: kmax must be in 1..{GAMMA_KMAX_CAP}", 1)
     if args.nmax < 1:
         return _fail("gamma: nmax must be at least 1", 1)
     rows = []
     for k in range(args.kmax + 1):
         lo, _ = gamma.support(k)
         rows.append({"k": k, "offset": lo, "coeffs": list(gamma.gamma_row(k))})
-    closed = gamma.closed_forms(max(args.kmax, 1))
+    closed = gamma.closed_forms(args.kmax)
     ode_ok = all(
         gamma.gamma_poly(k) == gamma.gamma_poly_via_ode(k) for k in range(min(args.kmax, 10) + 1)
     )

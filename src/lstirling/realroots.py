@@ -3,15 +3,22 @@
 The polynomials q_k(x) = gamma_k(x) / x^(k+2) are conjectured to have only
 real (necessarily negative) roots, with the roots of consecutive q_k, q_{k+1}
 arranged in a fixed merged order.  This module proves such statements for
-concrete k with Sturm chains: all arithmetic is over Fractions, root counts
-come from sign-variation differences, and isolating intervals are refined by
-bisection until the merged ordering is decided.  Floats never enter any
-verdict; they may appear only in diagnostics.
+concrete k with Sturm chains over the integers: each chain element is the
+primitive integer polynomial that is a positive multiple of the euclidean
+Sturm element (a primitive pseudo-remainder sequence), so sign variations,
+and with them root counts, are those of the classical chain.  The sign of an
+integer polynomial of degree d at a rational point a/b (b > 0) is read as
+the sign of sum c_i a^i b^(d-i), in ints only.  Isolating intervals have
+rational endpoints and are refined by bisection until the merged ordering
+is decided.  Floats never enter any verdict; they may appear only in
+diagnostics.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
 from .algebra import Poly
 from .gamma import gamma_poly
@@ -19,25 +26,73 @@ from .gamma import gamma_poly
 REFINE_CAP = 256
 
 
-def sturm_chain(p: Poly) -> list:
-    """The Sturm sequence p, p', then negated euclidean remainders.
+def _primitive(cs) -> list:
+    """The primitive integer coefficient list that is a positive multiple of cs."""
+    den = lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    content = gcd(*ints)
+    return [c // content for c in ints]
 
-    Ends at the last nonzero remainder; for square-free p that element is a
-    nonzero constant.
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """A positive multiple of a mod b, by integer pseudo-division; zeros trimmed."""
+    r = list(a)
+    lead = b[-1]
+    while len(r) >= len(b):
+        # r <- (|lead| r - sign(lead) r[-1] x^shift b) / g: a positive
+        # multiple of r with the same remainder, leading term cancelled
+        g = gcd(lead, r[-1])
+        scale, t = abs(lead) // g, r[-1] // g
+        if lead < 0:
+            t = -t
+        shift = len(r) - len(b)
+        r = [c * scale for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= t * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def sturm_chain(p: Poly) -> list:
+    """The Sturm sequence of p as primitive integer polynomials.
+
+    Element i is the positive multiple with coprime integer coefficients of
+    the euclidean element (p, p', then negated remainders), so every sign,
+    variation count and root count is the classical one.  Ends at the last
+    nonzero remainder; for square-free p that element is a nonzero constant.
     """
     if p.is_zero():
         raise ValueError("sturm_chain: zero polynomial")
-    p = p.to_fractions()
-    chain = [p]
-    d = p.derivative()
-    if not d.is_zero():
-        chain.append(d)
+    chain = [_primitive(p.coeffs)]
+    d = [i * c for i, c in enumerate(p.coeffs) if i >= 1]
+    if d:
+        chain.append(_primitive(d))
         while True:
-            r = chain[-2] % chain[-1]
-            if r.is_zero():
+            r = _pseudo_remainder(chain[-2], chain[-1])
+            if not r:
                 break
-            chain.append(-r)
-    return chain
+            chain.append(_primitive([-c for c in r]))
+    return [Poly(cs) for cs in chain]
+
+
+def _sign_at(p: Poly, x) -> int:
+    """Sign of the integer polynomial p at the rational x, in ints only.
+
+    With x = a/b and b > 0, p(x) b^d = sum c_i a^i b^(d-i) has the sign of
+    p(x); it is accumulated by Horner's rule in a with powers of b.
+    """
+    cs = p.coeffs
+    if not cs:
+        return 0
+    a, b = x.numerator, x.denominator
+    acc = cs[-1]
+    bpow = 1
+    for c in reversed(cs[:-1]):
+        bpow *= b
+        acc = acc * a + c * bpow
+    return (acc > 0) - (acc < 0)
 
 
 def _sign(x) -> int:
@@ -49,7 +104,7 @@ def _variations(signs) -> int:
 
 
 def _var_at(chain, x) -> int:
-    return _variations([_sign(p.eval(x)) for p in chain])
+    return _variations([_sign_at(p, x) for p in chain])
 
 
 def _var_at_inf(chain, direction: int) -> int:
@@ -67,9 +122,16 @@ def _var_at_inf(chain, direction: int) -> int:
 
 
 def _deflate(p: Poly, r: Fraction) -> Poly:
+    # divide out (b x - a) for r = a/b as often as it divides; by Gauss's
+    # lemma each quotient of an integer polynomial stays integral
+    a, b = r.numerator, r.denominator
     q = p
-    while not q.is_zero() and q.eval(r) == 0:
-        q = q // Poly((Fraction(-r), Fraction(1)))
+    while not q.is_zero() and _sign_at(q, r) == 0:
+        out, carry = [], 0
+        for c in reversed(q.coeffs[1:]):
+            carry = (c + carry * a) // b
+            out.append(carry)
+        q = Poly(reversed(out))
     return q
 
 
@@ -85,7 +147,7 @@ def _nudge_right(p: Poly, r: Fraction, limit=None) -> Fraction:
     w = Fraction(1)
     while True:
         c = r + w
-        if (limit is None or c < limit) and q.eval(c) != 0 and _var_at(ch, r) - _var_at(ch, c) == 0:
+        if (limit is None or c < limit) and _sign_at(q, c) != 0 and _var_at(ch, r) - _var_at(ch, c) == 0:
             return c
         w /= 2
 
@@ -93,27 +155,32 @@ def _nudge_right(p: Poly, r: Fraction, limit=None) -> Fraction:
 def count_roots(chain, a=None, b=None) -> int:
     """Distinct real roots of chain[0] in (a, b]; None means -oo / +oo.
 
-    A rational endpoint that is itself a root is nudged just past itself, so
-    (a, b] keeps its meaning: the left endpoint stays excluded, a root at the
-    right endpoint stays included.
+    The chain is one built by sturm_chain.  A rational endpoint that is
+    itself a root is nudged just past itself, so (a, b] keeps its meaning:
+    the left endpoint stays excluded, a root at the right endpoint stays
+    included.
     """
     p = chain[0]
+    # exact rationals from here on; a float endpoint is read at its exact value
+    a = None if a is None else Fraction(a)
+    b = None if b is None else Fraction(b)
     if a is not None and b is not None and not a < b:
         raise ValueError("count_roots: need a < b")
-    if a is not None and p.eval(a) == 0:
-        a = _nudge_right(p, Fraction(a), limit=b)
-    if b is not None and p.eval(b) == 0:
-        b = _nudge_right(p, Fraction(b))
+    if a is not None and _sign_at(p, a) == 0:
+        a = _nudge_right(p, a, limit=b)
+    if b is not None and _sign_at(p, b) == 0:
+        b = _nudge_right(p, b)
     va = _var_at_inf(chain, -1) if a is None else _var_at(chain, a)
     vb = _var_at_inf(chain, +1) if b is None else _var_at(chain, b)
     return va - vb
 
 
 def _root_bound(p: Poly) -> Fraction:
-    # Cauchy bound: every root has absolute value strictly below it
-    lead = abs(Fraction(p.leading()))
-    rest = max((abs(Fraction(c)) for c in p.coeffs[:-1]), default=Fraction(0))
-    return 1 + rest / lead
+    # Cauchy bound 1 + max|c_i| / |lc| of the integer polynomial p: every
+    # root has absolute value strictly below it
+    lead = abs(p.leading())
+    rest = max((abs(c) for c in p.coeffs[:-1]), default=0)
+    return Fraction(lead + rest, lead)
 
 
 def _shrink_around(chain, mid, lo, hi):
@@ -122,8 +189,8 @@ def _shrink_around(chain, mid, lo, hi):
     p = chain[0]
     w = min(mid - lo, hi - mid) / 2
     while (
-        p.eval(mid - w) == 0
-        or p.eval(mid + w) == 0
+        _sign_at(p, mid - w) == 0
+        or _sign_at(p, mid + w) == 0
         or count_roots(chain, mid - w, mid + w) != 1
     ):
         w /= 2
@@ -133,14 +200,15 @@ def _shrink_around(chain, mid, lo, hi):
 def isolate_roots(p: Poly):
     """Disjoint open rational intervals, one per real root, endpoints non-roots.
 
-    Returns (chain, intervals) with intervals in increasing order.  Requires
-    square-free input; a repeated root raises ValueError since every
-    downstream certificate needs simple roots.
+    Returns (chain, intervals) with intervals in increasing order; chain is
+    the integer Sturm chain of p.  Requires square-free input; a repeated
+    root raises ValueError since every downstream certificate needs simple
+    roots.
     """
-    p = p.to_fractions()
     if p.is_zero():
         raise ValueError("isolate_roots: zero polynomial")
     chain = sturm_chain(p)
+    p = chain[0]
     # the chain's last element is gcd(p, p') up to a constant factor
     if chain[-1].degree > 0:
         raise ValueError(f"isolate_roots: input is not square-free (gcd degree {chain[-1].degree})")
@@ -158,7 +226,7 @@ def isolate_roots(p: Poly):
             intervals.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if p.eval(mid) == 0:
+        if _sign_at(p, mid) == 0:
             ml, mh = _shrink_around(chain, mid, lo, hi)
             stack.append((lo, ml, count_roots(chain, lo, ml)))
             intervals.append((ml, mh))
@@ -176,7 +244,7 @@ def refine_interval(chain, interval):
     lo, hi = interval
     p = chain[0]
     mid = (lo + hi) / 2
-    if p.eval(mid) == 0:
+    if _sign_at(p, mid) == 0:
         return _shrink_around(chain, mid, lo, hi)
     if count_roots(chain, lo, mid) == 1:
         return (lo, mid)
@@ -259,14 +327,22 @@ def expected_pattern(k: int) -> list:
     return ["s", "r"] * (k - 1) + ["s", "s"] + ["r", "s"] * (k - 1)
 
 
-def _certificate(k: int):
+@lru_cache(maxsize=2)
+def _isolation(k: int):
+    # one isolation per q_k: verify_conjecture(k) and verify_conjecture(k+1)
+    # share q_{k+1}; verify_conjecture reassigns a certificate's intervals,
+    # so _certificate builds a fresh one from these tuples on every call
     p = q_poly(k)
     try:
         chain, intervals = isolate_roots(p)
     except ValueError as err:
-        return None, RootCertificate(k, int(p.degree), False, []), str(err)
-    cert = RootCertificate(k, int(p.degree), True, intervals)
-    return chain, cert, None
+        return int(p.degree), (), (), str(err)
+    return int(p.degree), tuple(chain), tuple(intervals), None
+
+
+def _certificate(k: int):
+    degree, chain, intervals, err = _isolation(k)
+    return chain, RootCertificate(k, degree, err is None, list(intervals)), err
 
 
 def verify_conjecture(k: int) -> ConjectureResult:

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, and the b-file cross-check."""
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -91,6 +92,15 @@ def test_verify_suites_pass(capsys, suite, nmax):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("nmax", ["0", "-2"])
+@pytest.mark.parametrize("suite", ["identities", "bijection", "grammar", "zstat"])
+def test_verify_rejects_an_empty_range(capsys, suite, nmax):
+    rc, out, err = run(capsys, "verify", suite, "--nmax", nmax)
+    assert rc == 1
+    assert out == ""
+    assert "nmax must be at least 1" in err
+
+
 def test_verify_bijection_reports_an_invalid_image(capsys, monkeypatch):
     # every image has two copies of 1 in the zero box, which validate rejects
     bad = LSPartition(1, (), frozenset({(1, False), (1, True)}))
@@ -136,6 +146,14 @@ def test_gamma_kmax_cap(capsys):
     assert "kmax" in err
 
 
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_gamma_rejects_a_kmax_with_no_expansion_check(capsys, kmax):
+    rc, out, err = run(capsys, "gamma", "--kmax", kmax)
+    assert rc == 1
+    assert out == ""
+    assert "kmax must be in 1..20" in err
+
+
 @pytest.mark.parametrize("nmax", ["0", "-3"])
 def test_gamma_rejects_an_empty_expansion_range(capsys, nmax):
     rc, out, err = run(capsys, "gamma", "--kmax", "4", "--nmax", nmax)
@@ -158,8 +176,17 @@ def test_conjecture_emits_one_json_document_per_k(capsys):
 
 
 def test_conjecture_kmax_cap(capsys):
-    rc, _, _ = run(capsys, "conjecture", "--kmax", "11")
+    rc, out, err = run(capsys, "conjecture", "--kmax", "17")
     assert rc == 1
+    assert out == ""
+    assert "kmax must be in 1..16" in err
+
+
+def test_conjecture_certificates_are_byte_stable(capsys):
+    rc, out, _ = run(capsys, "conjecture", "--kmax", "10")
+    assert rc == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "971a494a3e0bbd647f2a72bf26df87483d23cf163d1740edc7c48e7f3f0ec329"
 
 
 def test_conjecture_writes_file(capsys, tmp_path):

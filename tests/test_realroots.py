@@ -2,12 +2,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from lstirling.algebra import Poly
 from lstirling.gamma import gamma_poly
 from lstirling.realroots import (
     ConjectureResult,
     RootCertificate,
+    _sign_at,
     count_roots,
     expected_pattern,
     isolate_roots,
@@ -50,11 +53,114 @@ def test_count_roots_handles_rational_roots_at_endpoints():
     chain = sturm_chain(_poly_with_roots(Fraction(1, 2), Fraction(3, 2)))
     assert count_roots(chain, Fraction(1, 2), 2) == 1
     assert count_roots(chain, 0, Fraction(3, 2)) == 2
+    assert count_roots(chain, 0.5, 1.5) == 1  # float endpoints count at their exact values
 
 
 def test_no_real_roots():
     chain = sturm_chain(Poly((1, 0, 1)))  # x^2 + 1
     assert count_roots(chain) == 0
+
+
+# -- the integer kernel against a plain Fraction reference ---------------------
+
+
+def _ref_eval(cs, x):
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_rem(a, b):
+    # euclidean remainder over Fractions, coefficient lists constant first
+    a = list(a)
+    while len(a) >= len(b):
+        t = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= t * c
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _ref_sturm(cs):
+    """The textbook Sturm sequence p, p', -rem, ... as Fraction coefficient lists."""
+    seq = [[Fraction(c) for c in cs]]
+    d = [i * c for i, c in enumerate(seq[0]) if i >= 1]
+    if d:
+        seq.append(d)
+        while True:
+            r = _ref_rem(seq[-2], seq[-1])
+            if not r:
+                break
+            seq.append([-c for c in r])
+    return seq
+
+
+def _ref_count(seq, a, b):
+    # V(a) - V(b) with zero signs dropped counts the roots in (a, b] of a
+    # square-free p, endpoints that are roots included
+    def var(x):
+        signs = [v > 0 for v in (_ref_eval(s, x) for s in seq) if v != 0]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    return var(a) - var(b)
+
+
+_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+
+
+@st.composite
+def _square_free(draw):
+    """A square-free polynomial of degree 1..8 with rational coefficients.
+
+    Half the draws are multiplied by (x - r) for a rational r, so that
+    counts meet endpoints that are roots; r comes back with the polynomial.
+    """
+    root = draw(st.none() | _rationals)
+    top = 7 if root is None else 6
+    cs = draw(st.lists(_rationals, min_size=1, max_size=top + 1))
+    cs.append(draw(_rationals.filter(lambda c: c != 0)))
+    if root is not None:
+        cs = [lo - root * hi for lo, hi in zip([0] + cs, cs + [0])]
+    seq = _ref_sturm(cs)
+    assume(len(seq[-1]) == 1)
+    return cs, seq, root
+
+
+@given(_square_free())
+def test_sturm_chain_is_a_positive_multiple_of_the_fraction_chain(case):
+    cs, seq, _ = case
+    chain = sturm_chain(Poly(cs))
+    assert len(chain) == len(seq)
+    for elem, ref in zip(chain, seq):
+        assert all(isinstance(c, int) for c in elem.coeffs)
+        ratio = Fraction(elem.leading()) / ref[-1]
+        assert ratio > 0
+        assert list(elem.coeffs) == [c * ratio for c in ref]
+
+
+@given(_square_free(), st.lists(_rationals, min_size=1, max_size=5))
+def test_sign_at_agrees_with_fraction_horner(case, points):
+    cs, seq, root = case
+    chain = sturm_chain(Poly(cs))
+    for x in points + ([] if root is None else [root]):
+        for elem, ref in zip(chain, seq):
+            v = _ref_eval(ref, x)
+            assert _sign_at(elem, x) == (v > 0) - (v < 0)
+
+
+@given(_square_free(), _rationals, _rationals)
+def test_count_roots_agrees_with_the_reference_count(case, a, b):
+    cs, seq, root = case
+    if root is not None:
+        a = root  # an endpoint on a root exercises the half-open rule
+    assume(a != b)
+    a, b = min(a, b), max(a, b)
+    chain = sturm_chain(Poly(cs))
+    assert count_roots(chain, a, b) == _ref_count(seq, a, b)
 
 
 # -- isolation ------------------------------------------------------------------
