@@ -9,16 +9,18 @@ A code of length n is a sequence of symbols, one per inserted value:
 
 The first symbol must be X, and every box index used at step m must not
 exceed the number of X symbols seen before step m.  The map phi builds a
-partition by replaying a code; phi_inverse recovers the code by peeling the
-largest value.  Codes of length n with k X symbols are counted by ls(n,k):
+partition by replaying a code; phi_inverse recovers the code from the box
+index of each value's two copies.  Codes of length n with k X symbols are counted by ls(n,k):
 a non-X step taken with t pair boxes available has t(t-1) + 2t = t^2 + t
 choices, which is where the factor k(k+1) of the triangle recurrence lives.
 
-Symbols are plain tuples: ("X",), ("A", i, j), ("B", s), ("Bb", s).
+Symbols are plain tuples: ("X",), ("A", i, j), ("B", s), ("Bb", s); box
+indices are ints, never bools.
 """
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .partitions import ENUM_LIMIT, LSPartition, validate
 from .triangles import CheckResult
@@ -26,7 +28,15 @@ from .triangles import CheckResult
 X = ("X",)
 
 
+def _check_index(name: str, idx) -> None:
+    # bool is an int subclass, but True is not a box index
+    if isinstance(idx, bool) or not isinstance(idx, int):
+        raise ValueError(f"{name} box indices must be ints, got {idx!r}")
+
+
 def A(i: int, j: int) -> tuple:
+    _check_index("A(i,j)", i)
+    _check_index("A(i,j)", j)
     if i == j:
         raise ValueError("A(i,j) requires distinct box indices")
     if i < 1 or j < 1:
@@ -35,12 +45,14 @@ def A(i: int, j: int) -> tuple:
 
 
 def B(s: int) -> tuple:
+    _check_index("B(s)", s)
     if s < 1:
         raise ValueError("B(s) box index starts at 1")
     return ("B", s)
 
 
 def Bb(s: int) -> tuple:
+    _check_index("Bb(s)", s)
     if s < 1:
         raise ValueError("Bb(s) box index starts at 1")
     return ("Bb", s)
@@ -57,14 +69,14 @@ def validate_code(code) -> CheckResult:
         return CheckResult(False, "position 1: empty code")
     t = 0
     for pos, sym in enumerate(code, start=1):
+        if sym == X:
+            t += 1
+            continue
         if not isinstance(sym, tuple) or not sym or sym[0] not in ("X", "A", "B", "Bb"):
             return CheckResult(False, f"position {pos}: unknown symbol {sym!r}")
         kind = sym[0]
         if kind == "X":
-            if len(sym) != 1:
-                return CheckResult(False, f"position {pos}: malformed X")
-            t += 1
-            continue
+            return CheckResult(False, f"position {pos}: malformed X")
         if pos == 1:
             return CheckResult(False, "position 1: code must start with X")
         idxs = sym[1:]
@@ -73,6 +85,8 @@ def validate_code(code) -> CheckResult:
         if kind == "A" and idxs[0] == idxs[1]:
             return CheckResult(False, f"position {pos}: A indices must differ")
         for idx in idxs:
+            if isinstance(idx, bool):
+                return CheckResult(False, f"position {pos}: box index {idx!r} is a bool, not an int")
             if not isinstance(idx, int) or not 1 <= idx <= t:
                 return CheckResult(False, f"position {pos}: box index {idx} exceeds the {t} boxes opened")
     return CheckResult(True)
@@ -84,62 +98,56 @@ def phi(code) -> LSPartition:
     if not v:
         raise ValueError(f"phi: invalid code ({v.detail})")
     boxes: list = []
-    zero: set = set()
+    zero: list = []
     for m, sym in enumerate(code, start=1):
-        plain, barred = (m, False), (m, True)
         kind = sym[0]
         if kind == "X":
-            boxes.append({plain, barred})
+            boxes.append([(m, False), (m, True)])
         elif kind == "A":
-            boxes[sym[1] - 1].add(plain)
-            boxes[sym[2] - 1].add(barred)
+            boxes[sym[1] - 1].append((m, False))
+            boxes[sym[2] - 1].append((m, True))
         elif kind == "B":
-            boxes[sym[1] - 1].add(plain)
-            zero.add(barred)
+            boxes[sym[1] - 1].append((m, False))
+            zero.append((m, True))
         else:
-            boxes[sym[1] - 1].add(barred)
-            zero.add(plain)
-    return LSPartition(len(code), tuple(frozenset(b) for b in boxes), frozenset(zero))
+            boxes[sym[1] - 1].append((m, True))
+            zero.append((m, False))
+    return LSPartition(len(code), tuple(map(frozenset, boxes)), frozenset(zero))
 
 
 def phi_inverse(p: LSPartition):
-    """Recover the code of a valid partition by peeling the largest value."""
+    """Recover the code of a valid partition, one symbol per value.
+
+    Peeling the largest value never shifts a box index: the box removed at an
+    X holds the pair {m, m'} alone, and in standard form every box after it
+    has a larger minimum, so it was removed before.  Hence each value's
+    symbol reads off the final box indices of its two copies.
+    """
     v = validate(p)
     if not v:
         raise ValueError(f"phi_inverse: invalid partition ({v.detail})")
-    boxes = [set(b) for b in p.boxes]
-    zero = set(p.zero_box)
+    where = {e: i for i, box in enumerate(p.boxes, start=1) for e in box}
     out = []
-    for m in range(p.n, 0, -1):
-        plain, barred = (m, False), (m, True)
-        ip = next((i for i, b in enumerate(boxes) if plain in b), None)
-        ib = next((i for i, b in enumerate(boxes) if barred in b), None)
-        if ip is not None and ib is not None:
-            if ip == ib:
-                # both copies share a box, so m is its minimum and the box
-                # is exactly the pair {m, m'}
-                out.append(X)
-                boxes.pop(ip)
-            else:
-                out.append(A(ip + 1, ib + 1))
-                boxes[ip].remove(plain)
-                boxes[ib].remove(barred)
-        elif ip is not None:
-            out.append(B(ip + 1))
-            boxes[ip].remove(plain)
-            zero.remove(barred)
+    for m in range(1, p.n + 1):
+        ip, ib = where.get((m, False)), where.get((m, True))
+        if ip is None:
+            out.append(("Bb", ib))
+        elif ib is None:
+            out.append(("B", ip))
+        elif ip == ib:
+            out.append(X)
         else:
-            out.append(Bb(ib + 1))
-            boxes[ib].remove(barred)
-            zero.remove(plain)
-    return tuple(reversed(out))
+            out.append(("A", ip, ib))
+    return tuple(out)
 
 
-def _legal_non_x(t: int) -> list:
+@lru_cache(maxsize=None)
+def _legal_non_x(t: int) -> tuple:
+    """The non-X symbols allowed with t pair boxes open, in enumeration order."""
     out = [A(i, j) for i in range(1, t + 1) for j in range(1, t + 1) if i != j]
     out.extend(B(s) for s in range(1, t + 1))
     out.extend(Bb(s) for s in range(1, t + 1))
-    return out
+    return tuple(out)
 
 
 def enumerate_codes(n: int):
@@ -148,14 +156,21 @@ def enumerate_codes(n: int):
         raise ValueError(f"enumerate_codes: n must be in 1..{ENUM_LIMIT}, got {n}")
 
     def extend(code, t):
-        if len(code) == n:
-            yield code
+        # code has fewer than n symbols; the last level yields the leaves
+        # itself instead of recursing once per leaf
+        if len(code) == n - 1:
+            yield code + (X,)
+            for sym in _legal_non_x(t):
+                yield code + (sym,)
             return
         yield from extend(code + (X,), t + 1)
         for sym in _legal_non_x(t):
             yield from extend(code + (sym,), t)
 
-    yield from extend((X,), 1)
+    if n == 1:
+        yield (X,)
+    else:
+        yield from extend((X,), 1)
 
 
 def count_codes(n: int, k: int, exhaustive: bool = False) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .algebra import Poly
 from .triangles import CheckResult
@@ -100,25 +101,52 @@ def parse(text: str) -> LSPartition:
     return LSPartition(max(values, default=0), tuple(boxes), zero)
 
 
+@lru_cache(maxsize=16)
+def _ground_set(n: int) -> frozenset:
+    """{1,1',...,n,n'} as a set of elements; a sweep asks for one n at a time."""
+    return frozenset((v, barred) for v in range(1, n + 1) for barred in (False, True))
+
+
+_value = itemgetter(0)
+
+
 def validate(p: LSPartition) -> CheckResult:
-    """Check coverage, r1, r2, and standard form; report the first violation."""
-    seen = sorted(e for b in p.boxes for e in b) + sorted(p.zero_box)
-    expected = sorted((v, barred) for v in range(1, p.n + 1) for barred in (False, True))
-    if sorted(seen) != expected:
+    """Check coverage, r1, r2, and standard form; report the first violation.
+
+    One pass: each rule is a set comparison, a count of distinct values or a
+    membership test, so the cost is linear in n.
+    """
+    n = p.n
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        return CheckResult(False, f"coverage: n must be a nonnegative int, got {n!r}")
+    # elements off the ground set (bad values, non-tuples) fail the equality;
+    # with the union equal to the 2n-element ground set, a total size of 2n
+    # means no element sits in two boxes
+    try:
+        size = len(p.zero_box) + sum(map(len, p.boxes))
+        covered = size == 2 * n and frozenset(p.zero_box).union(*p.boxes) == _ground_set(n)
+    except TypeError:  # a box that is not a collection, or an unhashable element
+        covered = False
+    if not covered:
         return CheckResult(False, "coverage: elements do not cover {1,1',...,n,n'} exactly once")
-    for v in range(1, p.n + 1):
-        if (v, False) in p.zero_box and (v, True) in p.zero_box:
-            return CheckResult(False, f"r1: zero box holds both copies of {v}")
+    zero = p.zero_box
+    if len(set(map(_value, zero))) != len(zero):
+        v = min(v for v, barred in zero if not barred and (v, True) in zero)
+        return CheckResult(False, f"r1: zero box holds both copies of {v}")
+    minima = []
     for idx, box in enumerate(p.boxes, start=1):
         if not box:
             return CheckResult(False, f"r2: box {idx} is empty")
-        mn = min(e[0] for e in box)
+        values = set(map(_value, box))
+        mn = min(values)
         if (mn, False) not in box or (mn, True) not in box:
             return CheckResult(False, f"r2: box {idx} is missing a copy of its minimum {mn}")
-        for v in {e[0] for e in box} - {mn}:
-            if (v, False) in box and (v, True) in box:
-                return CheckResult(False, f"r2: box {idx} holds both copies of non-minimum {v}")
-    minima = [min(e[0] for e in b) for b in p.boxes]
+        # the minimum is the only value present twice exactly when the box
+        # has one distinct value fewer than elements
+        if len(values) != len(box) - 1:
+            v = min(v for v in values if v != mn and (v, False) in box and (v, True) in box)
+            return CheckResult(False, f"r2: box {idx} holds both copies of non-minimum {v}")
+        minima.append(mn)
     if minima != sorted(minima):
         return CheckResult(False, "standard-form: boxes are not sorted by minima")
     return CheckResult(True)

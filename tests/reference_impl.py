@@ -1,0 +1,68 @@
+"""Reference implementations kept as test oracles for the bijection kernel.
+
+`validate_by_sorting` checks the partition rules by sorting the whole ground
+set, and `phi_inverse_by_scanning` peels the largest value and finds its box
+by scanning every box.  Both cost more than linear time in n, but they follow
+the definitions step by step and share no code with `partitions.validate` or
+`codes.phi_inverse`, so the tests compare the library against them.
+"""
+from lstirling.codes import A, B, Bb, X
+from lstirling.partitions import LSPartition
+from lstirling.triangles import CheckResult
+
+
+def validate_by_sorting(p: LSPartition) -> CheckResult:
+    """Check coverage, r1, r2, and standard form; report the first violation."""
+    seen = sorted(e for b in p.boxes for e in b) + sorted(p.zero_box)
+    expected = sorted((v, barred) for v in range(1, p.n + 1) for barred in (False, True))
+    if sorted(seen) != expected:
+        return CheckResult(False, "coverage: elements do not cover {1,1',...,n,n'} exactly once")
+    for v in range(1, p.n + 1):
+        if (v, False) in p.zero_box and (v, True) in p.zero_box:
+            return CheckResult(False, f"r1: zero box holds both copies of {v}")
+    for idx, box in enumerate(p.boxes, start=1):
+        if not box:
+            return CheckResult(False, f"r2: box {idx} is empty")
+        mn = min(e[0] for e in box)
+        if (mn, False) not in box or (mn, True) not in box:
+            return CheckResult(False, f"r2: box {idx} is missing a copy of its minimum {mn}")
+        for v in {e[0] for e in box} - {mn}:
+            if (v, False) in box and (v, True) in box:
+                return CheckResult(False, f"r2: box {idx} holds both copies of non-minimum {v}")
+    minima = [min(e[0] for e in b) for b in p.boxes]
+    if minima != sorted(minima):
+        return CheckResult(False, "standard-form: boxes are not sorted by minima")
+    return CheckResult(True)
+
+
+def phi_inverse_by_scanning(p: LSPartition):
+    """Recover the code of a valid partition by peeling the largest value."""
+    v = validate_by_sorting(p)
+    if not v:
+        raise ValueError(f"phi_inverse: invalid partition ({v.detail})")
+    boxes = [set(b) for b in p.boxes]
+    zero = set(p.zero_box)
+    out = []
+    for m in range(p.n, 0, -1):
+        plain, barred = (m, False), (m, True)
+        ip = next((i for i, b in enumerate(boxes) if plain in b), None)
+        ib = next((i for i, b in enumerate(boxes) if barred in b), None)
+        if ip is not None and ib is not None:
+            if ip == ib:
+                # both copies share a box, so m is its minimum and the box
+                # is exactly the pair {m, m'}
+                out.append(X)
+                boxes.pop(ip)
+            else:
+                out.append(A(ip + 1, ib + 1))
+                boxes[ip].remove(plain)
+                boxes[ib].remove(barred)
+        elif ip is not None:
+            out.append(B(ip + 1))
+            boxes[ip].remove(plain)
+            zero.remove(barred)
+        else:
+            out.append(Bb(ib + 1))
+            boxes[ib].remove(barred)
+            zero.remove(plain)
+    return tuple(reversed(out))

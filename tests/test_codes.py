@@ -1,5 +1,8 @@
 """Insertion codes: parsing, validation, counting, and the partition bijection."""
+import hashlib
+
 import pytest
+from reference_impl import phi_inverse_by_scanning
 
 from lstirling.codes import (
     A,
@@ -77,6 +80,20 @@ def test_validate_bounds_indices_by_prefix_x_count():
     assert validate_code((X, X, A(2, 1)))
 
 
+def test_bool_box_indices_are_rejected():
+    # True == 1, so without a type check ("B", True) would replay as B(1)
+    res = validate_code((X, ("B", True)))
+    assert not res
+    assert res.detail == "position 2: box index True is a bool, not an int"
+    assert not validate_code((X, X, ("A", 2, True)))
+    assert not validate_code((X, ("Bb", False)))
+    with pytest.raises(ValueError):
+        phi((X, ("B", True)))
+    for make, args in ((A, (True, 2)), (A, (2, True)), (B, (True,)), (Bb, (True,)), (B, ("1",))):
+        with pytest.raises(ValueError):
+            make(*args)
+
+
 def test_phi_rejects_invalid_codes():
     with pytest.raises(ValueError):
         phi((X, A(2, 1)))
@@ -107,6 +124,20 @@ def test_round_trip_code_to_partition_to_code():
     for n in range(1, 6):
         for code in enumerate_codes(n):
             assert phi_inverse(phi(code)) == code
+
+
+def test_phi_inverse_agrees_with_scanning_reference():
+    for n in range(1, 7):
+        for p in enumerate_partitions(n):
+            assert phi_inverse(p) == phi_inverse_by_scanning(p)
+
+
+def test_enumeration_order_of_codes_is_stable():
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for code in enumerate_codes(n):
+            digest.update(render_code(code).encode() + b"\n")
+    assert digest.hexdigest() == "6f4bdaccc20cacd56eeeaf1e9a7d1d5560510bc5e3bc86fbc17006e33223cc07"
 
 
 def test_enumerated_codes_are_valid_and_counted_by_x_symbols():

@@ -1,7 +1,13 @@
 """Doubled-multiset partition model: parsing, validation, enumeration, statistics."""
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_impl import phi_inverse_by_scanning, validate_by_sorting
 
 from lstirling.algebra import Poly
+from lstirling.codes import phi_inverse
 from lstirling.partitions import (
     ENUM_LIMIT,
     LSPartition,
@@ -128,6 +134,110 @@ def test_validate_flags_unordered_boxes():
     assert "order" in res.detail or "minima" in res.detail
 
 
+def test_validate_reports_the_smallest_doubled_value():
+    def both(*values):
+        return [(v, barred) for v in values for barred in (False, True)]
+
+    res = validate(_partition(3, [both(1, 2, 3)], []))
+    assert res.detail == "r2: box 1 holds both copies of non-minimum 2"
+    res = validate(_partition(3, [both(1)], both(2, 3)))
+    assert res.detail == "r1: zero box holds both copies of 2"
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        _partition(1, [[(1, False), (1, True)]], ["x"]),
+        _partition(1, [[(1, False), "x"]], [(1, True)]),
+        _partition(1, [[(1, False), (1, True)]], [(None, True)]),
+        _partition(2, [[(1, False), (1, True), (None, True)]], [(2, False)]),
+        _partition("2", [[(1, False), (1, True), (2, True)]], [(2, False)]),
+        _partition(None, [], []),
+        _partition(True, [[(1, False), (1, True)]], []),
+        LSPartition(1, (5,), frozenset()),
+        LSPartition(1, ([(1, False), (1, True), [1]],), frozenset()),
+    ],
+)
+def test_malformed_partitions_fail_coverage_instead_of_raising(p):
+    res = validate(p)
+    assert not res
+    assert res.detail.startswith("coverage")
+    with pytest.raises(ValueError):
+        phi_inverse(p)
+
+
+def _rule(res):
+    """The ok flag and the rule prefix of a failure detail."""
+    return (bool(res), None if res else res.detail.split(":")[0])
+
+
+def test_validate_agrees_with_sorting_reference_on_every_partition():
+    for n in range(1, 6):
+        for p in enumerate_partitions(n):
+            assert _rule(validate(p)) == _rule(validate_by_sorting(p)) == (True, None)
+
+
+def test_validate_agrees_with_sorting_reference_on_every_set_partition():
+    # every way to split the ground set into a zero box and nonzero boxes,
+    # with the boxes in increasing and in decreasing order of their minima
+    rules = set()
+    for n in range(1, 4):
+        for p in _candidates(n):
+            for q in (p, LSPartition(n, p.boxes[::-1], p.zero_box)):
+                got = _rule(validate(q))
+                assert got == _rule(validate_by_sorting(q)), q
+                rules.add(got[1])
+    assert rules == {None, "r1", "r2", "standard-form"}
+
+
+@lru_cache(maxsize=None)
+def _valid(n):
+    return tuple(enumerate_partitions(n))
+
+
+@st.composite
+def perturbed_partitions(draw):
+    """A valid partition with one element moved, dropped, duplicated or out of
+    range, or with two boxes (the zero box among them) swapped."""
+    n = draw(st.integers(1, 5))
+    p = draw(st.sampled_from(_valid(n)))
+    boxes = [set(b) for b in p.boxes] + [set(p.zero_box)]  # zero box last
+    elements = sorted(e for b in boxes for e in b)
+    kind = draw(st.sampled_from(["move", "drop", "duplicate", "swap", "out_of_range"]))
+    if kind == "swap":
+        i = draw(st.integers(0, len(boxes) - 1))
+        j = draw(st.integers(0, len(boxes) - 1))
+        boxes[i], boxes[j] = boxes[j], boxes[i]
+    elif kind == "out_of_range":
+        e = (draw(st.sampled_from([-1, 0, n + 1, n + 2])), draw(st.booleans()))
+        boxes[draw(st.integers(0, len(boxes) - 1))].add(e)
+    else:
+        e = draw(st.sampled_from(elements))
+        home = next(i for i, b in enumerate(boxes) if e in b)
+        if kind != "duplicate":
+            boxes[home].discard(e)
+        if kind != "drop":
+            # len(boxes) stands for a new singleton box before the zero box
+            dest = draw(st.integers(0, len(boxes)).filter(lambda i: i != home))
+            if dest == len(boxes):
+                boxes.insert(-1, {e})
+            else:
+                boxes[dest].add(e)
+    return LSPartition(n, tuple(frozenset(b) for b in boxes[:-1]), frozenset(boxes[-1]))
+
+
+@settings(max_examples=300)
+@given(perturbed_partitions())
+def test_validate_and_phi_inverse_agree_with_references_on_perturbations(p):
+    expected = validate_by_sorting(p)
+    assert _rule(validate(p)) == _rule(expected)
+    if expected:
+        assert phi_inverse(p) == phi_inverse_by_scanning(p)
+    else:
+        with pytest.raises(ValueError):
+            phi_inverse(p)
+
+
 # -- enumeration ------------------------------------------------------------------
 
 
@@ -163,16 +273,20 @@ def _set_partitions(items):
             yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1 :]
 
 
-def _brute_partitions(n):
-    """Every set partition of {1,1',...,n,n'} plus a zero-box marker that passes validate."""
+def _candidates(n):
+    """Every set partition of {1,1',...,n,n'} plus a zero-box marker, as an
+    LSPartition with its nonzero boxes sorted by minima."""
     marker = (0, False)
     items = [marker] + [(v, barred) for v in range(1, n + 1) for barred in (False, True)]
     for blocks in _set_partitions(items):
         zero = next(b for b in blocks if marker in b)
         boxes = sorted((frozenset(b) for b in blocks if b is not zero), key=min)
-        p = LSPartition(n, tuple(boxes), frozenset(zero) - {marker})
-        if validate(p):
-            yield p
+        yield LSPartition(n, tuple(boxes), frozenset(zero) - {marker})
+
+
+def _brute_partitions(n):
+    """The candidates that pass validate."""
+    return (p for p in _candidates(n) if validate(p))
 
 
 def test_enumeration_matches_definition_level_brute_force():
