@@ -15,7 +15,6 @@ import os
 import re
 import sys
 import time
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +25,7 @@ GAMMA_KMAX_CAP = 20
 CONJECTURE_KMAX_CAP = 16
 VERIFY_DEFAULT_NMAX = {"identities": 20, "bijection": 5, "grammar": 8, "zstat": 6}
 CACHE_ENV = "LSTIRLING_CACHE_DIR"
+FETCH_TIMEOUT_S = 30
 
 
 @dataclass
@@ -293,12 +293,10 @@ def cmd_gamma(args) -> int:
         lo, _ = gamma.support(k)
         rows.append({"k": k, "offset": lo, "coeffs": list(gamma.gamma_row(k))})
     closed = gamma.closed_forms(args.kmax)
-    ode_ok = all(
-        gamma.gamma_poly(k) == gamma.gamma_poly_via_ode(k) for k in range(min(args.kmax, 10) + 1)
-    )
+    ode_ok = all(gamma.gamma_poly(k) == gamma.gamma_poly_via_ode(k) for k in range(args.kmax + 1))
     expansion_ok = True
     expansion_detail = None
-    for k in range(1, min(args.kmax, 8) + 1):
+    for k in range(1, args.kmax + 1):
         for n in range(1, args.nmax + 1):
             if gamma.ls_binomial_expansion(n, k) != triangles.ls(n + k, n):
                 expansion_ok = False
@@ -358,14 +356,29 @@ def _read_source(seq_id: str, source: str | None) -> str:
     if source is None:
         source = f"https://oeis.org/{seq_id}/b{seq_id[1:]}.txt"
     if re.match(r"https?://", source):
+        # imported here: the network path is rare, and urllib is slow to import
+        import http.client
+        import urllib.request
+
         cache_dir = Path(os.environ.get(CACHE_ENV, Path.home() / ".cache" / "lstirling"))
         cache_file = cache_dir / source.rstrip("/").rsplit("/", 1)[-1]
         if cache_file.exists():
             return cache_file.read_text()
-        with urllib.request.urlopen(source) as resp:
-            text = resp.read().decode("utf-8")
+        try:
+            with urllib.request.urlopen(source, timeout=FETCH_TIMEOUT_S) as resp:
+                text = resp.read().decode("utf-8")
+        except http.client.HTTPException as err:
+            # a truncated or malformed response is an I/O failure like any other
+            raise OSError(f"{source}: {err!r}") from err
+        # write a temporary file and rename it, so a failed write leaves no
+        # partial cache entry behind
         cache_dir.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(text)
+        tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, cache_file)
+        finally:
+            tmp.unlink(missing_ok=True)
         return text
     return Path(source).read_text()
 

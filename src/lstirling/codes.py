@@ -97,6 +97,11 @@ def phi(code) -> LSPartition:
     v = validate_code(code)
     if not v:
         raise ValueError(f"phi: invalid code ({v.detail})")
+    return _replay(code)
+
+
+def _replay(code) -> LSPartition:
+    # phi without the check, for codes known to be valid
     boxes: list = []
     zero: list = []
     for m, sym in enumerate(code, start=1):
@@ -173,17 +178,14 @@ def enumerate_codes(n: int):
         yield from extend((X,), 1)
 
 
-def count_codes(n: int, k: int, exhaustive: bool = False) -> int:
+def count_codes(n: int, k: int) -> int:
     """Number of codes of length n with exactly k X symbols; equals ls(n,k).
 
-    The default mode multiplies per-step choice counts: a non-X position
-    reached with t X's seen contributes t^2 + t choices.  Exhaustive mode
-    enumerates codes outright and is guarded at n <= ENUM_LIMIT.
+    Multiplies per-step choice counts: a non-X position reached with t X's
+    seen contributes t^2 + t choices.
     """
     if n < 1:
         raise ValueError("count_codes: n must be at least 1")
-    if exhaustive:
-        return sum(1 for code in enumerate_codes(n) if n_x(code) == k)
     if k < 1 or k > n:
         return 0
     ways = [0] * (k + 1)

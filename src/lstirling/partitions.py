@@ -156,8 +156,9 @@ def enumerate_partitions(n: int):
     """Yield every valid partition of {1,1',...,n,n'} exactly once.
 
     The partitions are the images under phi of the insertion codes of length
-    n (codes.enumerate_codes); standard form holds by construction.  Guarded
-    at n <= ENUM_LIMIT.
+    n (codes.enumerate_codes); standard form holds by construction.  The
+    codes are valid as built, so each is replayed without checking it again.
+    Guarded at n <= ENUM_LIMIT.
     """
     if not 1 <= n <= ENUM_LIMIT:
         raise ValueError(f"enumerate_partitions: n must be in 1..{ENUM_LIMIT}, got {n}")
@@ -165,7 +166,7 @@ def enumerate_partitions(n: int):
     from . import codes
 
     for code in codes.enumerate_codes(n):
-        yield codes.phi(code)
+        yield codes._replay(code)
 
 
 def count_by_blocks(n: int) -> dict:

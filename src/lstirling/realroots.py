@@ -121,55 +121,23 @@ def _var_at_inf(chain, direction: int) -> int:
     return _variations(signs)
 
 
-def _deflate(p: Poly, r: Fraction) -> Poly:
-    # divide out (b x - a) for r = a/b as often as it divides; by Gauss's
-    # lemma each quotient of an integer polynomial stays integral
-    a, b = r.numerator, r.denominator
-    q = p
-    while not q.is_zero() and _sign_at(q, r) == 0:
-        out, carry = [], 0
-        for c in reversed(q.coeffs[1:]):
-            carry = (c + carry * a) // b
-            out.append(carry)
-        q = Poly(reversed(out))
-    return q
-
-
-def _nudge_right(p: Poly, r: Fraction, limit=None) -> Fraction:
-    """Smallest tested point just right of the root r crossing no other root.
-
-    Deflates the root at r, then shrinks a power-of-two step until the
-    deflated polynomial provably has no root in (r, r+w].  Used to honor
-    half-open interval semantics when a count endpoint happens to be a root.
-    """
-    q = _deflate(p, r)
-    ch = sturm_chain(q)
-    w = Fraction(1)
-    while True:
-        c = r + w
-        if (limit is None or c < limit) and _sign_at(q, c) != 0 and _var_at(ch, r) - _var_at(ch, c) == 0:
-            return c
-        w /= 2
-
-
 def count_roots(chain, a=None, b=None) -> int:
     """Distinct real roots of chain[0] in (a, b]; None means -oo / +oo.
 
-    The chain is one built by sturm_chain.  A rational endpoint that is
-    itself a root is nudged just past itself, so (a, b] keeps its meaning:
-    the left endpoint stays excluded, a root at the right endpoint stays
-    included.
+    The chain is one built by sturm_chain.  The count is V(a) - V(b), with
+    zero signs dropped, which is exact for (a, b] even when an endpoint is a
+    root of chain[0]: there its zero drops out and the remaining signs vary
+    as they do just right of the root.  An endpoint that is a repeated root
+    makes every chain element vanish and raises ValueError.
     """
-    p = chain[0]
     # exact rationals from here on; a float endpoint is read at its exact value
     a = None if a is None else Fraction(a)
     b = None if b is None else Fraction(b)
     if a is not None and b is not None and not a < b:
         raise ValueError("count_roots: need a < b")
-    if a is not None and _sign_at(p, a) == 0:
-        a = _nudge_right(p, a, limit=b)
-    if b is not None and _sign_at(p, b) == 0:
-        b = _nudge_right(p, b)
+    for x in (a, b):
+        if x is not None and _sign_at(chain[-1], x) == 0:
+            raise ValueError(f"count_roots: endpoint {x} is a repeated root")
     va = _var_at_inf(chain, -1) if a is None else _var_at(chain, a)
     vb = _var_at_inf(chain, +1) if b is None else _var_at(chain, b)
     return va - vb
@@ -330,8 +298,7 @@ def expected_pattern(k: int) -> list:
 @lru_cache(maxsize=2)
 def _isolation(k: int):
     # one isolation per q_k: verify_conjecture(k) and verify_conjecture(k+1)
-    # share q_{k+1}; verify_conjecture reassigns a certificate's intervals,
-    # so _certificate builds a fresh one from these tuples on every call
+    # share q_{k+1}; the cached tuples are only read, never changed
     p = q_poly(k)
     try:
         chain, intervals = isolate_roots(p)
@@ -340,9 +307,33 @@ def _isolation(k: int):
     return int(p.degree), tuple(chain), tuple(intervals), None
 
 
-def _certificate(k: int):
-    degree, chain, intervals, err = _isolation(k)
-    return chain, RootCertificate(k, degree, err is None, list(intervals)), err
+def _merge(chain_r, ivs_r, chain_s, ivs_s):
+    """Refine two sorted lists of isolating intervals into one ascending order.
+
+    Each list is sorted and disjoint, so the first overlap in the merged
+    order is between the two heads: a head wholly left of the other is
+    final, and overlapping heads are both bisected.  Returns the refined
+    lists and the source tags in ascending order, or None once a root would
+    need more than REFINE_CAP bisections.
+    """
+    ivs_r, ivs_s, tags = list(ivs_r), list(ivs_s), []
+    i = j = used_r = used_s = 0
+    while i < len(ivs_r) and j < len(ivs_s):
+        if ivs_r[i][1] <= ivs_s[j][0]:
+            tags.append("r")
+            i, used_r = i + 1, 0
+        elif ivs_s[j][1] <= ivs_r[i][0]:
+            tags.append("s")
+            j, used_s = j + 1, 0
+        elif used_r >= REFINE_CAP or used_s >= REFINE_CAP:
+            return None
+        else:
+            ivs_r[i] = refine_interval(chain_r, ivs_r[i])
+            ivs_s[j] = refine_interval(chain_s, ivs_s[j])
+            used_r += 1
+            used_s += 1
+    tags += ["r"] * (len(ivs_r) - i) + ["s"] * (len(ivs_s) - j)
+    return ivs_r, ivs_s, tags
 
 
 def verify_conjecture(k: int) -> ConjectureResult:
@@ -351,50 +342,33 @@ def verify_conjecture(k: int) -> ConjectureResult:
     Both polynomials must be square-free with all roots real; isolating
     intervals are then refined (at most REFINE_CAP bisections per root) until
     the merged list is totally ordered, and the ascending source pattern is
-    compared against the conjectured one.
+    compared against the conjectured one.  The certificates carry the refined
+    intervals once the order is decided, and the isolating ones otherwise.
     """
     if k < 1:
         raise ValueError("verify_conjecture: k must be at least 1")
-    chain_r, cert_r, err_r = _certificate(k)
-    chain_s, cert_s, err_s = _certificate(k + 1)
+    deg_r, chain_r, ivs_r, err_r = _isolation(k)
+    deg_s, chain_s, ivs_s, err_s = _isolation(k + 1)
     expected = expected_pattern(k)
-    expected_str = " ".join(expected)
 
     def result(pattern, verdict, note=None):
-        return ConjectureResult(k, cert_r, cert_s, pattern, expected_str, verdict, note)
+        # ivs_r and ivs_s as they stand at this call: isolating intervals
+        # before the merge, refined ones after it
+        cert_r = RootCertificate(k, deg_r, err_r is None, list(ivs_r))
+        cert_s = RootCertificate(k + 1, deg_s, err_s is None, list(ivs_s))
+        return ConjectureResult(k, cert_r, cert_s, pattern, " ".join(expected), verdict, note)
 
     if err_r or err_s:
         return result("", "false", err_r or err_s)
-    if not cert_r.all_real or not cert_s.all_real:
-        bad = cert_r if not cert_r.all_real else cert_s
+    for q, deg, ivs in ((k, deg_r, ivs_r), (k + 1, deg_s, ivs_s)):
+        if len(ivs) != deg:
+            return result("", "false", f"q_{q} has {len(ivs)} real roots, degree {deg}")
+    merged = _merge(chain_r, ivs_r, chain_s, ivs_s)
+    if merged is None:
         return result(
-            "", "false", f"q_{bad.k} has {len(bad.intervals)} real roots, degree {bad.degree}"
+            "", "inconclusive", f"refinement budget exhausted separating roots of q_{k} and q_{k + 1}"
         )
-
-    entries = [["r", iv, chain_r, 0] for iv in cert_r.intervals]
-    entries += [["s", iv, chain_s, 0] for iv in cert_s.intervals]
-    while True:
-        entries.sort(key=lambda e: e[1])
-        clash = None
-        for left, right in zip(entries, entries[1:]):
-            if not left[1][1] <= right[1][0]:
-                clash = (left, right)
-                break
-        if clash is None:
-            break
-        for entry in clash:
-            if entry[3] >= REFINE_CAP:
-                return result(
-                    "",
-                    "inconclusive",
-                    f"refinement budget exhausted separating roots of q_{k} and q_{k + 1}",
-                )
-            entry[1] = refine_interval(entry[2], entry[1])
-            entry[3] += 1
-
-    cert_r.intervals = [e[1] for e in entries if e[0] == "r"]
-    cert_s.intervals = [e[1] for e in entries if e[0] == "s"]
-    tags = [e[0] for e in entries]
+    ivs_r, ivs_s, tags = merged
     pattern = " ".join(tags)
     if tags != expected:
         return result(pattern, "false", "merged order differs from the conjectured pattern")

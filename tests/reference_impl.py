@@ -1,11 +1,17 @@
-"""Reference implementations kept as test oracles for the bijection kernel.
+"""Reference implementations kept as test oracles.
 
 `validate_by_sorting` checks the partition rules by sorting the whole ground
 set, and `phi_inverse_by_scanning` peels the largest value and finds its box
 by scanning every box.  Both cost more than linear time in n, but they follow
 the definitions step by step and share no code with `partitions.validate` or
 `codes.phi_inverse`, so the tests compare the library against them.
+
+`verify_conjecture_by_resorting` orders the roots of q_k and q_{k+1} by
+sorting every interval after each refinement and bisecting the first
+overlapping neighbours, instead of merging the two sorted lists once as
+`realroots.verify_conjecture` does.
 """
+from lstirling import realroots
 from lstirling.codes import A, B, Bb, X
 from lstirling.partitions import LSPartition
 from lstirling.triangles import CheckResult
@@ -66,3 +72,53 @@ def phi_inverse_by_scanning(p: LSPartition):
             boxes[ib].remove(barred)
             zero.remove(plain)
     return tuple(reversed(out))
+
+
+def verify_conjecture_by_resorting(k: int) -> realroots.ConjectureResult:
+    """The merged-order verdict for q_k and q_{k+1}, re-sorting after each bisection."""
+    certs, chains = [], []
+    for q in (k, k + 1):
+        p = realroots.q_poly(q)
+        try:
+            chain, intervals = realroots.isolate_roots(p)
+        except ValueError as err:
+            chain, intervals, note = (), [], str(err)
+        else:
+            note = None
+        certs.append((realroots.RootCertificate(q, int(p.degree), note is None, list(intervals)), note))
+        chains.append(chain)
+    (cert_r, err_r), (cert_s, err_s) = certs
+    expected = realroots.expected_pattern(k)
+
+    def result(pattern, verdict, note=None):
+        return realroots.ConjectureResult(k, cert_r, cert_s, pattern, " ".join(expected), verdict, note)
+
+    if err_r or err_s:
+        return result("", "false", err_r or err_s)
+    for cert in (cert_r, cert_s):
+        if not cert.all_real:
+            return result("", "false", f"q_{cert.k} has {len(cert.intervals)} real roots, degree {cert.degree}")
+    entries = [["r", iv, chains[0], 0] for iv in cert_r.intervals]
+    entries += [["s", iv, chains[1], 0] for iv in cert_s.intervals]
+    while True:
+        entries.sort(key=lambda e: e[1])
+        clash = next(
+            ((left, right) for left, right in zip(entries, entries[1:]) if not left[1][1] <= right[1][0]),
+            None,
+        )
+        if clash is None:
+            break
+        for entry in clash:
+            if entry[3] >= realroots.REFINE_CAP:
+                return result(
+                    "", "inconclusive", f"refinement budget exhausted separating roots of q_{k} and q_{k + 1}"
+                )
+            entry[1] = realroots.refine_interval(entry[2], entry[1])
+            entry[3] += 1
+    cert_r.intervals = [e[1] for e in entries if e[0] == "r"]
+    cert_s.intervals = [e[1] for e in entries if e[0] == "s"]
+    tags = [e[0] for e in entries]
+    pattern = " ".join(tags)
+    if tags != expected:
+        return result(pattern, "false", "merged order differs from the conjectured pattern")
+    return result(pattern, "vacuous" if k == 1 else "true")

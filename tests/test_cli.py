@@ -1,14 +1,17 @@
 """Command-line interface: formats, exit codes, and the b-file cross-check."""
 import csv
 import hashlib
+import http.client
 import io
 import json
+import urllib.request
 from pathlib import Path
 
 import pytest
 
-from lstirling import codes
-from lstirling.cli import BFileError, main, parse_bfile
+from lstirling import codes, gamma
+from lstirling.algebra import Poly
+from lstirling.cli import CACHE_ENV, FETCH_TIMEOUT_S, BFileError, main, parse_bfile
 from lstirling.partitions import LSPartition
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -162,6 +165,23 @@ def test_gamma_rejects_an_empty_expansion_range(capsys, nmax):
     assert "nmax" in err
 
 
+def test_gamma_checks_the_ode_route_for_every_k_it_reports(capsys, monkeypatch):
+    real = gamma.gamma_poly_via_ode
+    monkeypatch.setattr(gamma, "gamma_poly_via_ode", lambda k: real(k) + Poly((1 if k == 15 else 0,)))
+    rc, out, _ = run(capsys, "gamma", "--kmax", "20")
+    assert rc == 1
+    assert "ode_rows_ok=False" in out
+
+
+def test_gamma_checks_the_expansion_for_every_k_it_reports(capsys, monkeypatch):
+    real = gamma.ls_binomial_expansion
+    monkeypatch.setattr(gamma, "ls_binomial_expansion", lambda n, k: real(n, k) + (1 if k == 12 else 0))
+    rc, out, err = run(capsys, "gamma", "--kmax", "20", "--nmax", "3")
+    assert rc == 1
+    assert "expansion_ok=False" in out
+    assert "k=12" in err
+
+
 # -- conjecture ----------------------------------------------------------------------
 
 
@@ -264,3 +284,66 @@ def test_oeis_count_beyond_file_is_an_io_error(capsys):
         capsys, "oeis", "A025035", "--source", str(FIXTURES / "b025035.txt"), "--count", "99"
     )
     assert rc == 3
+
+
+# -- oeis fetch, offline: urlopen is replaced in every test below ------------------------
+
+FIXTURE_URL = "https://oeis.org/A025035/b025035.txt"
+
+
+@pytest.fixture
+def cache_dir(monkeypatch, tmp_path):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    return tmp_path
+
+
+def test_oeis_fetch_passes_a_timeout_and_caches_the_file(capsys, monkeypatch, cache_dir):
+    body = (FIXTURES / "b025035.txt").read_bytes()
+    calls = []
+
+    def fake_urlopen(url, timeout=None):
+        calls.append((url, timeout))
+        return io.BytesIO(body)
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    rc, out, _ = run(capsys, "oeis", "A025035", "--count", "12")
+    assert rc == 0
+    assert "match" in out
+    assert calls == [(FIXTURE_URL, FETCH_TIMEOUT_S)]
+    assert [p.name for p in cache_dir.iterdir()] == ["b025035.txt"]
+    assert (cache_dir / "b025035.txt").read_bytes() == body
+    # a second run reads the cache and does not fetch again
+    rc, _, _ = run(capsys, "oeis", "A025035", "--count", "12")
+    assert rc == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "failure", [http.client.IncompleteRead(b"1 1\n2 10\n"), ConnectionResetError("connection reset")]
+)
+def test_oeis_fetch_failing_part_way_exits_3_and_caches_nothing(capsys, monkeypatch, cache_dir, failure):
+    class Broken(io.BytesIO):
+        def read(self, *args):
+            raise failure
+
+    monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout=None: Broken())
+    rc, _, err = run(capsys, "oeis", "A025035")
+    assert rc == 3
+    assert "cannot read b-file" in err
+    assert list(cache_dir.iterdir()) == []
+
+
+def test_oeis_cache_write_failing_part_way_leaves_no_cache_file(capsys, monkeypatch, cache_dir):
+    body = (FIXTURES / "b025035.txt").read_bytes()
+    monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout=None: io.BytesIO(body))
+    real_write = Path.write_text
+
+    def half_write(self, text, *args, **kwargs):
+        real_write(self, text[: len(text) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_write)
+    rc, _, err = run(capsys, "oeis", "A025035")
+    assert rc == 3
+    assert "no space left" in err
+    assert list(cache_dir.iterdir()) == []

@@ -156,10 +156,13 @@ def test_count_codes_matches_triangle():
             assert count_codes(n, k) == ls(n, k)
 
 
-def test_count_codes_exhaustive_mode_agrees_with_product_formula():
+def test_count_codes_agrees_with_exhaustive_enumeration():
     for n in range(1, 6):
-        for k in range(1, n + 1):
-            assert count_codes(n, k, exhaustive=True) == count_codes(n, k)
+        by_x: dict = {}
+        for code in enumerate_codes(n):
+            by_x[n_x(code)] = by_x.get(n_x(code), 0) + 1
+        for k in range(0, n + 2):
+            assert count_codes(n, k) == by_x.get(k, 0)
 
 
 def test_enumerate_codes_guard():

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from reference_impl import verify_conjecture_by_resorting
 
+from lstirling import realroots
 from lstirling.algebra import Poly
 from lstirling.gamma import gamma_poly
 from lstirling.realroots import (
@@ -54,6 +56,19 @@ def test_count_roots_handles_rational_roots_at_endpoints():
     assert count_roots(chain, Fraction(1, 2), 2) == 1
     assert count_roots(chain, 0, Fraction(3, 2)) == 2
     assert count_roots(chain, 0.5, 1.5) == 1  # float endpoints count at their exact values
+
+
+def test_count_roots_rejects_an_endpoint_on_a_repeated_root():
+    # (x-1)^2 (x+2): every chain element vanishes at the double root 1
+    chain = sturm_chain(_poly_with_roots(1, 1, -2))
+    with pytest.raises(ValueError, match="repeated root"):
+        count_roots(chain, 0, 1)
+    with pytest.raises(ValueError, match="repeated root"):
+        count_roots(chain, 1, 3)
+    # the simple root -2 is an ordinary endpoint, and 1 counts once
+    assert count_roots(chain, -2, 3) == 1
+    assert count_roots(chain, -3, -2) == 1
+    assert count_roots(chain, -3, 3) == 2
 
 
 def test_no_real_roots():
@@ -271,6 +286,30 @@ def test_certified_range_of_cases():
         res = verify_conjecture(k)
         assert res.verdict == "true", res.note
         assert res.pattern == res.expected_pattern
+
+
+def test_merge_agrees_with_the_resorting_reference():
+    for k in range(1, 9):
+        assert verify_conjecture(k).to_json_dict() == verify_conjecture_by_resorting(k).to_json_dict()
+
+
+def test_exhausted_budget_is_inconclusive_and_keeps_the_isolating_intervals(monkeypatch):
+    monkeypatch.setattr(realroots, "REFINE_CAP", 0)
+    res = verify_conjecture(3)
+    assert res.verdict == "inconclusive"
+    assert res.pattern == ""
+    assert "budget" in res.note
+    assert res.lower.intervals == isolate_roots(q_poly(3))[1]
+    assert res.upper.intervals == isolate_roots(q_poly(4))[1]
+    assert res.to_json_dict() == verify_conjecture_by_resorting(3).to_json_dict()
+
+
+@pytest.mark.parametrize("cap", [1, 2, 4, 8])
+def test_small_budgets_agree_with_the_resorting_reference(monkeypatch, cap):
+    # a cap near the bisections a root needs counts them per root exactly
+    monkeypatch.setattr(realroots, "REFINE_CAP", cap)
+    for k in range(1, 7):
+        assert verify_conjecture(k).to_json_dict() == verify_conjecture_by_resorting(k).to_json_dict()
 
 
 def test_invalid_k_is_rejected():
