@@ -10,7 +10,7 @@ gamma polynomials with exact Sturm chains.  The `lstirling` console script
 exposes tables, verification sweeps, and certificates.
 """
 
-from .algebra import NEG_INF, Poly, Series, binomial, falling_basis, poly_gcd, series_geom, series_mul
+from .algebra import NEG_INF, Poly, Series, binomial, falling_basis, series_geom, series_mul
 from .codes import (
     A,
     B,

@@ -194,12 +194,6 @@ class Poly:
             rem.pop()
         return Poly(quo), Poly(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     # -- calculus and evaluation --------------------------------------------
 
     def derivative(self) -> "Poly":
@@ -219,12 +213,6 @@ class Poly:
 
     def to_fractions(self) -> "Poly":
         return self.map_coeffs(Fraction)
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        inv = Fraction(1, 1) / self.coeffs[-1]
-        return Poly(c * inv for c in self.coeffs)
 
     # -- comparison and display ----------------------------------------------
 
@@ -264,14 +252,6 @@ class Poly:
 X = Poly((0, 1))
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by Euclid's algorithm over Fraction coefficients."""
-    a, b = a.to_fractions(), b.to_fractions()
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
 def falling_basis(k: int) -> Poly:
     """Product of (x - i(z+i)) for i = 0..k-1, as a poly in x over Z[z].
 
@@ -293,8 +273,9 @@ def falling_basis(k: int) -> Poly:
 class Series:
     """Power series truncated at a fixed order N: exactly N+1 coefficients.
 
-    Coefficients are stored as Fractions.  Multiplication keeps the same
-    truncation order; operands must agree on it.
+    Coefficients are stored as given (ints, in every caller) and padded
+    with 0.  Multiplication keeps the same truncation order; operands must
+    agree on it.
     """
 
     __slots__ = ("coeffs", "order")
@@ -302,8 +283,8 @@ class Series:
     def __init__(self, coeffs, order: int):
         if order < 0:
             raise ValueError("Series: order must be nonnegative")
-        cs = [Fraction(c) for c in list(coeffs)[: order + 1]]
-        cs.extend(Fraction(0) for _ in range(order + 1 - len(cs)))
+        cs = list(coeffs)[: order + 1]
+        cs.extend([0] * (order + 1 - len(cs)))
         self.coeffs = tuple(cs)
         self.order = order
 
@@ -331,7 +312,7 @@ def series_mul(a: Series, b: Series) -> Series:
     if a.order != b.order:
         raise ValueError("series_mul: operands must share the truncation order")
     n = a.order
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     for i, ca in enumerate(a.coeffs):
         if ca == 0:
             continue

@@ -294,14 +294,16 @@ def cmd_gamma(args) -> int:
         rows.append({"k": k, "offset": lo, "coeffs": list(gamma.gamma_row(k))})
     closed = gamma.closed_forms(args.kmax)
     ode_ok = all(gamma.gamma_poly(k) == gamma.gamma_poly_via_ode(k) for k in range(args.kmax + 1))
-    expansion_ok = True
-    expansion_detail = None
-    for k in range(1, args.kmax + 1):
-        for n in range(1, args.nmax + 1):
-            if gamma.ls_binomial_expansion(n, k) != triangles.ls(n + k, n):
-                expansion_ok = False
-                expansion_detail = f"expansion differs from triangle at n={n}, k={k}"
-                break
+    expansion_detail = next(
+        (
+            f"expansion differs from triangle at n={n}, k={k}"
+            for k in range(1, args.kmax + 1)
+            for n in range(1, args.nmax + 1)
+            if gamma.ls_binomial_expansion(n, k) != triangles.ls(n + k, n)
+        ),
+        None,
+    )
+    expansion_ok = expansion_detail is None
     doc = {
         "kmax": args.kmax,
         "rows": rows,
@@ -390,7 +392,7 @@ def cmd_oeis(args) -> int:
         return _fail(f"oeis: no comparator for {args.seq} (known: {known})", 3)
     try:
         text = _read_source(args.seq, args.source)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         return _fail(f"oeis: cannot read b-file: {err}", 3)
     try:
         bfile = parse_bfile(text, args.seq)

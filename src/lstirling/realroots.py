@@ -9,9 +9,9 @@ Sturm element (a primitive pseudo-remainder sequence), so sign variations,
 and with them root counts, are those of the classical chain.  The sign of an
 integer polynomial of degree d at a rational point a/b (b > 0) is read as
 the sign of sum c_i a^i b^(d-i), in ints only.  Isolating intervals have
-rational endpoints and are refined by bisection until the merged ordering
-is decided.  Floats never enter any verdict; they may appear only in
-diagnostics.
+rational endpoints and are refined by bisection, each step decided by the
+sign of the polynomial alone, until the merged ordering is decided.
+Floats never enter any verdict; they may appear only in diagnostics.
 """
 from __future__ import annotations
 
@@ -207,14 +207,21 @@ def isolate_roots(p: Poly):
     return chain, intervals
 
 
-def refine_interval(chain, interval):
-    """One bisection step on an isolating interval; endpoints stay non-roots."""
+def refine_interval(p: Poly, interval):
+    """One bisection step on an isolating interval of p; endpoints stay non-roots.
+
+    The interval holds one simple root of the square-free p and neither
+    endpoint is a root, so p changes sign across it: the sign of p at the
+    midpoint alone picks the half that keeps the root.  A midpoint that is
+    the root is boxed at half the distance to the nearer endpoint.
+    """
     lo, hi = interval
-    p = chain[0]
     mid = (lo + hi) / 2
-    if _sign_at(p, mid) == 0:
-        return _shrink_around(chain, mid, lo, hi)
-    if count_roots(chain, lo, mid) == 1:
+    s = _sign_at(p, mid)
+    if s == 0:
+        w = min(mid - lo, hi - mid) / 2
+        return (mid - w, mid + w)
+    if s != _sign_at(p, lo):
         return (lo, mid)
     return (mid, hi)
 
@@ -303,11 +310,11 @@ def _isolation(k: int):
     try:
         chain, intervals = isolate_roots(p)
     except ValueError as err:
-        return int(p.degree), (), (), str(err)
-    return int(p.degree), tuple(chain), tuple(intervals), None
+        return int(p.degree), p, (), str(err)
+    return int(p.degree), chain[0], tuple(intervals), None
 
 
-def _merge(chain_r, ivs_r, chain_s, ivs_s):
+def _merge(p_r, ivs_r, p_s, ivs_s):
     """Refine two sorted lists of isolating intervals into one ascending order.
 
     Each list is sorted and disjoint, so the first overlap in the merged
@@ -328,8 +335,8 @@ def _merge(chain_r, ivs_r, chain_s, ivs_s):
         elif used_r >= REFINE_CAP or used_s >= REFINE_CAP:
             return None
         else:
-            ivs_r[i] = refine_interval(chain_r, ivs_r[i])
-            ivs_s[j] = refine_interval(chain_s, ivs_s[j])
+            ivs_r[i] = refine_interval(p_r, ivs_r[i])
+            ivs_s[j] = refine_interval(p_s, ivs_s[j])
             used_r += 1
             used_s += 1
     tags += ["r"] * (len(ivs_r) - i) + ["s"] * (len(ivs_s) - j)
@@ -347,8 +354,8 @@ def verify_conjecture(k: int) -> ConjectureResult:
     """
     if k < 1:
         raise ValueError("verify_conjecture: k must be at least 1")
-    deg_r, chain_r, ivs_r, err_r = _isolation(k)
-    deg_s, chain_s, ivs_s, err_s = _isolation(k + 1)
+    deg_r, p_r, ivs_r, err_r = _isolation(k)
+    deg_s, p_s, ivs_s, err_s = _isolation(k + 1)
     expected = expected_pattern(k)
 
     def result(pattern, verdict, note=None):
@@ -363,7 +370,7 @@ def verify_conjecture(k: int) -> ConjectureResult:
     for q, deg, ivs in ((k, deg_r, ivs_r), (k + 1, deg_s, ivs_s)):
         if len(ivs) != deg:
             return result("", "false", f"q_{q} has {len(ivs)} real roots, degree {deg}")
-    merged = _merge(chain_r, ivs_r, chain_s, ivs_s)
+    merged = _merge(p_r, ivs_r, p_s, ivs_s)
     if merged is None:
         return result(
             "", "inconclusive", f"refinement budget exhausted separating roots of q_{k} and q_{k + 1}"

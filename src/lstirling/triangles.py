@@ -15,12 +15,11 @@ that tie all routes together.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import Poly, Series, falling_basis, series_geom, series_mul
+from .algebra import Poly, falling_basis, series_geom, series_mul
 
 
 @dataclass
@@ -37,9 +36,9 @@ class CheckResult:
 class Triangle:
     """Memoized triangle for T(n,k) = T(n-1,k-1) + f(n,k) T(n-1,k).
 
-    Rows are filled iteratively and cached for the lifetime of the instance;
-    a lock makes concurrent reads of a shared instance safe.  `one` and
-    `zero` fix the entry ring (ints, or Poly for the z-triangles).
+    Rows are filled iteratively and cached for the lifetime of the instance.
+    The package is single-process and takes no lock.  `one` and `zero` fix
+    the entry ring (ints, or Poly for the z-triangles).
     """
 
     def __init__(self, factor, one=1, zero=0, tag: str = ""):
@@ -48,24 +47,22 @@ class Triangle:
         self.zero = zero
         self.tag = tag
         self._rows = [[one]]
-        self._lock = threading.Lock()
 
     def value(self, n: int, k: int):
         if n < 0 or k < 0:
             raise ValueError(f"triangle {self.tag}: indices must be nonnegative")
         if k > n:
             return self.zero
-        with self._lock:
-            while len(self._rows) <= n:
-                m = len(self._rows)
-                prev = self._rows[m - 1]
-                row = []
-                for j in range(m + 1):
-                    left = prev[j - 1] if 1 <= j <= m else self.zero
-                    up = prev[j] if j < m else self.zero
-                    row.append(left + self.factor(m, j) * up)
-                self._rows.append(row)
-            return self._rows[n][k]
+        while len(self._rows) <= n:
+            m = len(self._rows)
+            prev = self._rows[m - 1]
+            row = []
+            for j in range(m + 1):
+                left = prev[j - 1] if 1 <= j <= m else self.zero
+                up = prev[j] if j < m else self.zero
+                row.append(left + self.factor(m, j) * up)
+            self._rows.append(row)
+        return self._rows[n][k]
 
     def row(self, n: int) -> list:
         return [self.value(n, k) for k in range(n + 1)]
@@ -130,21 +127,15 @@ def ls_vertical(n: int, j: int) -> int:
     return sum(ls(k - 1, j - 1) * ratio ** (n - k) for k in range(j, n + 1))
 
 
-def _legendre_basis(k: int) -> Poly:
-    # falling_basis at z = 1: product of (x - i(i+1)) over the integers
-    out = Poly((1,))
-    for i in range(k):
-        out = out * Poly((-i * (i + 1), 1))
-    return out
-
-
 def horizontal_identity_ls(n: int) -> CheckResult:
     """Check x^n = sum_k ls(n,k) x(x-2)(x-6)...(x-(k-1)k) by exact expansion."""
     if n < 0:
         raise ValueError("horizontal_identity_ls: n must be nonnegative")
-    rhs = Poly()
+    # basis is x(x-2)(x-6)...(x-(k-1)k) at the top of step k
+    rhs, basis = Poly(), Poly((1,))
     for k in range(n + 1):
-        rhs = rhs + _legendre_basis(k) * ls(n, k)
+        rhs = rhs + basis * ls(n, k)
+        basis = basis * Poly((-k * (k + 1), 1))
     lhs = Poly((0,) * n + (1,))
     if rhs == lhs:
         return CheckResult(True)

@@ -6,6 +6,10 @@ by scanning every box.  Both cost more than linear time in n, but they follow
 the definitions step by step and share no code with `partitions.validate` or
 `codes.phi_inverse`, so the tests compare the library against them.
 
+`refine_by_counting` picks the half of an isolating interval that keeps the
+root by a Sturm count on the left half, where `realroots.refine_interval`
+reads only the sign of the polynomial at the midpoint.
+
 `verify_conjecture_by_resorting` orders the roots of q_k and q_{k+1} by
 sorting every interval after each refinement and bisecting the first
 overlapping neighbours, instead of merging the two sorted lists once as
@@ -74,6 +78,17 @@ def phi_inverse_by_scanning(p: LSPartition):
     return tuple(reversed(out))
 
 
+def refine_by_counting(chain, interval):
+    """One bisection step, keeping the half whose Sturm count is one."""
+    lo, hi = interval
+    mid = (lo + hi) / 2
+    if realroots._sign_at(chain[0], mid) == 0:
+        return realroots._shrink_around(chain, mid, lo, hi)
+    if realroots.count_roots(chain, lo, mid) == 1:
+        return (lo, mid)
+    return (mid, hi)
+
+
 def verify_conjecture_by_resorting(k: int) -> realroots.ConjectureResult:
     """The merged-order verdict for q_k and q_{k+1}, re-sorting after each bisection."""
     certs, chains = [], []
@@ -113,7 +128,7 @@ def verify_conjecture_by_resorting(k: int) -> realroots.ConjectureResult:
                 return result(
                     "", "inconclusive", f"refinement budget exhausted separating roots of q_{k} and q_{k + 1}"
                 )
-            entry[1] = realroots.refine_interval(entry[2], entry[1])
+            entry[1] = realroots.refine_interval(entry[2][0], entry[1])
             entry[3] += 1
     cert_r.intervals = [e[1] for e in entries if e[0] == "r"]
     cert_s.intervals = [e[1] for e in entries if e[0] == "s"]

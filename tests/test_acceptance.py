@@ -237,7 +237,7 @@ def test_10_interlacing_certificates():
     ]
     for approx, (iv, chain) in zip(stated, merged):
         while iv[1] - iv[0] > Fraction(1, 512):
-            iv = refine_interval(chain, iv)
+            iv = refine_interval(chain[0], iv)
         if not (iv[0] - Fraction(1, 50) <= approx <= iv[1] + Fraction(1, 50)):
             failures.append(f"stated root {float(approx)} outside certified interval {iv}")
     _report(10, "interlacing certificates for 2<=k<=8 with k=2 root locations", failures, time.monotonic() - start, 600)

@@ -175,11 +175,13 @@ def test_gamma_checks_the_ode_route_for_every_k_it_reports(capsys, monkeypatch):
 
 def test_gamma_checks_the_expansion_for_every_k_it_reports(capsys, monkeypatch):
     real = gamma.ls_binomial_expansion
-    monkeypatch.setattr(gamma, "ls_binomial_expansion", lambda n, k: real(n, k) + (1 if k == 12 else 0))
+    monkeypatch.setattr(gamma, "ls_binomial_expansion", lambda n, k: real(n, k) + (1 if k in (12, 15) else 0))
     rc, out, err = run(capsys, "gamma", "--kmax", "20", "--nmax", "3")
     assert rc == 1
     assert "expansion_ok=False" in out
-    assert "k=12" in err
+    # the first failing k is reported, not a later one
+    assert "n=1, k=12" in err
+    assert "k=15" not in err
 
 
 # -- conjecture ----------------------------------------------------------------------
@@ -271,6 +273,14 @@ def test_oeis_malformed_file(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_oeis_file_that_is_not_utf8_is_an_io_error(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1 1\n2 \xff\n")
+    rc, _, err = run(capsys, "oeis", "A025035", "--source", str(bad))
+    assert rc == 3
+    assert "cannot read b-file" in err
+
+
 def test_oeis_mismatch_reports_first_differing_index(capsys, tmp_path):
     wrong = tmp_path / "wrong.txt"
     wrong.write_text("1 1\n2 10\n3 281\n4 15400\n")
@@ -346,4 +356,12 @@ def test_oeis_cache_write_failing_part_way_leaves_no_cache_file(capsys, monkeypa
     rc, _, err = run(capsys, "oeis", "A025035")
     assert rc == 3
     assert "no space left" in err
+    assert list(cache_dir.iterdir()) == []
+
+
+def test_oeis_fetched_file_that_is_not_utf8_exits_3_and_caches_nothing(capsys, monkeypatch, cache_dir):
+    monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout=None: io.BytesIO(b"1 1\n2 \xff\n"))
+    rc, _, err = run(capsys, "oeis", "A025035")
+    assert rc == 3
+    assert "cannot read b-file" in err
     assert list(cache_dir.iterdir()) == []

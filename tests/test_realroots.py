@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from reference_impl import verify_conjecture_by_resorting
+from reference_impl import refine_by_counting, verify_conjecture_by_resorting
 
 from lstirling import realroots
 from lstirling.algebra import Poly
@@ -223,10 +223,29 @@ def test_refine_interval_halves_and_keeps_the_root():
     chain, intervals = isolate_roots(p)
     iv = intervals[1]
     for _ in range(10):
-        iv = refine_interval(chain, iv)
+        iv = refine_interval(chain[0], iv)
         assert count_roots(chain, iv[0], iv[1]) == 1
     assert iv[1] - iv[0] < Fraction(1, 100)
     assert iv[0] < 2 <= iv[1]
+
+
+def test_refine_interval_boxes_a_root_at_the_midpoint():
+    # x(x - 4) on (-1, 1): the midpoint 0 is the root
+    p = _poly_with_roots(0, 4)
+    iv = (Fraction(-1), Fraction(1))
+    assert refine_interval(p, iv) == (Fraction(-1, 2), Fraction(1, 2))
+    assert refine_by_counting(sturm_chain(p), iv) == (Fraction(-1, 2), Fraction(1, 2))
+
+
+@given(_square_free())
+def test_refine_interval_agrees_with_refinement_by_counting(case):
+    cs, _, _ = case
+    chain, intervals = isolate_roots(Poly(cs))
+    for iv in intervals:
+        for _ in range(12):
+            by_sign = refine_interval(chain[0], iv)
+            assert by_sign == refine_by_counting(chain, iv)
+            iv = by_sign
 
 
 # -- certificate inputs ------------------------------------------------------------
