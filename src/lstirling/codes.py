@@ -23,20 +23,13 @@ import re
 from functools import lru_cache
 
 from .partitions import ENUM_LIMIT, LSPartition, validate
-from .triangles import CheckResult
+from .triangles import CheckResult, _require_int
 
 X = ("X",)
 
 
-def _check_index(name: str, idx) -> None:
-    # bool is an int subclass, but True is not a box index
-    if isinstance(idx, bool) or not isinstance(idx, int):
-        raise ValueError(f"{name} box indices must be ints, got {idx!r}")
-
-
 def A(i: int, j: int) -> tuple:
-    _check_index("A(i,j)", i)
-    _check_index("A(i,j)", j)
+    _require_int("A(i,j)", i, j)
     if i == j:
         raise ValueError("A(i,j) requires distinct box indices")
     if i < 1 or j < 1:
@@ -45,14 +38,14 @@ def A(i: int, j: int) -> tuple:
 
 
 def B(s: int) -> tuple:
-    _check_index("B(s)", s)
+    _require_int("B(s)", s)
     if s < 1:
         raise ValueError("B(s) box index starts at 1")
     return ("B", s)
 
 
 def Bb(s: int) -> tuple:
-    _check_index("Bb(s)", s)
+    _require_int("Bb(s)", s)
     if s < 1:
         raise ValueError("Bb(s) box index starts at 1")
     return ("Bb", s)
@@ -184,6 +177,7 @@ def count_codes(n: int, k: int) -> int:
     Multiplies per-step choice counts: a non-X position reached with t X's
     seen contributes t^2 + t choices.
     """
+    _require_int("count_codes", n, k)
     if n < 1:
         raise ValueError("count_codes: n must be at least 1")
     if k < 1 or k > n:
@@ -220,11 +214,11 @@ _TOKEN = re.compile(r"X|A\((\d+),(\d+)\)|(B|Bb)\((\d+)\)")
 
 
 def parse_code(text: str):
-    """Inverse of render_code."""
+    """Inverse of render_code; text that is not a str raises ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"parse_code: expected str, got {type(text).__name__}")
     out = []
     s = text.strip()
-    if not s:
-        raise ValueError("parse_code: empty code text")
     pos = 0
     while pos < len(s):
         if s[pos] in ", ":
@@ -242,4 +236,6 @@ def parse_code(text: str):
         else:
             out.append(Bb(int(m.group(4))))
         pos = m.end()
+    if not out:
+        raise ValueError("parse_code: empty code text")
     return tuple(out)

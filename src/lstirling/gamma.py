@@ -19,11 +19,12 @@ from functools import lru_cache
 from math import factorial
 
 from .algebra import Poly, binomial
-from .triangles import CheckResult
+from .triangles import CheckResult, _require_int
 
 
 def support(k: int) -> tuple:
     """Index range (lo, hi) where gamma(k, .) can be nonzero."""
+    _require_int("support", k)
     if k < 0:
         raise ValueError(f"support: k must be nonnegative, got {k}")
     return (0, 0) if k == 0 else (k + 2, 3 * k)

@@ -86,7 +86,12 @@ def from_json_dict(doc: dict) -> LSPartition:
 
 
 def parse(text: str) -> LSPartition:
-    """Parse the canonical rendering; inverse of LSPartition.render."""
+    """Parse the canonical rendering; inverse of LSPartition.render.
+
+    Text that is not a str, or not a rendering, raises ValueError.
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"parse: expected str, got {type(text).__name__}")
     m = re.fullmatch(r"((?:\{[^{}<>]*\})*)<([^{}<>]*)>", text.strip())
     if not m:
         raise ValueError(f"bad partition text {text!r}")

@@ -16,8 +16,7 @@ that tie all routes together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .algebra import Poly, falling_basis, series_geom, series_mul
 
@@ -31,6 +30,17 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _require_int(where: str, *values) -> None:
+    """Raise ValueError unless every value is an int; bool is an int subclass but not an index.
+
+    Shared by the package's entry points; private so that a per-layer trace
+    charges its time to the calling function.
+    """
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{where}: arguments must be ints, got {v!r}")
 
 
 class Triangle:
@@ -97,23 +107,25 @@ def jc(n: int, k: int) -> Poly:
 def ls_explicit(n: int, k: int) -> int:
     """ls(n,k) by the explicit alternating sum.
 
-    Sum over r = 0..k of (-1)^(r+k) (2r+1) (r^2+r)^n / ((r+k+1)! (k-r)!),
-    evaluated in exact rationals.  Python's 0**0 == 1 supplies the convention
-    needed at n = 0.  A non-integer total would mean an implementation bug and
-    raises ArithmeticError.
+    Sum over r = 0..k of (-1)^(r+k) (2r+1) (r^2+r)^n / ((r+k+1)! (k-r)!).
+    Every denominator divides (2k+1)!, with quotient C(2k+1, k-r), so the sum
+    is taken in integers over that one denominator and finished by a single
+    division.  Python's 0**0 == 1 supplies the convention needed at n = 0.  A
+    nonzero remainder would mean an implementation bug and raises
+    ArithmeticError.
     """
+    _require_int("ls_explicit", n, k)
     if n < 0 or k < 0:
         raise ValueError("ls_explicit: indices must be nonnegative")
-    total = Fraction(0)
+    total = 0
     for r in range(k + 1):
-        term = Fraction(
-            (-1) ** (r + k) * (2 * r + 1) * (r * r + r) ** n,
-            factorial(r + k + 1) * factorial(k - r),
-        )
-        total += term
-    if total.denominator != 1:
-        raise ArithmeticError(f"ls_explicit({n},{k}) is not an integer: {total}")
-    return int(total)
+        term = (2 * r + 1) * (r * r + r) ** n * comb(2 * k + 1, k - r)
+        total += -term if (r + k) & 1 else term
+    denominator = factorial(2 * k + 1)
+    quotient, remainder = divmod(total, denominator)
+    if remainder:
+        raise ArithmeticError(f"ls_explicit({n},{k}) is not an integer: {total}/{denominator}")
+    return quotient
 
 
 def ls_vertical(n: int, j: int) -> int:
@@ -121,6 +133,7 @@ def ls_vertical(n: int, j: int) -> int:
 
     Sum over k = j..n of ls(k-1, j-1) (j(j+1))^(n-k); requires 1 <= j <= n.
     """
+    _require_int("ls_vertical", n, j)
     if not 1 <= j <= n:
         raise ValueError("ls_vertical: need 1 <= j <= n")
     ratio = j * (j + 1)

@@ -10,15 +10,38 @@ the definitions step by step and share no code with `partitions.validate` or
 root by a Sturm count on the left half, where `realroots.refine_interval`
 reads only the sign of the polynomial at the midpoint.
 
+`ls_explicit_by_fractions` adds the explicit alternating sum for ls(n,k) one
+`Fraction` term at a time, where `triangles.ls_explicit` sums integers over
+the single denominator (2k+1)!.
+
 `verify_conjecture_by_resorting` orders the roots of q_k and q_{k+1} by
 sorting every interval after each refinement and bisecting the first
 overlapping neighbours, instead of merging the two sorted lists once as
 `realroots.verify_conjecture` does.
 """
+from fractions import Fraction
+from math import factorial
+
 from lstirling import realroots
 from lstirling.codes import A, B, Bb, X
 from lstirling.partitions import LSPartition
 from lstirling.triangles import CheckResult
+
+
+def ls_explicit_by_fractions(n: int, k: int) -> int:
+    """ls(n,k) = sum_{r=0..k} (-1)^(r+k) (2r+1) (r^2+r)^n / ((r+k+1)! (k-r)!) in exact rationals."""
+    if n < 0 or k < 0:
+        raise ValueError("ls_explicit: indices must be nonnegative")
+    total = Fraction(0)
+    for r in range(k + 1):
+        term = Fraction(
+            (-1) ** (r + k) * (2 * r + 1) * (r * r + r) ** n,
+            factorial(r + k + 1) * factorial(k - r),
+        )
+        total += term
+    if total.denominator != 1:
+        raise ArithmeticError(f"ls_explicit({n},{k}) is not an integer: {total}")
+    return int(total)
 
 
 def validate_by_sorting(p: LSPartition) -> CheckResult:

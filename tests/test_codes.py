@@ -2,7 +2,10 @@
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from reference_impl import phi_inverse_by_scanning
+from strategies import JSON_LIKE
 
 from lstirling.codes import (
     A,
@@ -59,6 +62,24 @@ def test_parse_rejects_garbage_with_position():
         parse_code("X,A(2;1)")
     with pytest.raises(ValueError):
         parse_code("")
+    for text in (",", " , ", None, 12, b"X", ["X"]):
+        with pytest.raises(ValueError):
+            parse_code(text)
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="XABb(),0123456789 ", max_size=40),
+        JSON_LIKE,
+    )
+)
+def test_parse_code_returns_or_raises_value_error_only(text):
+    try:
+        code = parse_code(text)
+    except ValueError:
+        return
+    assert isinstance(code, tuple) and code
 
 
 def test_validate_requires_leading_x():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_impl import phi_inverse_by_scanning, validate_by_sorting
+from strategies import JSON_LIKE
 
 from lstirling.algebra import Poly
 from lstirling.codes import phi_inverse
@@ -46,8 +47,43 @@ def test_parse_render_round_trip_on_worked_example():
     assert validate(p)
 
 
+PARTITION_TEXT = st.text(alphabet="{}<>,' 0123456789", max_size=40)
+
+
+@given(st.one_of(st.text(), PARTITION_TEXT, JSON_LIKE))
+def test_parse_returns_or_raises_value_error_only(text):
+    try:
+        p = parse(text)
+    except ValueError:
+        return
+    assert isinstance(p, LSPartition)
+
+
+ELEMENT_LISTS = st.lists(st.one_of(st.sampled_from(["1", "1'", "2", "2'", "0", "x"]), JSON_LIKE), max_size=4)
+
+
+@given(
+    st.one_of(
+        JSON_LIKE,
+        st.fixed_dictionaries(
+            {
+                "n": st.one_of(st.integers(-2, 6), JSON_LIKE),
+                "boxes": st.one_of(st.lists(ELEMENT_LISTS, max_size=3), JSON_LIKE),
+                "zero_box": st.one_of(ELEMENT_LISTS, JSON_LIKE),
+            }
+        ),
+    )
+)
+def test_from_json_dict_returns_or_raises_value_error_only(doc):
+    try:
+        p = from_json_dict(doc)
+    except ValueError:
+        return
+    assert isinstance(p, LSPartition)
+
+
 def test_parse_rejects_malformed_text():
-    for text in ("", "{1,1'}", "<>{1,1'}", "{1,1'}<2,2'>extra"):
+    for text in ("", "{1,1'}", "<>{1,1'}", "{1,1'}<2,2'>extra", None, 12, b"{1,1'}<>"):
         with pytest.raises(ValueError):
             parse(text)
 

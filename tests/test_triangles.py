@@ -1,9 +1,15 @@
 """Triangle recurrences, alternate computation routes, and identity checks."""
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_impl import ls_explicit_by_fractions
 
+from lstirling import triangles
 from lstirling.algebra import Poly
+from lstirling.codes import count_codes
+from lstirling.gamma import gamma_row, support
 from lstirling.triangles import (
     CheckResult,
     horizontal_identity_js,
@@ -100,9 +106,16 @@ def test_negative_indices_are_rejected():
 
 
 def test_explicit_sum_agrees_with_recurrence():
-    for n in range(13):
+    for n in range(61):
         for k in range(n + 1):
-            assert ls_explicit(n, k) == ls(n, k)
+            assert ls_explicit(n, k) == ls_explicit_by_fractions(n, k) == ls(n, k)
+
+
+def test_explicit_sum_raises_when_the_division_is_inexact(monkeypatch):
+    # (2k+1)! + 1 no longer divides the integer sum: the guard must fire
+    monkeypatch.setattr(triangles, "factorial", lambda m: math.factorial(m) + 1)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        ls_explicit(5, 2)
 
 
 def test_vertical_recurrence_agrees_with_recurrence():
@@ -116,6 +129,26 @@ def test_vertical_recurrence_rejects_out_of_range_column():
         ls_vertical(4, 0)
     with pytest.raises(ValueError):
         ls_vertical(4, 5)
+
+
+@pytest.mark.parametrize("bad", [2.5, "1", None, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: ls_explicit(v, 1),
+        lambda v: ls_explicit(3, v),
+        lambda v: ls_vertical(v, 1),
+        lambda v: ls_vertical(3, v),
+        lambda v: count_codes(v, 1),
+        lambda v: count_codes(3, v),
+        support,
+        gamma_row,
+    ],
+    ids=["ls_explicit-n", "ls_explicit-k", "ls_vertical-n", "ls_vertical-j", "count_codes-n", "count_codes-k", "support", "gamma_row"],
+)
+def test_non_int_arguments_raise_value_error(call, bad):
+    with pytest.raises(ValueError, match="must be ints"):
+        call(bad)
 
 
 def test_vertical_generating_function_route():
