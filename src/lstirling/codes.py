@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .partitions import ENUM_LIMIT, LSPartition, validate
+from .partitions import ENUM_LIMIT, LSPartition, _code_of, validate
 from .triangles import CheckResult, _require_int
 
 X = ("X",)
@@ -57,38 +57,60 @@ def n_x(code) -> int:
 
 
 def validate_code(code) -> CheckResult:
-    """Check the structural rules; report the first offending position (1-based)."""
+    """Check the structural rules; report the first offending position (1-based).
+
+    The one place that decides code legality.  A symbol is a tuple: ("X",),
+    or ("A", i, j) with i != j, or ("B", s) or ("Bb", s), each box index an
+    int (never a bool) in 1..t, where t counts the X symbols before it.  The
+    message is worked out only for the symbol that is rejected.
+    """
     if not code:
         return CheckResult(False, "position 1: empty code")
     t = 0
     for pos, sym in enumerate(code, start=1):
-        if sym == X:
-            t += 1
-            continue
-        if not isinstance(sym, tuple) or not sym or sym[0] not in ("X", "A", "B", "Bb"):
-            return CheckResult(False, f"position {pos}: unknown symbol {sym!r}")
-        kind = sym[0]
-        if kind == "X":
-            return CheckResult(False, f"position {pos}: malformed X")
-        if pos == 1:
-            return CheckResult(False, "position 1: code must start with X")
-        idxs = sym[1:]
-        if (kind == "A" and len(idxs) != 2) or (kind in ("B", "Bb") and len(idxs) != 1):
-            return CheckResult(False, f"position {pos}: malformed {kind} symbol")
-        if kind == "A" and idxs[0] == idxs[1]:
-            return CheckResult(False, f"position {pos}: A indices must differ")
-        for idx in idxs:
-            if isinstance(idx, bool):
-                return CheckResult(False, f"position {pos}: box index {idx!r} is a bool, not an int")
-            if not isinstance(idx, int) or not 1 <= idx <= t:
-                return CheckResult(False, f"position {pos}: box index {idx} exceeds the {t} boxes opened")
+        if type(sym) is tuple:
+            size = len(sym)
+            if size == 1:
+                if sym[0] == "X":
+                    t += 1
+                    continue
+            elif size == 2:
+                s = sym[1]
+                if (sym[0] == "B" or sym[0] == "Bb") and type(s) is int and 0 < s <= t:
+                    continue
+            elif size == 3:
+                i, j = sym[1], sym[2]
+                if sym[0] == "A" and type(i) is int and type(j) is int and i != j and 0 < i <= t and 0 < j <= t:
+                    continue
+        return CheckResult(False, _symbol_error(pos, sym, t))
     return CheckResult(True)
+
+
+def _symbol_error(pos: int, sym, t: int) -> str:
+    """Why validate_code rejected sym at position pos, with t boxes open."""
+    if type(sym) is not tuple or not sym or sym[0] not in ("X", "A", "B", "Bb"):
+        return f"position {pos}: unknown symbol {sym!r}"
+    kind, idxs = sym[0], sym[1:]
+    if kind == "X":
+        return f"position {pos}: malformed X"
+    if pos == 1:
+        return "position 1: code must start with X"
+    if len(idxs) != (2 if kind == "A" else 1):
+        return f"position {pos}: malformed {kind} symbol"
+    if kind == "A" and idxs[0] == idxs[1]:
+        return f"position {pos}: A indices must differ"
+    for idx in idxs:
+        if type(idx) is bool:
+            return f"position {pos}: box index {idx!r} is a bool, not an int"
+        if type(idx) is not int or not 1 <= idx <= t:
+            break
+    return f"position {pos}: box index {idx} exceeds the {t} boxes opened"
 
 
 def phi(code) -> LSPartition:
     """Replay a code into the partition it encodes."""
     v = validate_code(code)
-    if not v:
+    if not v.ok:
         raise ValueError(f"phi: invalid code ({v.detail})")
     return _replay(code)
 
@@ -119,24 +141,13 @@ def phi_inverse(p: LSPartition):
     Peeling the largest value never shifts a box index: the box removed at an
     X holds the pair {m, m'} alone, and in standard form every box after it
     has a larger minimum, so it was removed before.  Hence each value's
-    symbol reads off the final box indices of its two copies.
+    symbol reads off the final box indices of its two copies, and the scan
+    that reads them (partitions._code_of) checks the partition as it goes.
     """
-    v = validate(p)
-    if not v:
-        raise ValueError(f"phi_inverse: invalid partition ({v.detail})")
-    where = {e: i for i, box in enumerate(p.boxes, start=1) for e in box}
-    out = []
-    for m in range(1, p.n + 1):
-        ip, ib = where.get((m, False)), where.get((m, True))
-        if ip is None:
-            out.append(("Bb", ib))
-        elif ib is None:
-            out.append(("B", ip))
-        elif ip == ib:
-            out.append(X)
-        else:
-            out.append(("A", ip, ib))
-    return tuple(out)
+    code = _code_of(p)
+    if code is None:
+        raise ValueError(f"phi_inverse: invalid partition ({validate(p).detail})")
+    return code
 
 
 @lru_cache(maxsize=None)
@@ -210,32 +221,43 @@ def render_code(code) -> str:
     return ",".join(parts)
 
 
-_TOKEN = re.compile(r"X|A\((\d+),(\d+)\)|(B|Bb)\((\d+)\)")
+_TOKEN = r"(X)|A\((\d+),(\d+)\)|(Bb?)\((\d+)\)"
+# one findall reads the whole text: each match is a token with the separators
+# before it, separators alone, or one character of anything else
+_SCAN = re.compile(rf"[, ]*(?:{_TOKEN})|[, ]+|(.)", re.DOTALL)
+# the longest prefix of tokens and separators, which ends at the first bad token
+_PREFIX = re.compile(rf"(?:[, ]*(?:{_TOKEN}))*[, ]*")
 
 
 def parse_code(text: str):
-    """Inverse of render_code; text that is not a str raises ValueError."""
+    """Inverse of render_code; text that is not a str raises ValueError.
+
+    Tokens may be separated by commas and spaces.  The first error in the
+    text is reported: a box index below 1, a bad token (with its position in
+    the stripped text), or no token at all.
+    """
     if not isinstance(text, str):
         raise ValueError(f"parse_code: expected str, got {type(text).__name__}")
-    out = []
     s = text.strip()
-    pos = 0
-    while pos < len(s):
-        if s[pos] in ", ":
-            pos += 1
-            continue
-        m = _TOKEN.match(s, pos)
-        if not m:
-            raise ValueError(f"bad code token at position {pos}: {s[pos:]!r}")
-        if m.group(0) == "X":
+    out = []
+    for x, i, j, kind, idx, junk in _SCAN.findall(s):
+        if i:
+            i, j = int(i), int(j)
+            if i == j:
+                raise ValueError("A(i,j) requires distinct box indices")
+            if i < 1 or j < 1:
+                raise ValueError("A(i,j) box indices start at 1")
+            out.append(("A", i, j))
+        elif kind:
+            idx = int(idx)
+            if idx < 1:
+                raise ValueError(f"{kind}(s) box index starts at 1")
+            out.append((kind, idx))
+        elif x:
             out.append(X)
-        elif m.group(1):
-            out.append(A(int(m.group(1)), int(m.group(2))))
-        elif m.group(3) == "B":
-            out.append(B(int(m.group(4))))
-        else:
-            out.append(Bb(int(m.group(4))))
-        pos = m.end()
+        elif junk:
+            pos = _PREFIX.match(s).end()
+            raise ValueError(f"bad code token at position {pos}: {s[pos:]!r}")
     if not out:
         raise ValueError("parse_code: empty code text")
     return tuple(out)

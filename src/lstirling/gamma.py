@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .algebra import Poly, binomial
 from .triangles import CheckResult, _require_int
@@ -30,30 +30,64 @@ def support(k: int) -> tuple:
     return (0, 0) if k == 0 else (k + 2, 3 * k)
 
 
-@lru_cache(maxsize=None)
-def gamma_coeff(k: int, i: int) -> int:
-    """gamma(k, i) by the integer recurrence
+def _next_row(prev: tuple, prev_lo: int, k: int, lo: int, hi: int) -> tuple:
+    """(gamma(k, lo), ..., gamma(k, hi)) by the integer recurrence
 
     gamma(k,i) = C(i-k,2) gamma(k-1,i-1) + (i-1)(i-k-1) gamma(k-1,i-2)
                  + C(i-1,2) gamma(k-1,i-3),
 
-    seeded by gamma(0,0) = 1.  Zero outside the support.
+    from prev = (gamma(k-1, prev_lo), ...).  Entries of row k-1 outside prev
+    count as 0, so prev must hold every in-support entry the window reads;
+    the window lies in the support of row k.
     """
-    if k < 0 or i < 0:
-        return 0
-    if k == 0:
-        return 1 if i == 0 else 0
-    return (
-        binomial(i - k, 2) * gamma_coeff(k - 1, i - 1)
-        + (i - 1) * (i - k - 1) * gamma_coeff(k - 1, i - 2)
-        + binomial(i - 1, 2) * gamma_coeff(k - 1, i - 3)
+    g = (0, 0, 0) + prev + (0, 0, 0)
+    off = 3 - prev_lo  # g[j + off] = gamma(k-1, j)
+    return tuple(
+        comb(i - k, 2) * g[i - 1 + off] + (i - 1) * (i - k - 1) * g[i - 2 + off] + comb(i - 1, 2) * g[i - 3 + off]
+        for i in range(lo, hi + 1)
     )
 
 
+# _ROWS[k] is gamma_row(k); rows are appended in order, seeded by gamma(0,0) = 1
+_ROWS = [(1,)]
+
+
 def gamma_row(k: int) -> tuple:
-    """In-support coefficients (gamma(k, lo), ..., gamma(k, hi))."""
+    """In-support coefficients (gamma(k, lo), ..., gamma(k, hi)).
+
+    Rows are filled iteratively up to k and kept for the process's lifetime.
+    """
+    support(k)
+    while len(_ROWS) <= k:
+        m = len(_ROWS)
+        _ROWS.append(_next_row(_ROWS[-1], support(m - 1)[0], m, *support(m)))
+    return _ROWS[k]
+
+
+# the cache adds nothing to the row table; it stays because the benchmark's
+# tracer (perfbench/tracer.py) reads gamma_coeff.cache_info
+@lru_cache(maxsize=None)
+def gamma_coeff(k: int, i: int) -> int:
+    """gamma(k, i); zero outside the support.
+
+    Read from the row table when row k is there.  Beyond it, only the cone of
+    entries that gamma(k, i) depends on is computed, row by row from the last
+    row in the table and kept nowhere: row m needs the indices within
+    i - 3(k-m) .. i - (k-m), so a corner such as gamma(k, 3k) costs one
+    entry per row.
+    """
+    _require_int("gamma_coeff", k, i)
+    if k < 0 or i < 0:
+        return 0
     lo, hi = support(k)
-    return tuple(gamma_coeff(k, i) for i in range(lo, hi + 1))
+    if not lo <= i <= hi:
+        return 0
+    top = min(k, len(_ROWS) - 1)
+    row, row_lo = _ROWS[top], support(top)[0]
+    for m in range(top + 1, k + 1):
+        m_lo, m_hi = max(i - 3 * (k - m), m + 2), min(i - (k - m), 3 * m)
+        row, row_lo = _next_row(row, row_lo, m, m_lo, m_hi), m_lo
+    return row[i - row_lo]
 
 
 def gamma_poly(k: int) -> Poly:
@@ -98,8 +132,8 @@ def ls_binomial_expansion(n: int, k: int) -> int:
     """ls(n+k, n) via 2^k sum_i gamma(k,i) C(n+k+1, i)."""
     if n < 0 or k < 0:
         raise ValueError("ls_binomial_expansion: indices must be nonnegative")
-    lo, hi = support(k)
-    return 2 ** k * sum(gamma_coeff(k, i) * binomial(n + k + 1, i) for i in range(lo, hi + 1))
+    lo, _ = support(k)
+    return 2 ** k * sum(c * binomial(n + k + 1, i) for i, c in enumerate(gamma_row(k), start=lo))
 
 
 def ls_nested_sum(n: int, k: int) -> int:
@@ -128,8 +162,8 @@ def lc_expansion(n: int, k: int) -> int:
     """
     if n < 1 or k < 0 or n - k - 1 < 0:
         raise ValueError("lc_expansion: need n >= 1 and 0 <= k <= n-1")
-    lo, hi = support(k)
-    s = sum(gamma_coeff(k, i) * binomial(-n + k + 1, i) for i in range(lo, hi + 1))
+    lo, _ = support(k)
+    s = sum(c * binomial(-n + k + 1, i) for i, c in enumerate(gamma_row(k), start=lo))
     return (-1) ** k * 2 ** k * s
 
 

@@ -13,14 +13,13 @@ Standard form lists nonzero boxes in increasing order of their minima, zero
 box last.  Text rendering uses curly braces for nonzero boxes and angle
 brackets for the zero box: "{1,1',3',5'}{2,2',3,4}<4',5>".
 
-Elements are (value, barred) tuples.
+Elements are (value, barred) tuples: an int value (never a bool) and a bool flag.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 from .algebra import Poly
 from .triangles import CheckResult
@@ -106,55 +105,120 @@ def parse(text: str) -> LSPartition:
     return LSPartition(max(values, default=0), tuple(boxes), zero)
 
 
-@lru_cache(maxsize=16)
-def _ground_set(n: int) -> frozenset:
-    """{1,1',...,n,n'} as a set of elements; a sweep asks for one n at a time."""
-    return frozenset((v, barred) for v in range(1, n + 1) for barred in (False, True))
+_X = ("X",)  # the code symbol that opens a box, as in codes.X
 
 
-_value = itemgetter(0)
+def _homes(p: LSPartition):
+    """The box of each value's two copies, or None unless the elements cover
+    {1,1',...,n,n'} exactly once.
+
+    Returns lists (plain, barred): plain[v] is the index of the box holding v
+    and barred[v] that of v', counting nonzero boxes from 1 and the zero box
+    as 0 (slot 0 is unused).  An element is a tuple (value, flag) with an int
+    value in 1..n, never a bool, and a bool flag.  No element is hashed: with
+    2n elements in all, every slot filled means no slot was filled twice.
+    """
+    n = p.n
+    if type(n) is not int or n < 0:
+        return None
+    try:
+        # counted first, so that the lists below are no longer than the input
+        if len(p.zero_box) + sum(map(len, p.boxes)) != 2 * n:
+            return None
+        plain = [0] + [None] * n
+        barred = plain.copy()
+        for idx, box in enumerate((p.zero_box, *p.boxes)):
+            for e in box:
+                if not isinstance(e, tuple):
+                    return None
+                v, flag = e
+                if type(v) is not int or not 0 < v <= n:
+                    return None
+                if flag is False:
+                    plain[v] = idx
+                elif flag is True:
+                    barred[v] = idx
+                else:
+                    return None
+    except (TypeError, ValueError):  # a box that is not a collection, an element of the wrong length
+        return None
+    if None in plain or None in barred:
+        return None
+    return plain, barred
+
+
+def _code_of(p: LSPartition):
+    """The insertion code whose image under phi is p, or None if p is invalid.
+
+    The one place that decides coverage, r1, r2 and standard form.  Each
+    value's symbol reads off the boxes of its two copies: both in one box is
+    X, which must open the next box (so that box is nonempty, holds both
+    copies of its minimum and no earlier value, and the minima increase);
+    otherwise each copy sits in the zero box (not both: r1) or in a box
+    already opened, so its value is not that box's minimum (r2).  The
+    partition is valid exactly when the scan opens every box in turn.
+    """
+    homes = _homes(p)
+    if homes is None:
+        return None
+    pairs = zip(*homes)
+    next(pairs)  # slot 0
+    out = []
+    t = 0  # boxes opened so far
+    for a, b in pairs:
+        if a == b:
+            if a != t + 1:
+                return None
+            t = a
+            out.append(_X)
+        elif a > t or b > t:
+            return None
+        elif a and b:
+            out.append(("A", a, b))
+        elif a:
+            out.append(("B", a))
+        else:
+            out.append(("Bb", b))
+    return tuple(out) if t == len(p.boxes) else None
+
+
+def _violation(p: LSPartition) -> str:
+    """The first rule that a partition rejected by _code_of breaks, in the
+    order coverage, r1, r2 box by box, standard form."""
+    n = p.n
+    if type(n) is not int or n < 0:
+        return f"coverage: n must be a nonnegative int, got {n!r}"
+    homes = _homes(p)
+    if homes is None:
+        return "coverage: elements do not cover {1,1',...,n,n'} exactly once"
+    plain, barred = homes
+    values = range(1, n + 1)
+    for v in values:
+        if plain[v] == barred[v] == 0:
+            return f"r1: zero box holds both copies of {v}"
+    for idx in range(1, len(p.boxes) + 1):
+        held = [v for v in values if plain[v] == idx or barred[v] == idx]
+        if not held:
+            return f"r2: box {idx} is empty"
+        mn = held[0]
+        if not plain[mn] == barred[mn] == idx:
+            return f"r2: box {idx} is missing a copy of its minimum {mn}"
+        for v in held[1:]:
+            if plain[v] == barred[v] == idx:
+                return f"r2: box {idx} holds both copies of non-minimum {v}"
+    return "standard-form: boxes are not sorted by minima"
 
 
 def validate(p: LSPartition) -> CheckResult:
     """Check coverage, r1, r2, and standard form; report the first violation.
 
-    One pass: each rule is a set comparison, a count of distinct values or a
-    membership test, so the cost is linear in n.
+    One scan of the elements and one of the values (_code_of), linear in n
+    and free of hashing; the message is worked out only for a partition the
+    scan rejects.
     """
-    n = p.n
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        return CheckResult(False, f"coverage: n must be a nonnegative int, got {n!r}")
-    # elements off the ground set (bad values, non-tuples) fail the equality;
-    # with the union equal to the 2n-element ground set, a total size of 2n
-    # means no element sits in two boxes
-    try:
-        size = len(p.zero_box) + sum(map(len, p.boxes))
-        covered = size == 2 * n and frozenset(p.zero_box).union(*p.boxes) == _ground_set(n)
-    except TypeError:  # a box that is not a collection, or an unhashable element
-        covered = False
-    if not covered:
-        return CheckResult(False, "coverage: elements do not cover {1,1',...,n,n'} exactly once")
-    zero = p.zero_box
-    if len(set(map(_value, zero))) != len(zero):
-        v = min(v for v, barred in zero if not barred and (v, True) in zero)
-        return CheckResult(False, f"r1: zero box holds both copies of {v}")
-    minima = []
-    for idx, box in enumerate(p.boxes, start=1):
-        if not box:
-            return CheckResult(False, f"r2: box {idx} is empty")
-        values = set(map(_value, box))
-        mn = min(values)
-        if (mn, False) not in box or (mn, True) not in box:
-            return CheckResult(False, f"r2: box {idx} is missing a copy of its minimum {mn}")
-        # the minimum is the only value present twice exactly when the box
-        # has one distinct value fewer than elements
-        if len(values) != len(box) - 1:
-            v = min(v for v in values if v != mn and (v, False) in box and (v, True) in box)
-            return CheckResult(False, f"r2: box {idx} holds both copies of non-minimum {v}")
-        minima.append(mn)
-    if minima != sorted(minima):
-        return CheckResult(False, "standard-form: boxes are not sorted by minima")
-    return CheckResult(True)
+    if _code_of(p) is not None:
+        return CheckResult(True)
+    return CheckResult(False, _violation(p))
 
 
 def enumerate_partitions(n: int):

@@ -14,11 +14,18 @@ reads only the sign of the polynomial at the midpoint.
 `Fraction` term at a time, where `triangles.ls_explicit` sums integers over
 the single denominator (2k+1)!.
 
+`validate_code_rule_by_rule` tries the code rules on each symbol in the order
+of their messages, with `isinstance` tests, and `parse_code_by_scanning`
+matches one token at a time and builds each symbol through the checked
+constructors `A`, `B` and `Bb`; `codes.validate_code` and `codes.parse_code`
+must give the same result or the same error message.
+
 `verify_conjecture_by_resorting` orders the roots of q_k and q_{k+1} by
 sorting every interval after each refinement and bisecting the first
 overlapping neighbours, instead of merging the two sorted lists once as
 `realroots.verify_conjecture` does.
 """
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -26,6 +33,66 @@ from lstirling import realroots
 from lstirling.codes import A, B, Bb, X
 from lstirling.partitions import LSPartition
 from lstirling.triangles import CheckResult
+
+
+def validate_code_rule_by_rule(code) -> CheckResult:
+    """Check the structural rules; report the first offending position (1-based)."""
+    if not code:
+        return CheckResult(False, "position 1: empty code")
+    t = 0
+    for pos, sym in enumerate(code, start=1):
+        if sym == X:
+            t += 1
+            continue
+        if not isinstance(sym, tuple) or not sym or sym[0] not in ("X", "A", "B", "Bb"):
+            return CheckResult(False, f"position {pos}: unknown symbol {sym!r}")
+        kind = sym[0]
+        if kind == "X":
+            return CheckResult(False, f"position {pos}: malformed X")
+        if pos == 1:
+            return CheckResult(False, "position 1: code must start with X")
+        idxs = sym[1:]
+        if (kind == "A" and len(idxs) != 2) or (kind in ("B", "Bb") and len(idxs) != 1):
+            return CheckResult(False, f"position {pos}: malformed {kind} symbol")
+        if kind == "A" and idxs[0] == idxs[1]:
+            return CheckResult(False, f"position {pos}: A indices must differ")
+        for idx in idxs:
+            if isinstance(idx, bool):
+                return CheckResult(False, f"position {pos}: box index {idx!r} is a bool, not an int")
+            if not isinstance(idx, int) or not 1 <= idx <= t:
+                return CheckResult(False, f"position {pos}: box index {idx} exceeds the {t} boxes opened")
+    return CheckResult(True)
+
+
+_TOKEN = re.compile(r"X|A\((\d+),(\d+)\)|(B|Bb)\((\d+)\)")
+
+
+def parse_code_by_scanning(text: str):
+    """Parse 'X,X,A(2,1),B(2),Bb(1)' one token at a time; ValueError on bad text."""
+    if not isinstance(text, str):
+        raise ValueError(f"parse_code: expected str, got {type(text).__name__}")
+    out = []
+    s = text.strip()
+    pos = 0
+    while pos < len(s):
+        if s[pos] in ", ":
+            pos += 1
+            continue
+        m = _TOKEN.match(s, pos)
+        if not m:
+            raise ValueError(f"bad code token at position {pos}: {s[pos:]!r}")
+        if m.group(0) == "X":
+            out.append(X)
+        elif m.group(1):
+            out.append(A(int(m.group(1)), int(m.group(2))))
+        elif m.group(3) == "B":
+            out.append(B(int(m.group(4))))
+        else:
+            out.append(Bb(int(m.group(4))))
+        pos = m.end()
+    if not out:
+        raise ValueError("parse_code: empty code text")
+    return tuple(out)
 
 
 def ls_explicit_by_fractions(n: int, k: int) -> int:
@@ -59,7 +126,7 @@ def validate_by_sorting(p: LSPartition) -> CheckResult:
         mn = min(e[0] for e in box)
         if (mn, False) not in box or (mn, True) not in box:
             return CheckResult(False, f"r2: box {idx} is missing a copy of its minimum {mn}")
-        for v in {e[0] for e in box} - {mn}:
+        for v in sorted({e[0] for e in box} - {mn}):
             if (v, False) in box and (v, True) in box:
                 return CheckResult(False, f"r2: box {idx} holds both copies of non-minimum {v}")
     minima = [min(e[0] for e in b) for b in p.boxes]

@@ -4,14 +4,17 @@ import hashlib
 import http.client
 import io
 import json
+import re
 import urllib.request
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lstirling import codes, gamma
 from lstirling.algebra import Poly
-from lstirling.cli import CACHE_ENV, FETCH_TIMEOUT_S, BFileError, main, parse_bfile
+from lstirling.cli import CACHE_ENV, FETCH_TIMEOUT_S, BFile, BFileError, main, parse_bfile
 from lstirling.partitions import LSPartition
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -113,6 +116,21 @@ def test_verify_bijection_reports_an_invalid_image(capsys, monkeypatch):
     fail = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(fail) == 3
     assert "n=1" in fail[0] and "counterexample: X: phi_inverse: invalid partition" in fail[0]
+
+
+@pytest.mark.parametrize(
+    "suite,digest",
+    [
+        ("bijection", "8b7593d7662eb8e017eb090d5615d8c83871a3b6b5c82c78350e9dd005f4f334"),
+        ("zstat", "1a4c912bab83598acc201e61547f781244347e5afc0dece69f7aaff2215f521d"),
+    ],
+)
+def test_verify_sweep_output_is_stable(capsys, suite, digest):
+    # the per-n object counts and verdict lines, with the timings stripped
+    rc, out, _ = run(capsys, "verify", suite, "--nmax", "6")
+    assert rc == 0
+    stripped = re.sub(r" \d+\.\d+s$", "", out, flags=re.M)
+    assert hashlib.sha256(stripped.encode()).hexdigest() == digest
 
 
 def test_verify_reports_name_each_check(capsys):
@@ -236,6 +254,16 @@ def test_parse_bfile_rejects_malformed_lines_with_line_number():
 def test_parse_bfile_rejects_nonincreasing_indices():
     with pytest.raises(BFileError):
         parse_bfile("2 10\n1 1\n")
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789 -+_#\n\r\t\u0661\x0b\x1cx", max_size=60)))
+def test_parse_bfile_returns_or_raises_bfile_error_only(text):
+    try:
+        bf = parse_bfile(text)
+    except BFileError:
+        return
+    assert isinstance(bf, BFile)
+    assert all(a < b for (a, _), (b, _) in zip(bf.entries, bf.entries[1:]))
 
 
 # -- oeis cross-check ------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Insertion codes: parsing, validation, counting, and the partition bijection."""
 import hashlib
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_impl import phi_inverse_by_scanning
+from reference_impl import parse_code_by_scanning, phi_inverse_by_scanning, validate_code_rule_by_rule
 from strategies import JSON_LIKE
 
 from lstirling.codes import (
@@ -113,6 +114,122 @@ def test_bool_box_indices_are_rejected():
     for make, args in ((A, (True, 2)), (A, (2, True)), (B, (True,)), (Bb, (True,)), (B, ("1",))):
         with pytest.raises(ValueError):
             make(*args)
+
+
+@st.composite
+def valid_codes(draw, max_len=8):
+    """A legal code: each step picks one of the t^2 + t + 1 symbols open to it."""
+    code, t = [X], 1
+    for _ in range(draw(st.integers(0, max_len - 1))):
+        r = draw(st.integers(0, t * t + t))
+        if r == 0:
+            code.append(X)
+            t += 1
+        elif r <= t * (t - 1):
+            i, j = divmod(r - 1, t - 1)
+            code.append(A(i + 1, j + 1 + (j >= i)))
+        elif r <= t * t:
+            code.append(B(r - t * (t - 1)))
+        else:
+            code.append(Bb(r - t * t))
+    return tuple(code)
+
+
+@st.composite
+def perturbed_codes(draw):
+    """A legal code with one or two symbols spoiled: a bool, float, zero or
+    too-large box index, equal A indices, a wrong arity, an unknown tag, or a
+    symbol that is not a tuple; sometimes handed over as a list."""
+    code = list(draw(valid_codes()))
+    legal = tuple(code)
+    for pos in draw(st.lists(st.integers(0, len(code) - 1), min_size=1, max_size=2, unique=True)):
+        sym = code[pos]
+        t = legal[:pos].count(X)
+        tag, idxs = (sym[0], list(sym[1:])) if sym != X else (draw(st.sampled_from(["A", "B", "Bb"])), [1, 2])
+        idxs = idxs[: 2 if tag == "A" else 1]
+        kind = draw(st.sampled_from(["bool", "float", "zero", "too_large", "equal", "arity", "tag", "non_tuple"]))
+        k = draw(st.integers(0, len(idxs) - 1))
+        if kind == "bool":
+            idxs[k] = draw(st.booleans())
+        elif kind == "float":
+            idxs[k] = float(idxs[k])
+        elif kind == "zero":
+            idxs[k] = 0
+        elif kind == "too_large":
+            idxs[k] = t + draw(st.integers(1, 3))
+        elif kind == "equal":
+            tag, idxs = "A", [idxs[0], idxs[0]]
+        elif kind == "arity":
+            idxs = idxs + [1] if draw(st.booleans()) else idxs[:-1]
+            tag = draw(st.sampled_from([tag, "X"]))
+        elif kind == "tag":
+            tag = draw(st.sampled_from(["C", "b", "x", "AB", None, 1]))
+        new = (tag, *idxs)
+        if kind == "non_tuple":
+            new = draw(st.sampled_from([list(new), render_code((sym,)), None, 1, ()]))
+        code[pos] = new
+    return code if draw(st.booleans()) else tuple(code)
+
+
+@settings(max_examples=300)
+@given(st.one_of(valid_codes(), perturbed_codes(), st.sampled_from([(), [], None, "", "X"])))
+@example((("A", 1),))  # a malformed symbol at position 1 is reported as not X
+@example((("B", 1, 2), X))
+@example((X, ("A", True, 1)))  # equal indices are reported before a bool
+@example((X, X, ("A", 2, True)))
+@example((X, ("Bb", 1.0)))
+def test_validate_code_agrees_with_rule_by_rule_reference(code):
+    got, want = validate_code(code), validate_code_rule_by_rule(code)
+    assert (got.ok, got.detail) == (want.ok, want.detail)
+    if want.ok:
+        assert phi(code) == phi(tuple(code))
+    else:
+        with pytest.raises(ValueError) as err:
+            phi(code)
+        assert str(err.value) == f"phi: invalid code ({want.detail})"
+
+
+def _outcome(fn, text):
+    try:
+        return "ok", fn(text)
+    except ValueError as err:
+        return "error", str(err)
+
+
+@st.composite
+def perturbed_code_texts(draw):
+    """The rendering of a legal code, then a few edits: a character inserted,
+    deleted or replaced, separators changed or dropped, an index zeroed,
+    stretched or written in other digits, or whitespace around the text."""
+    text = render_code(draw(valid_codes()))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "separators", "index", "pad"]))
+        pos = draw(st.integers(0, len(text)))
+        if kind == "insert":
+            text = text[:pos] + draw(st.sampled_from(list("XABb(),0123456789 \t;'"))) + text[pos:]
+        elif kind == "delete":
+            text = text[:pos] + text[pos + 1 :]
+        elif kind == "replace":
+            text = text[:pos] + draw(st.sampled_from(list("XABb(),019 \n"))) + text[pos + 1 :]
+        elif kind == "separators":
+            text = text.replace(",", draw(st.sampled_from(["", " ", ", ,", " , ", ",,"])))
+        elif kind == "index":
+            digits = [m.start() for m in re.finditer(r"\d", text)]
+            if digits:
+                at = draw(st.sampled_from(digits))
+                text = text[:at] + draw(st.sampled_from(["0", "00", "12", "\u0661", "9" * 30])) + text[at + 1 :]
+        else:
+            text = draw(st.sampled_from([" ", "\t", "\n", ","])) + text + draw(st.sampled_from(["", " ", "\n", ",", " ,"]))
+    return text
+
+
+@settings(max_examples=300)
+@given(st.one_of(valid_codes().map(render_code), perturbed_code_texts(), st.text(alphabet="XABb(),0123456789 ", max_size=30)))
+@example("X, ,")  # trailing separators
+@example(" X,,A(1,2) ,\tB(1)")
+@example("X,B(0),Q")  # a bad index before a bad token is reported first
+def test_parse_code_agrees_with_scanning_reference(text):
+    assert _outcome(parse_code, text) == _outcome(parse_code_by_scanning, text)
 
 
 def test_phi_rejects_invalid_codes():

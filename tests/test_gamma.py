@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lstirling import gamma
 from lstirling.algebra import Poly, binomial
 from lstirling.gamma import (
     binomial_poly,
@@ -81,8 +82,29 @@ def test_differential_step_keeps_integer_coefficients():
 
 
 def test_differential_recurrence_reproduces_integer_recurrence_rows():
-    for k in range(0, 9):
+    for k in range(0, 41):
         assert gamma_poly_via_ode(k) == gamma_poly(k)
+
+
+def test_deep_coefficient_needs_no_recursion():
+    # the corner gamma(k, 3k) depends on one entry per row, so row 1200 is
+    # reached without building the rows below it
+    assert gamma_coeff(1200, 3600) == factorial(3600) // (factorial(1200) * 6**1200)
+
+
+@pytest.mark.parametrize("table_rows", [1, 3])
+def test_coefficients_beyond_the_row_table_match_the_ode_rows(monkeypatch, table_rows):
+    # gamma_coeff past the last tabled row walks the cone of entries it
+    # needs; bypass its cache and start from a short table
+    table = [gamma_row(k) for k in range(table_rows)]
+    monkeypatch.setattr(gamma, "_ROWS", list(table))
+    uncached = gamma_coeff.__wrapped__
+    for k in range(0, 16):
+        lo, hi = support(k)
+        got = [uncached(k, i) for i in range(lo - 2, hi + 3)]
+        want = [gamma_poly_via_ode(k).coeffs[i] if lo <= i <= hi else 0 for i in range(lo - 2, hi + 3)]
+        assert got == want, k
+    assert gamma._ROWS == table  # the cone is kept nowhere
 
 
 # -- expansion of the triangle along a diagonal ---------------------------------

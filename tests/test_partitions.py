@@ -170,6 +170,19 @@ def test_validate_flags_unordered_boxes():
     assert "order" in res.detail or "minima" in res.detail
 
 
+@pytest.mark.parametrize(
+    "boxes,zero,detail",
+    [
+        ([[(1, False), (1, True), (2, True)], []], [(2, False)], "r2: box 2 is empty"),
+        ([[(1, False), (2, True)], [(2, False), (1, True)]], [], "r2: box 1 is missing a copy of its minimum 1"),
+        ([[(2, False), (2, True)], [(1, False), (1, True)]], [], "standard-form: boxes are not sorted by minima"),
+    ],
+)
+def test_validate_names_the_broken_rule(boxes, zero, detail):
+    p = _partition(2, boxes, zero)
+    assert validate(p).detail == validate_by_sorting(p).detail == detail
+
+
 def test_validate_reports_the_smallest_doubled_value():
     def both(*values):
         return [(v, barred) for v in values for barred in (False, True)]
@@ -192,6 +205,20 @@ def test_validate_reports_the_smallest_doubled_value():
         _partition(True, [[(1, False), (1, True)]], []),
         LSPartition(1, (5,), frozenset()),
         LSPartition(1, ([(1, False), (1, True), [1]],), frozenset()),
+        LSPartition(1, ([(1, False), [1, True]],), frozenset()),
+        # each of these equals {1,1'} element for element, but only an int
+        # value (not a bool) with a bool flag renders as text parse accepts
+        _partition(1, [[(1.0, False), (1, True)]], []),
+        _partition(1, [[(True, False), (1, True)]], []),
+        _partition(1, [[(1, 0), (1, True)]], []),
+        _partition(1, [[(True, 0), (1, True)]], []),
+        _partition(1, [[(1, False), (1, 1)]], []),
+        _partition(1, [[(1, False), (1, 1.0)]], []),
+        # 2n elements, but one copy twice and another missing
+        _partition(2, [[(1, False), (1, True)], [(2, False), (1, True)]], []),
+        _partition(2, [[(1, False), (1, True)], [(1, False), (2, True)]], []),
+        # a two-element set in place of (8, True): it unpacks as 8, True
+        _partition(8, [[(v, False), (v, True) if v < 8 else frozenset({8, True})] for v in range(1, 9)], []),
     ],
 )
 def test_malformed_partitions_fail_coverage_instead_of_raising(p):
@@ -224,6 +251,13 @@ def test_validate_agrees_with_sorting_reference_on_every_set_partition():
                 assert got == _rule(validate_by_sorting(q)), q
                 rules.add(got[1])
     assert rules == {None, "r1", "r2", "standard-form"}
+
+
+def test_validate_messages_match_sorting_reference_on_every_set_partition():
+    for n in range(1, 4):
+        for p in _candidates(n):
+            for q in (p, LSPartition(n, p.boxes[::-1], p.zero_box)):
+                assert validate(q).detail == validate_by_sorting(q).detail, q
 
 
 @lru_cache(maxsize=None)
@@ -260,6 +294,12 @@ def perturbed_partitions(draw):
             else:
                 boxes[dest].add(e)
     return LSPartition(n, tuple(frozenset(b) for b in boxes[:-1]), frozenset(boxes[-1]))
+
+
+@settings(max_examples=300)
+@given(perturbed_partitions())
+def test_validate_messages_match_sorting_reference_on_perturbations(p):
+    assert validate(p).detail == validate_by_sorting(p).detail
 
 
 @settings(max_examples=300)

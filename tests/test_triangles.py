@@ -9,7 +9,7 @@ from reference_impl import ls_explicit_by_fractions
 from lstirling import triangles
 from lstirling.algebra import Poly
 from lstirling.codes import count_codes
-from lstirling.gamma import gamma_row, support
+from lstirling.gamma import gamma_coeff, gamma_row, support
 from lstirling.triangles import (
     CheckResult,
     horizontal_identity_js,
@@ -143,8 +143,22 @@ def test_vertical_recurrence_rejects_out_of_range_column():
         lambda v: count_codes(3, v),
         support,
         gamma_row,
+        # past its cache, whose keys cannot tell True from 1
+        lambda v: gamma_coeff.__wrapped__(v, 5),
+        lambda v: gamma_coeff.__wrapped__(3, v),
     ],
-    ids=["ls_explicit-n", "ls_explicit-k", "ls_vertical-n", "ls_vertical-j", "count_codes-n", "count_codes-k", "support", "gamma_row"],
+    ids=[
+        "ls_explicit-n",
+        "ls_explicit-k",
+        "ls_vertical-n",
+        "ls_vertical-j",
+        "count_codes-n",
+        "count_codes-k",
+        "support",
+        "gamma_row",
+        "gamma_coeff-k",
+        "gamma_coeff-i",
+    ],
 )
 def test_non_int_arguments_raise_value_error(call, bad):
     with pytest.raises(ValueError, match="must be ints"):
