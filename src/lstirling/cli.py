@@ -4,21 +4,19 @@ conjecture certificates, and OEIS b-file cross-checks.
 Exit codes: 0 all checks pass, 1 mismatch, 2 inconclusive, 3 I/O or data
 error.  Table and report payloads go to stdout or --out; verification report
 lines go to stdout, one per check.
+
+Each command imports the layers it uses when it runs, so a cold run compiles
+and loads only those.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import re
+import stat
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-
-from . import codes, gamma, grammar, partitions, realroots, triangles
 
 TABLE_CAPS = {"ls": 200, "lc": 200, "js": 60, "jc": 60}
 GAMMA_KMAX_CAP = 20
@@ -28,15 +26,33 @@ CACHE_ENV = "LSTIRLING_CACHE_DIR"
 FETCH_TIMEOUT_S = 30
 
 
-@dataclass
 class Report:
-    """One verification line: what ran, with what bounds, and how it went."""
+    """One verification line: what ran, with what bounds, and how it went.
 
-    command: str
-    params: dict
-    ok: bool
-    counterexample: str | None = None
-    seconds: float = 0.0
+    A plain class, like triangles.CheckResult and BFile, so that no command
+    imports dataclasses for it; equality and repr are a dataclass's.
+    """
+
+    def __init__(self, command: str, params: dict, ok: bool, counterexample: str | None = None, seconds: float = 0.0):
+        self.command = command
+        self.params = params
+        self.ok = ok
+        self.counterexample = counterexample
+        self.seconds = seconds
+
+    def _fields(self) -> tuple:
+        return (self.command, self.params, self.ok, self.counterexample, self.seconds)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"Report(command={self.command!r}, params={self.params!r}, ok={self.ok!r},"
+            f" counterexample={self.counterexample!r}, seconds={self.seconds!r})"
+        )
 
     def line(self) -> str:
         params = " ".join(f"{k}={v}" for k, v in self.params.items())
@@ -57,10 +73,20 @@ class BFileError(Exception):
         self.line_no = line_no
 
 
-@dataclass
 class BFile:
-    seq_id: str
-    entries: list = field(default_factory=list)  # (index, value) pairs
+    """The (index, value) pairs of one b-file; a plain class like Report."""
+
+    def __init__(self, seq_id: str, entries: list | None = None):
+        self.seq_id = seq_id
+        self.entries = [] if entries is None else entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.seq_id, self.entries) == (other.seq_id, other.entries)
+
+    def __repr__(self) -> str:
+        return f"BFile(seq_id={self.seq_id!r}, entries={self.entries!r})"
 
 
 def parse_bfile(text: str, seq_id: str = "") -> BFile:
@@ -84,9 +110,14 @@ def parse_bfile(text: str, seq_id: str = "") -> BFile:
 
 
 OEIS_SEQUENCES = {
-    # b-file index -> k shift, and the exact value each entry must equal
-    "A025035": {"shift": 0, "describe": "gamma(k,3k)", "value": lambda k: gamma.gamma_coeff(k, 3 * k)},
-    "A006472": {"shift": -1, "describe": "|gamma_k(-1)|", "value": lambda k: abs(gamma.gamma_poly(k).eval(-1))},
+    # b-file index -> k shift, and the exact value each entry must equal,
+    # computed from the gamma module
+    "A025035": {"shift": 0, "describe": "gamma(k,3k)", "value": lambda gamma, k: gamma.gamma_coeff(k, 3 * k)},
+    "A006472": {
+        "shift": -1,
+        "describe": "|gamma_k(-1)|",
+        "value": lambda gamma, k: abs(gamma.gamma_poly(k).eval(-1)),
+    },
 }
 
 
@@ -95,24 +126,73 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _emit(text: str, out: str | None) -> int:
-    if out is None:
-        sys.stdout.write(text)
-        return 0
+def _write_atomic(path: Path, write) -> None:
+    """Have write(p) write the file p whose contents end up at path.
+
+    A new file, or a regular one in a directory that takes new files, is
+    replaced whole: write fills <path>.<pid>.tmp beside it, renamed onto path
+    only after write returns, so a failure part-way leaves neither a
+    truncated path nor the temporary file behind.  Anything else, such as a
+    symlink, a device like /dev/null or a FIFO, is written through in place
+    and never replaced.
+    """
     try:
-        Path(out).write_text(text)
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        replace = True
+    else:
+        replace = stat.S_ISREG(mode) and os.access(path.parent, os.W_OK | os.X_OK)
+    if not replace:
+        write(path)
+        return
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _emit(chunks, out: str | None) -> int:
+    """Write the text chunks, in order, to stdout or, by _write_atomic, to out."""
+    if out is None:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return 0
+
+    def write(path):
+        with open(path, "w") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+
+    try:
+        _write_atomic(Path(out), write)
     except OSError as err:
         return _fail(f"cannot write {out}: {err}", 3)
     return 0
 
 
+def _csv_list(values) -> str:
+    """A CSV field holding a list of ints as compact JSON.
+
+    csv.writer's default dialect quotes a field exactly when it holds a
+    comma, and for these lists that is when they have two or more entries.
+    """
+    text = ",".join(map(str, values))
+    return f'"[{text}]"' if len(values) > 1 else f"[{text}]"
+
+
 # -- table ---------------------------------------------------------------
 
 
-def _table_cell(family: str, n: int, k: int):
-    fn = {"ls": triangles.ls, "lc": triangles.lc, "js": triangles.js, "jc": triangles.jc}[family]
-    v = fn(n, k)
-    return list(v.coeffs) if family in ("js", "jc") else v
+def _table_csv(value, poly: bool, nmax: int):
+    """Yield the CSV lines n,k,value, one triangle row per chunk."""
+    yield "n,k,value\r\n"
+    for n in range(nmax + 1):
+        if poly:
+            yield "".join(f"{n},{k},{_csv_list(value(n, k).coeffs)}\r\n" for k in range(n + 1))
+        else:
+            yield "".join(f"{n},{k},{value(n, k)}\r\n" for k in range(n + 1))
 
 
 def cmd_table(args) -> int:
@@ -121,25 +201,25 @@ def cmd_table(args) -> int:
         return _fail("table: nmax must be nonnegative", 1)
     if args.nmax > cap:
         return _fail(f"table: nmax {args.nmax} exceeds the {args.family} cap {cap}", 1)
-    if args.format == "json":
-        rows = [[_table_cell(args.family, n, k) for k in range(n + 1)] for n in range(args.nmax + 1)]
-        text = json.dumps({"family": args.family, "nmax": args.nmax, "rows": rows}) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "k", "value"])
-        for n in range(args.nmax + 1):
-            for k in range(n + 1):
-                cell = _table_cell(args.family, n, k)
-                writer.writerow([n, k, json.dumps(cell, separators=(",", ":")) if isinstance(cell, list) else cell])
-        text = buf.getvalue()
-    return _emit(text, args.out)
+    from . import triangles
+
+    value = getattr(triangles, args.family)
+    # a cell of the polynomial families is its list of coefficients
+    poly = args.family in ("js", "jc")
+    if args.format == "csv":
+        return _emit(_table_csv(value, poly, args.nmax), args.out)
+    import json
+
+    rows = [[list(value(n, k).coeffs) if poly else value(n, k) for k in range(n + 1)] for n in range(args.nmax + 1)]
+    return _emit([json.dumps({"family": args.family, "nmax": args.nmax, "rows": rows}) + "\n"], args.out)
 
 
 # -- verify ---------------------------------------------------------------
 
 
 def _verify_identities(nmax: int) -> list:
+    from . import triangles
+
     reports = []
 
     def four_way():
@@ -195,6 +275,8 @@ def _verify_identities(nmax: int) -> list:
 
 
 def _verify_bijection(nmax: int) -> list:
+    from . import codes, triangles
+
     reports = []
     for n in range(1, nmax + 1):
 
@@ -229,6 +311,8 @@ def _verify_bijection(nmax: int) -> list:
 
 
 def _verify_grammar(nmax: int) -> list:
+    from . import grammar
+
     table = {
         "grammar.stirling2": grammar.check_stirling2,
         "grammar.stirling1": grammar.check_stirling1,
@@ -250,6 +334,8 @@ def _verify_grammar(nmax: int) -> list:
 
 
 def _verify_zstat(nmax: int) -> list:
+    from . import partitions, triangles
+
     def sweep():
         for n in range(1, nmax + 1):
             for k in range(1, n + 1):
@@ -264,8 +350,11 @@ def cmd_verify(args) -> int:
     nmax = args.nmax if args.nmax is not None else VERIFY_DEFAULT_NMAX[args.suite]
     if nmax < 1:
         return _fail(f"verify {args.suite}: nmax must be at least 1", 1)
-    if args.suite in ("bijection", "zstat") and nmax > partitions.ENUM_LIMIT:
-        return _fail(f"verify {args.suite}: nmax capped at {partitions.ENUM_LIMIT}", 1)
+    if args.suite in ("bijection", "zstat"):
+        from .partitions import ENUM_LIMIT
+
+        if nmax > ENUM_LIMIT:
+            return _fail(f"verify {args.suite}: nmax capped at {ENUM_LIMIT}", 1)
     runner = {
         "identities": _verify_identities,
         "bijection": _verify_bijection,
@@ -288,6 +377,8 @@ def cmd_gamma(args) -> int:
         return _fail(f"gamma: kmax must be in 1..{GAMMA_KMAX_CAP}", 1)
     if args.nmax < 1:
         return _fail("gamma: nmax must be at least 1", 1)
+    from . import gamma, triangles
+
     rows = []
     for k in range(args.kmax + 1):
         lo, _ = gamma.support(k)
@@ -313,14 +404,13 @@ def cmd_gamma(args) -> int:
         "expansion_nmax": args.nmax,
     }
     if args.format == "json":
-        rc = _emit(json.dumps(doc) + "\n", args.out)
+        import json
+
+        rc = _emit([json.dumps(doc) + "\n"], args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["k", "offset", "coeffs"])
-        for row in rows:
-            writer.writerow([row["k"], row["offset"], json.dumps(row["coeffs"], separators=(",", ":"))])
-        rc = _emit(buf.getvalue(), args.out)
+        lines = ["k,offset,coeffs\r\n"]
+        lines += [f"{row['k']},{row['offset']},{_csv_list(row['coeffs'])}\r\n" for row in rows]
+        rc = _emit(lines, args.out)
         print(f"closed_forms_ok={bool(closed)} ode_rows_ok={ode_ok} expansion_ok={expansion_ok}")
     if rc:
         return rc
@@ -335,13 +425,17 @@ def cmd_gamma(args) -> int:
 def cmd_conjecture(args) -> int:
     if not 1 <= args.kmax <= CONJECTURE_KMAX_CAP:
         return _fail(f"conjecture: kmax must be in 1..{CONJECTURE_KMAX_CAP}", 1)
+    import json
+
+    from . import realroots
+
     lines = []
     verdicts = []
     for k in range(1, args.kmax + 1):
         res = realroots.verify_conjecture(k)
         verdicts.append(res.verdict)
-        lines.append(json.dumps(res.to_json_dict()))
-    rc = _emit("\n".join(lines) + "\n", args.out)
+        lines.append(json.dumps(res.to_json_dict()) + "\n")
+    rc = _emit(lines, args.out)
     if rc:
         return rc
     if any(v == "false" for v in verdicts):
@@ -372,15 +466,9 @@ def _read_source(seq_id: str, source: str | None) -> str:
         except http.client.HTTPException as err:
             # a truncated or malformed response is an I/O failure like any other
             raise OSError(f"{source}: {err!r}") from err
-        # write a temporary file and rename it, so a failed write leaves no
-        # partial cache entry behind
+        # a failed write leaves no partial cache entry behind
         cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(text)
-            os.replace(tmp, cache_file)
-        finally:
-            tmp.unlink(missing_ok=True)
+        _write_atomic(cache_file, lambda path: path.write_text(text))
         return text
     return Path(source).read_text()
 
@@ -402,12 +490,14 @@ def cmd_oeis(args) -> int:
         return _fail("oeis: count must be positive", 1)
     if args.count > len(bfile.entries):
         return _fail(f"oeis: b-file has only {len(bfile.entries)} entries, need {args.count}", 3)
+    from . import gamma
+
     shift = entry["shift"] if args.offset is None else args.offset
     for idx, val in bfile.entries[: args.count]:
         k = idx + shift
         if k < 0:
             return _fail(f"oeis: index {idx} maps to negative k with shift {shift}", 3)
-        expected = entry["value"](k)
+        expected = entry["value"](gamma, k)
         if val != expected:
             print(f"FAIL {args.seq} index {idx}: b-file {val}, {entry['describe']} at k={k} is {expected}")
             return 1

@@ -56,14 +56,37 @@ def n_x(code) -> int:
     return sum(1 for sym in code if sym == X)
 
 
+def _read_code(code) -> tuple | None:
+    """The code read once as a tuple, or None when it is not iterable.
+
+    An exact tuple comes back as it is, uncopied, and a falsy argument such
+    as None is the empty code.  Only iter() is guarded, so a TypeError raised
+    while an iterable is read propagates to the caller.
+    """
+    if code.__class__ is tuple:
+        return code
+    if not code:
+        return ()
+    try:
+        it = iter(code)
+    except TypeError:
+        return None
+    return tuple(it)
+
+
 def validate_code(code) -> CheckResult:
     """Check the structural rules; report the first offending position (1-based).
 
     The one place that decides code legality.  A symbol is a tuple: ("X",),
     or ("A", i, j) with i != j, or ("B", s) or ("Bb", s), each box index an
     int (never a bool) in 1..t, where t counts the X symbols before it.  The
-    message is worked out only for the symbol that is rejected.
+    message is worked out only for the symbol that is rejected.  The code may
+    be any iterable of symbols; it is read once, as a tuple.
     """
+    read = _read_code(code)
+    if read is None:
+        return CheckResult(False, f"not a code: {type(code).__name__} object is not iterable")
+    code = read
     if not code:
         return CheckResult(False, "position 1: empty code")
     t = 0
@@ -108,7 +131,10 @@ def _symbol_error(pos: int, sym, t: int) -> str:
 
 
 def phi(code) -> LSPartition:
-    """Replay a code into the partition it encodes."""
+    """Replay a code, any iterable of symbols, into the partition it encodes."""
+    read = _read_code(code)
+    # a non-iterable code is left for validate_code to reject
+    code = code if read is None else read
     v = validate_code(code)
     if not v.ok:
         raise ValueError(f"phi: invalid code ({v.detail})")

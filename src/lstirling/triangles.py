@@ -15,18 +15,30 @@ that tie all routes together.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 
 from .algebra import Poly, falling_basis, series_geom, series_mul
 
 
-@dataclass
 class CheckResult:
-    """Outcome of an identity sweep: ok flag plus the first counterexample."""
+    """Outcome of an identity sweep: ok flag plus the first counterexample.
 
-    ok: bool
-    detail: str | None = None
+    A plain class rather than a dataclass, so that the commands that build
+    only these records never import dataclasses; equality and repr are the
+    ones a dataclass would generate.
+    """
+
+    def __init__(self, ok: bool, detail: str | None = None):
+        self.ok = ok
+        self.detail = detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.detail) == (other.ok, other.detail)
+
+    def __repr__(self) -> str:
+        return f"CheckResult(ok={self.ok!r}, detail={self.detail!r})"
 
     def __bool__(self) -> bool:
         return self.ok

@@ -20,16 +20,23 @@ matches one token at a time and builds each symbol through the checked
 constructors `A`, `B` and `Bb`; `codes.validate_code` and `codes.parse_code`
 must give the same result or the same error message.
 
+`table_csv_by_csv_writer` and `gamma_csv_by_csv_writer` render the CSV of
+`lstirling table` and `lstirling gamma` through `csv.writer`, one row at a
+time, where the CLI writes the lines itself.
+
 `verify_conjecture_by_resorting` orders the roots of q_k and q_{k+1} by
 sorting every interval after each refinement and bisecting the first
 overlapping neighbours, instead of merging the two sorted lists once as
 `realroots.verify_conjecture` does.
 """
+import csv
+import io
+import json
 import re
 from fractions import Fraction
 from math import factorial
 
-from lstirling import realroots
+from lstirling import gamma, realroots, triangles
 from lstirling.codes import A, B, Bb, X
 from lstirling.partitions import LSPartition
 from lstirling.triangles import CheckResult
@@ -227,3 +234,28 @@ def verify_conjecture_by_resorting(k: int) -> realroots.ConjectureResult:
     if tags != expected:
         return result(pattern, "false", "merged order differs from the conjectured pattern")
     return result(pattern, "vacuous" if k == 1 else "true")
+
+
+def table_csv_by_csv_writer(family: str, nmax: int) -> str:
+    """`table --family FAMILY --nmax NMAX` CSV; a js/jc cell is its coefficient list as compact JSON."""
+    value = getattr(triangles, family)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["n", "k", "value"])
+    for n in range(nmax + 1):
+        for k in range(n + 1):
+            cell = value(n, k)
+            if family in ("js", "jc"):
+                cell = json.dumps(list(cell.coeffs), separators=(",", ":"))
+            writer.writerow([n, k, cell])
+    return buf.getvalue()
+
+
+def gamma_csv_by_csv_writer(kmax: int) -> str:
+    """The rows `gamma --kmax KMAX` writes as CSV, before its summary line."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["k", "offset", "coeffs"])
+    for k in range(kmax + 1):
+        writer.writerow([k, gamma.support(k)[0], json.dumps(list(gamma.gamma_row(k)), separators=(",", ":"))])
+    return buf.getvalue()

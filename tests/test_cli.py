@@ -4,7 +4,10 @@ import hashlib
 import http.client
 import io
 import json
+import os
 import re
+import stat
+import threading
 import urllib.request
 from pathlib import Path
 
@@ -12,10 +15,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lstirling import codes, gamma
+from reference_impl import gamma_csv_by_csv_writer, table_csv_by_csv_writer
+
+from lstirling import cli, codes, gamma
 from lstirling.algebra import Poly
-from lstirling.cli import CACHE_ENV, FETCH_TIMEOUT_S, BFile, BFileError, main, parse_bfile
+from lstirling.cli import CACHE_ENV, FETCH_TIMEOUT_S, TABLE_CAPS, BFile, BFileError, Report, main, parse_bfile
 from lstirling.partitions import LSPartition
+from lstirling.triangles import CheckResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -71,6 +77,23 @@ def test_table_unwritable_output_is_an_io_error(capsys, tmp_path):
     )
     assert rc == 3
     assert "cannot write" in err
+
+
+@pytest.mark.parametrize("family", sorted(TABLE_CAPS))
+def test_table_csv_matches_csv_writer_at_the_cap(capsys, tmp_path, family):
+    nmax = str(TABLE_CAPS[family])
+    want = table_csv_by_csv_writer(family, TABLE_CAPS[family])
+    rc, out, _ = run(capsys, "table", "--family", family, "--nmax", nmax)
+    assert rc == 0
+    assert out.encode() == want.encode()
+    if family in ("js", "jc"):
+        # one coefficient is a bare [c]; the zero polynomial is []
+        assert "\r\n0,0,[1]\r\n" in out and "\r\n1,0,[]\r\n" in out
+    target = tmp_path / "table.csv"
+    rc, out, _ = run(capsys, "table", "--family", family, "--nmax", nmax, "--out", str(target))
+    assert (rc, out) == (0, "")
+    assert target.read_bytes() == want.encode()
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_table_cap_exceeded(capsys):
@@ -150,6 +173,19 @@ def test_gamma_csv_rows_and_summary(capsys):
     rows = {int(r[0]): r for r in csv.reader(io.StringIO(out.split("closed_forms_ok")[0])) if r and r[0].isdigit()}
     assert json.loads(rows[2][2]) == [1, 8, 10]
     assert int(rows[2][1]) == 4  # lowest binomial index of the row
+
+
+def test_gamma_csv_matches_csv_writer(capsys, tmp_path):
+    summary = "closed_forms_ok=True ode_rows_ok=True expansion_ok=True\n"
+    for kmax in range(1, 21):
+        rc, out, _ = run(capsys, "gamma", "--kmax", str(kmax))
+        assert rc == 0
+        assert out.encode() == (gamma_csv_by_csv_writer(kmax) + summary).encode()
+    target = tmp_path / "gamma.csv"
+    rc, out, _ = run(capsys, "gamma", "--kmax", "20", "--out", str(target))
+    assert (rc, out) == (0, summary)
+    assert target.read_bytes() == gamma_csv_by_csv_writer(20).encode()
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_gamma_json_flags(capsys):
@@ -235,6 +271,93 @@ def test_conjecture_writes_file(capsys, tmp_path):
     assert rc == 0
     lines = target.read_text().strip().splitlines()
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--family", "ls", "--nmax", "20"],
+        ["gamma", "--kmax", "5"],
+        ["conjecture", "--kmax", "3"],
+    ],
+)
+def test_out_write_failing_part_way_leaves_no_file(capsys, monkeypatch, tmp_path, argv):
+    class FailsAfterFirstChunk:
+        def __init__(self, fh):
+            self.fh, self.chunks = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, chunk):
+            if self.chunks:
+                raise OSError("no space left on device")
+            self.chunks += 1
+            return self.fh.write(chunk)
+
+    monkeypatch.setattr(cli, "open", lambda *a, **kw: FailsAfterFirstChunk(open(*a, **kw)), raising=False)
+    target = tmp_path / "out.txt"
+    rc, _, err = run(capsys, *argv, "--out", str(target))
+    assert rc == 3
+    assert "no space left" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_writes_through_a_symlink_without_replacing_it(capsys, tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    rc, out, _ = run(capsys, "table", "--family", "ls", "--nmax", "3", "--out", str(link))
+    assert (rc, out) == (0, "")
+    assert link.is_symlink()
+    assert real.read_bytes() == table_csv_by_csv_writer("ls", 3).encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_out_writes_into_a_fifo_without_replacing_it(capsys, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    # a FIFO opened for writing blocks until a reader opens it
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        rc, out, _ = run(capsys, "table", "--family", "lc", "--nmax", "4", "--out", str(fifo))
+    finally:
+        reader.join(timeout=30)
+    assert (rc, out) == (0, "")
+    assert got == [table_csv_by_csv_writer("lc", 4).encode()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_out_overwrites_a_file_in_place_when_its_directory_takes_no_new_files(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "table.csv"
+    target.write_text("old\n")
+    inode = target.stat().st_ino
+    real_access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: False if Path(path) == tmp_path else real_access(path, mode))
+    rc, _, _ = run(capsys, "table", "--family", "ls", "--nmax", "3", "--out", str(target))
+    assert rc == 0
+    assert target.stat().st_ino == inode
+    assert target.read_bytes() == table_csv_by_csv_writer("ls", 3).encode()
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_plain_records_compare_and_print_as_dataclasses_did():
+    assert Report("x", {"n": 1}, True) == Report("x", {"n": 1}, True, None, 0.0)
+    assert Report("x", {"n": 1}, True) != Report("x", {"n": 1}, False)
+    assert repr(Report("x", {}, False, "c", 1.5)) == (
+        "Report(command='x', params={}, ok=False, counterexample='c', seconds=1.5)"
+    )
+    assert BFile("A1") == BFile("A1", []) and BFile("A1").entries is not BFile("A1").entries
+    assert repr(BFile("A1", [(1, 2)])) == "BFile(seq_id='A1', entries=[(1, 2)])"
+    assert CheckResult(False, "why") == CheckResult(False, "why") != CheckResult(True)
+    assert repr(CheckResult(False, "why")) == "CheckResult(ok=False, detail='why')"
 
 
 # -- b-file parsing -------------------------------------------------------------------

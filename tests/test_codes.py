@@ -239,6 +239,39 @@ def test_phi_rejects_invalid_codes():
         phi((B(1),))
 
 
+def test_an_empty_iterator_is_an_empty_code():
+    assert (validate_code(iter(())).ok, validate_code(iter(())).detail) == (False, "position 1: empty code")
+    with pytest.raises(ValueError, match="position 1: empty code"):
+        phi(iter(()))
+
+
+def test_a_generator_of_symbols_replays_as_its_tuple():
+    code = parse_code(WORKED_TEXT)
+    assert validate_code(sym for sym in code).ok
+    assert phi(sym for sym in code) == phi(code)
+    assert phi(iter([X, X])) == phi((X, X))
+
+
+@pytest.mark.parametrize("code", [5, 2.5, object()])
+def test_a_non_iterable_code_fails_without_type_error(code):
+    v = validate_code(code)
+    assert not v.ok
+    assert "not iterable" in v.detail
+    with pytest.raises(ValueError, match="not iterable"):
+        phi(code)
+
+
+def test_a_type_error_inside_a_generator_code_propagates():
+    def broken():
+        yield X
+        raise TypeError("bad symbol source")
+
+    with pytest.raises(TypeError, match="bad symbol source"):
+        validate_code(broken())
+    with pytest.raises(TypeError, match="bad symbol source"):
+        phi(broken())
+
+
 def test_worked_example_maps_to_worked_partition():
     p = phi(parse_code(WORKED_TEXT))
     assert p.render() == WORKED_PARTITION

@@ -1,0 +1,131 @@
+"""What a cold run loads: each check runs in a fresh interpreter.
+
+`import lstirling` and `import lstirling.cli` load no layer module; each CLI
+command loads the layers it uses when it runs, and the package root resolves
+each public name from its layer on first use.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import lstirling
+
+SRC = str(Path(lstirling.__file__).resolve().parents[1])
+FIXTURES = Path(__file__).parent / "fixtures"
+
+PRELUDE = """
+import contextlib, io, json, sys
+
+before = set(sys.modules)
+
+
+def added():
+    return sorted(set(sys.modules) - before)
+
+
+def run(*argv):
+    from lstirling.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+"""
+
+
+def child(body: str) -> dict:
+    """Run PRELUDE + body in a fresh interpreter; its last stdout line is JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", PRELUDE + body], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_layer_and_a_table_loads_two():
+    got = child(
+        """
+import lstirling.cli
+on_import = added()
+before = set(sys.modules)
+run("table", "--family", "ls", "--nmax", "3")
+print(json.dumps({"import": on_import, "table": added()}))
+"""
+    )
+    assert [m for m in got["import"] if m.startswith("lstirling")] == ["lstirling", "lstirling.cli"]
+    assert "dataclasses" not in got["import"] and "csv" not in got["import"]
+    assert [m for m in got["table"] if m.startswith("lstirling")] == ["lstirling.algebra", "lstirling.triangles"]
+
+
+def test_light_commands_never_import_dataclasses_or_csv():
+    got = child(
+        f"""
+run("table", "--family", "js", "--nmax", "4")
+run("gamma", "--kmax", "4")
+run("oeis", "A025035", "--source", {str(FIXTURES / "b025035.txt")!r})
+run("verify", "identities", "--nmax", "3")
+print(json.dumps(added()))
+"""
+    )
+    assert "dataclasses" not in got and "csv" not in got
+    assert "lstirling.gamma" in got
+
+
+def test_conjecture_loads_no_enumeration_layer():
+    got = child(
+        """
+run("conjecture", "--kmax", "2")
+print(json.dumps(added()))
+"""
+    )
+    assert "lstirling.realroots" in got
+    for layer in ("codes", "partitions", "grammar"):
+        assert f"lstirling.{layer}" not in got
+
+
+def test_package_names_resolve_to_their_layer_objects():
+    got = child(
+        """
+import lstirling
+
+layers = ("algebra", "codes", "gamma", "grammar", "partitions", "realroots", "triangles")
+problems = [m for m in added() if m.startswith("lstirling.")]
+for name in lstirling.__all__:
+    value = getattr(lstirling, name)
+    home = getattr(value, "__module__", None)
+    if callable(value) and home:
+        same = getattr(sys.modules[home], name, None) is value
+    else:
+        same = any(vars(sys.modules.get(f"lstirling.{m}", sys)).get(name) is value for m in layers)
+    if not same:
+        problems.append(f"{name} is not its layer's object")
+    if name not in dir(lstirling):
+        problems.append(f"dir() lacks {name}")
+star = {}
+exec("from lstirling import *", star)
+problems += [f"* misses {name}" for name in lstirling.__all__ if star.get(name) is not getattr(lstirling, name)]
+problems += [f"dir() lacks module {m}" for m in layers if m not in dir(lstirling)]
+try:
+    lstirling.no_such_name
+    problems.append("no AttributeError")
+except AttributeError:
+    pass
+print(json.dumps({"problems": problems, "names": len(lstirling.__all__), "unique": len(set(lstirling.__all__))}))
+"""
+    )
+    assert got["problems"] == []
+    assert got["names"] == got["unique"] == 75
+
+
+def test_a_layer_module_is_reachable_from_the_package_root():
+    got = child(
+        """
+import lstirling
+
+phi = lstirling.codes.phi
+print(json.dumps({"same": phi is lstirling.phi, "codes": "lstirling.codes" in sys.modules}))
+"""
+    )
+    assert got == {"same": True, "codes": True}
