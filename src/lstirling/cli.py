@@ -277,22 +277,32 @@ def _verify_identities(nmax: int) -> list:
 def _verify_bijection(nmax: int) -> list:
     from . import codes, triangles
 
+    def failure(code, err=None) -> str:
+        # legality is checked only once a round trip has failed, so that an
+        # illegal code is named as such
+        legal = codes.validate_code(code)
+        if not legal:
+            return f"{codes.render_code(code)}: invalid code ({legal.detail})"
+        return f"{codes.render_code(code)}: {err}" if err else codes.render_code(code)
+
     reports = []
     for n in range(1, nmax + 1):
 
         def round_trip(n=n):
-            # phi validates each code and phi_inverse each image, so every
-            # image is a valid partition and phi has a left inverse; with
-            # ls(n,k) images of k boxes for each k, phi is a bijection
+            # each code is replayed unchecked; phi_inverse validates the
+            # image and returns only legal codes, so phi_inverse(p) == code
+            # shows that the code equals a legal one, its image is a valid
+            # partition and phi has a left inverse; with ls(n,k) images of k
+            # boxes for each k, phi is a bijection
             by_k: dict = {}
             for code in codes.enumerate_codes(n):
-                p = codes.phi(code)
                 try:
+                    p = codes._replay(code)
                     back = codes.phi_inverse(p)
-                except ValueError as err:
-                    return False, f"{codes.render_code(code)}: {err}"
+                except (IndexError, TypeError, ValueError) as err:
+                    return False, failure(code, err)
                 if back != code:
-                    return False, codes.render_code(code)
+                    return False, failure(code)
                 by_k[len(p.boxes)] = by_k.get(len(p.boxes), 0) + 1
             for k in range(1, n + 1):
                 got, want, coded = by_k.get(k, 0), triangles.ls(n, k), codes.count_codes(n, k)

@@ -141,24 +141,37 @@ def phi(code) -> LSPartition:
     return _replay(code)
 
 
+def _element_pairs(size: int) -> tuple:
+    """((m, False), (m, True)) for m = 1..size: each value's plain and barred copy."""
+    return tuple(((m, False), (m, True)) for m in range(1, size + 1))
+
+
+# shared by every replay of a code no longer than this; a longer code builds
+# its own pairs, so the table never grows with the input
+_PAIRS = _element_pairs(64)
+
+
 def _replay(code) -> LSPartition:
-    # phi without the check, for codes known to be valid
+    # phi without the check, for codes valid by construction or whose image
+    # phi_inverse checks
+    n = len(code)
+    pairs = _PAIRS if n <= len(_PAIRS) else _element_pairs(n)
     boxes: list = []
     zero: list = []
-    for m, sym in enumerate(code, start=1):
+    for (plain, barred), sym in zip(pairs, code):
         kind = sym[0]
         if kind == "X":
-            boxes.append([(m, False), (m, True)])
+            boxes.append([plain, barred])
         elif kind == "A":
-            boxes[sym[1] - 1].append((m, False))
-            boxes[sym[2] - 1].append((m, True))
+            boxes[sym[1] - 1].append(plain)
+            boxes[sym[2] - 1].append(barred)
         elif kind == "B":
-            boxes[sym[1] - 1].append((m, False))
-            zero.append((m, True))
+            boxes[sym[1] - 1].append(plain)
+            zero.append(barred)
         else:
-            boxes[sym[1] - 1].append((m, True))
-            zero.append((m, False))
-    return LSPartition(len(code), tuple(map(frozenset, boxes)), frozenset(zero))
+            boxes[sym[1] - 1].append(barred)
+            zero.append(plain)
+    return LSPartition(n, tuple(map(frozenset, boxes)), frozenset(zero))
 
 
 def phi_inverse(p: LSPartition):
@@ -187,6 +200,7 @@ def _legal_non_x(t: int) -> tuple:
 
 def enumerate_codes(n: int):
     """Yield every valid code of length n; guarded at n <= ENUM_LIMIT."""
+    _require_int("enumerate_codes", n)
     if not 1 <= n <= ENUM_LIMIT:
         raise ValueError(f"enumerate_codes: n must be in 1..{ENUM_LIMIT}, got {n}")
 

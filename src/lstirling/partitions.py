@@ -18,11 +18,10 @@ Elements are (value, barred) tuples: an int value (never a bool) and a bool flag
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import Poly
-from .triangles import CheckResult
+from .triangles import CheckResult, _require_int
 
 ENUM_LIMIT = 7
 
@@ -45,13 +44,42 @@ def _render_box(box) -> str:
     return ",".join(render_element(e) for e in sorted(box))
 
 
-@dataclass(frozen=True)
 class LSPartition:
-    """A partition of {1,1',...,n,n'} into nonzero boxes plus a zero box."""
+    """A partition of {1,1',...,n,n'} into nonzero boxes plus a zero box.
 
-    n: int
-    boxes: tuple  # tuple of frozensets of Elements
-    zero_box: frozenset
+    A plain record with read-only slots rather than a frozen dataclass, so
+    that building one costs three slot stores and no command imports
+    dataclasses for it.  Equality and hash are a frozen dataclass's (over
+    (n, boxes, zero_box)), and assigning or deleting a field raises
+    AttributeError.
+    """
+
+    __slots__ = ("n", "boxes", "zero_box")
+    __match_args__ = __slots__
+
+    def __init__(self, n: int, boxes: tuple, zero_box: frozenset):
+        # boxes: tuple of frozensets of Elements
+        _set_n(self, n)
+        _set_boxes(self, boxes)
+        _set_zero_box(self, zero_box)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since the slots are read-only
+        return (LSPartition, (self.n, self.boxes, self.zero_box))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.boxes, self.zero_box) == (other.n, other.boxes, other.zero_box)
+
+    def __hash__(self):
+        return hash((self.n, self.boxes, self.zero_box))
 
     def render(self) -> str:
         inner = "".join("{" + _render_box(b) + "}" for b in self.boxes)
@@ -65,7 +93,16 @@ class LSPartition:
         }
 
     def __repr__(self):
-        return f"LSPartition('{self.render()}')"
+        try:
+            return f"LSPartition('{self.render()}')"
+        except (TypeError, ValueError):  # fields that do not render print one by one
+            return f"LSPartition(n={self.n!r}, boxes={self.boxes!r}, zero_box={self.zero_box!r})"
+
+
+# the slots' own setters, which __init__ calls since __setattr__ refuses
+_set_n = LSPartition.n.__set__
+_set_boxes = LSPartition.boxes.__set__
+_set_zero_box = LSPartition.zero_box.__set__
 
 
 def from_json_dict(doc: dict) -> LSPartition:
@@ -109,8 +146,8 @@ _X = ("X",)  # the code symbol that opens a box, as in codes.X
 
 
 def _homes(p: LSPartition):
-    """The box of each value's two copies, or None unless the elements cover
-    {1,1',...,n,n'} exactly once.
+    """The box of each value's two copies, or None unless p is an LSPartition
+    whose elements cover {1,1',...,n,n'} exactly once.
 
     Returns lists (plain, barred): plain[v] is the index of the box holding v
     and barred[v] that of v', counting nonzero boxes from 1 and the zero box
@@ -118,6 +155,8 @@ def _homes(p: LSPartition):
     value in 1..n, never a bool, and a bool flag.  No element is hashed: with
     2n elements in all, every slot filled means no slot was filled twice.
     """
+    if not isinstance(p, LSPartition):
+        return None
     n = p.n
     if type(n) is not int or n < 0:
         return None
@@ -185,6 +224,8 @@ def _code_of(p: LSPartition):
 def _violation(p: LSPartition) -> str:
     """The first rule that a partition rejected by _code_of breaks, in the
     order coverage, r1, r2 box by box, standard form."""
+    if not isinstance(p, LSPartition):
+        return f"not a partition: {type(p).__name__}"
     n = p.n
     if type(n) is not int or n < 0:
         return f"coverage: n must be a nonnegative int, got {n!r}"
@@ -214,7 +255,7 @@ def validate(p: LSPartition) -> CheckResult:
 
     One scan of the elements and one of the values (_code_of), linear in n
     and free of hashing; the message is worked out only for a partition the
-    scan rejects.
+    scan rejects.  An argument that is not an LSPartition fails too.
     """
     if _code_of(p) is not None:
         return CheckResult(True)
@@ -229,6 +270,7 @@ def enumerate_partitions(n: int):
     codes are valid as built, so each is replayed without checking it again.
     Guarded at n <= ENUM_LIMIT.
     """
+    _require_int("enumerate_partitions", n)
     if not 1 <= n <= ENUM_LIMIT:
         raise ValueError(f"enumerate_partitions: n must be in 1..{ENUM_LIMIT}, got {n}")
     # imported here because codes builds on this module
@@ -240,6 +282,7 @@ def enumerate_partitions(n: int):
 
 def count_by_blocks(n: int) -> dict:
     """Histogram {k: number of partitions with k nonzero boxes}."""
+    _require_int("count_by_blocks", n)
     out: dict = {}
     for p in enumerate_partitions(n):
         out[len(p.boxes)] = out.get(len(p.boxes), 0) + 1
@@ -251,7 +294,7 @@ def _zstat_rows(n: int) -> dict:
     rows: dict = {}
     for p in enumerate_partitions(n):
         k = len(p.boxes)
-        i = sum(1 for e in p.zero_box if e[1])
+        i = [e[1] for e in p.zero_box].count(True)  # barred copies in the zero box
         row = rows.setdefault(k, [])
         if len(row) <= i:
             row.extend(0 for _ in range(i + 1 - len(row)))
@@ -265,6 +308,7 @@ def js_brute(n: int, k: int) -> Poly:
     Coefficient of z^i counts partitions with k nonzero boxes and exactly i
     barred elements in the zero box; agrees with js(n,k).
     """
+    _require_int("js_brute", n, k)
     if not 1 <= n <= ENUM_LIMIT:
         raise ValueError(f"js_brute: n must be in 1..{ENUM_LIMIT}, got {n}")
     return Poly(_zstat_rows(n).get(k, ()))

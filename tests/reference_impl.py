@@ -24,6 +24,10 @@ must give the same result or the same error message.
 `lstirling table` and `lstirling gamma` through `csv.writer`, one row at a
 time, where the CLI writes the lines itself.
 
+`LSPartitionDataclass` is `partitions.LSPartition` as the frozen dataclass
+it used to be, with its rendering `repr`; the plain record must compare,
+hash and print as it does.
+
 `verify_conjecture_by_resorting` orders the roots of q_k and q_{k+1} by
 sorting every interval after each refinement and bisecting the first
 overlapping neighbours, instead of merging the two sorted lists once as
@@ -33,12 +37,13 @@ import csv
 import io
 import json
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from lstirling import gamma, realroots, triangles
 from lstirling.codes import A, B, Bb, X
-from lstirling.partitions import LSPartition
+from lstirling.partitions import LSPartition, render_element
 from lstirling.triangles import CheckResult
 
 
@@ -259,3 +264,17 @@ def gamma_csv_by_csv_writer(kmax: int) -> str:
     for k in range(kmax + 1):
         writer.writerow([k, gamma.support(k)[0], json.dumps(list(gamma.gamma_row(k)), separators=(",", ":"))])
     return buf.getvalue()
+
+
+@dataclass(frozen=True)
+class LSPartitionDataclass:
+    n: int
+    boxes: tuple
+    zero_box: frozenset
+
+    def __repr__(self):
+        def box(b):
+            return ",".join(render_element(e) for e in sorted(b))
+
+        inner = "".join("{" + box(b) + "}" for b in self.boxes)
+        return f"LSPartition('{inner}<{box(self.zero_box)}>')"

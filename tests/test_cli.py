@@ -133,12 +133,31 @@ def test_verify_rejects_an_empty_range(capsys, suite, nmax):
 def test_verify_bijection_reports_an_invalid_image(capsys, monkeypatch):
     # every image has two copies of 1 in the zero box, which validate rejects
     bad = LSPartition(1, (), frozenset({(1, False), (1, True)}))
-    monkeypatch.setattr(codes, "phi", lambda code: bad)
+    monkeypatch.setattr(codes, "_replay", lambda code: bad)
     rc, out, _ = run(capsys, "verify", "bijection", "--nmax", "3")
     assert rc == 1
     fail = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(fail) == 3
     assert "n=1" in fail[0] and "counterexample: X: phi_inverse: invalid partition" in fail[0]
+
+
+@pytest.mark.parametrize(
+    "code,detail",
+    [
+        # box 2 is used with one box open: the replay indexes past the boxes
+        ((codes.X, ("A", 1, 2)), "X,A(1,2): invalid code (position 2: box index 2 exceeds the 1 boxes opened)"),
+        # box 0 replays into the last box without an error, and comes back as B(1)
+        ((codes.X, ("B", 0)), "X,B(0): invalid code (position 2: box index 0 exceeds the 1 boxes opened)"),
+    ],
+)
+def test_verify_bijection_reports_an_illegal_code(capsys, monkeypatch, code, detail):
+    # the sweep replays codes unchecked; an illegal one must fail, not raise
+    monkeypatch.setattr(codes, "enumerate_codes", lambda n: iter([code]))
+    rc, out, _ = run(capsys, "verify", "bijection", "--nmax", "2")
+    assert rc == 1
+    fail = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fail) == 2
+    assert fail[0].endswith(f"counterexample: {detail}")
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from reference_impl import parse_code_by_scanning, phi_inverse_by_scanning, validate_code_rule_by_rule
 from strategies import JSON_LIKE
 
+from lstirling import codes
 from lstirling.codes import (
     A,
     B,
@@ -341,3 +342,28 @@ def test_enumerate_codes_guard():
         list(enumerate_codes(0))
     with pytest.raises(ValueError):
         list(enumerate_codes(99))
+
+
+@pytest.mark.parametrize("n", [True, 3.0, "3", None])
+def test_enumerate_codes_rejects_a_non_int_length(n):
+    with pytest.raises(ValueError, match="must be ints"):
+        list(enumerate_codes(n))
+
+
+def test_enumerated_codes_are_distinct():
+    # the bijection sweep counts its codes but does not check that they differ
+    for n in range(1, 7):
+        seen = list(enumerate_codes(n))
+        assert len(set(seen)) == len(seen) == sum(ls(n, k) for k in range(1, n + 1))
+
+
+def test_a_code_longer_than_the_element_pair_table_replays_without_growing_it():
+    size = len(codes._PAIRS)
+    code = (X, X) + (A(1, 2), B(2), Bb(1), X) * (size // 4 + 2)
+    assert len(code) > size
+    p = phi(code)
+    m = len(code)
+    assert p.n == m and len(p.boxes) == n_x(code)
+    assert p.boxes[-1] == frozenset({(m, False), (m, True)})
+    assert phi_inverse(p) == code
+    assert len(codes._PAIRS) == size

@@ -73,6 +73,18 @@ print(json.dumps(added()))
     assert "lstirling.gamma" in got
 
 
+def test_enumeration_sweeps_never_import_dataclasses():
+    got = child(
+        """
+run("verify", "bijection", "--nmax", "3")
+run("verify", "zstat", "--nmax", "3")
+print(json.dumps(added()))
+"""
+    )
+    assert "lstirling.codes" in got and "lstirling.partitions" in got
+    assert "dataclasses" not in got
+
+
 def test_conjecture_loads_no_enumeration_layer():
     got = child(
         """

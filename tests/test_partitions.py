@@ -1,10 +1,12 @@
 """Doubled-multiset partition model: parsing, validation, enumeration, statistics."""
+import copy
+import pickle
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_impl import phi_inverse_by_scanning, validate_by_sorting
+from reference_impl import LSPartitionDataclass, phi_inverse_by_scanning, validate_by_sorting
 from strategies import JSON_LIKE
 
 from lstirling.algebra import Poly
@@ -227,6 +229,89 @@ def test_malformed_partitions_fail_coverage_instead_of_raising(p):
     assert res.detail.startswith("coverage")
     with pytest.raises(ValueError):
         phi_inverse(p)
+
+
+@pytest.mark.parametrize("arg", [None, WORKED, (5, (), frozenset()), 5], ids=["None", "str", "tuple", "int"])
+def test_a_non_partition_fails_validation_without_attribute_error(arg):
+    res = validate(arg)
+    assert not res
+    assert res.detail == f"not a partition: {type(arg).__name__}"
+    with pytest.raises(ValueError, match="not a partition"):
+        phi_inverse(arg)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        LSPartition(1, None, frozenset()),
+        LSPartition(1, (5,), frozenset()),
+        LSPartition(None, (), None),
+        LSPartition(1, (frozenset({(1, False), "x"}),), frozenset()),
+    ],
+)
+def test_repr_of_a_malformed_partition_lists_its_fields(p):
+    assert repr(p) == f"LSPartition(n={p.n!r}, boxes={p.boxes!r}, zero_box={p.zero_box!r})"
+
+
+def test_partition_record_compares_hashes_and_prints_as_the_dataclass_did():
+    ps = list(enumerate_partitions(3)) + [
+        LSPartition(0, (), frozenset()),
+        LSPartition(1, (), frozenset({(1, False), (1, True)})),
+        parse(WORKED),
+    ]
+    refs = [LSPartitionDataclass(p.n, p.boxes, p.zero_box) for p in ps]
+    for p, ref in zip(ps, refs):
+        assert repr(p) == repr(ref)
+        assert hash(p) == hash(ref)
+        assert p == LSPartition(p.n, tuple(p.boxes), frozenset(p.zero_box))
+        assert p != ref and p != (p.n, p.boxes, p.zero_box)
+        for q, ref_q in zip(ps, refs):
+            assert (p == q) == (ref == ref_q) and (p != q) == (ref != ref_q)
+
+
+def test_partition_fields_are_read_only():
+    p = parse(WORKED)
+    for name in ("n", "boxes", "zero_box", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p == parse(WORKED)
+
+
+def test_a_partition_survives_pickle_copy_and_match():
+    p = parse(WORKED)
+    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert twin == p and hash(twin) == hash(p) and twin.__class__ is LSPartition
+    matched = None
+    match p:
+        case LSPartition(n, boxes, zero):
+            matched = (n, boxes, zero)
+    assert matched == (5, p.boxes, p.zero_box)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: list(enumerate_partitions(2.5)),
+        lambda: list(enumerate_partitions(True)),
+        lambda: count_by_blocks("3"),
+        lambda: js_brute(3, "a"),
+        lambda: js_brute(3.0, 1),
+        lambda: js_brute(3, True),
+    ],
+    ids=[
+        "enumerate_partitions-float",
+        "enumerate_partitions-bool",
+        "count_by_blocks-str",
+        "js_brute-str-k",
+        "js_brute-float-n",
+        "js_brute-bool-k",
+    ],
+)
+def test_enumeration_entry_points_reject_non_int_arguments(call):
+    with pytest.raises(ValueError, match="must be ints"):
+        call()
 
 
 def _rule(res):
