@@ -6,8 +6,9 @@ routes, realizes the doubled-multiset partition model with its insertion-code
 bijection, expands the diagonals ls(n+k, n) in the binomial basis with the
 gamma coefficient machinery, derives the same triangles from substitution
 grammars, and certifies real-rootedness and merged root orderings of the
-gamma polynomials with exact Sturm chains.  The `lstirling` console script
-exposes tables, verification sweeps, and certificates.
+gamma polynomials by an exact interlacing induction.  The `lstirling` console
+script exposes tables, verification sweeps, certificates and their
+independent re-check.
 
 Every name in `__all__` can be read from the package root, but a layer
 module is loaded only when one of its names (or the module itself) is first
@@ -33,8 +34,8 @@ _EXPORTS = {
         " parse_element render_element validate"
     ),
     "realroots": (
-        "REFINE_CAP ConjectureResult RootCertificate count_roots expected_pattern isolate_roots q_poly"
-        " refine_interval sturm_chain verify_conjecture"
+        "REFINE_CAP ConjectureResult RootCertificate conjecture_results expected_pattern q_poly refine_interval"
+        " verify_conjecture"
     ),
     "triangles": (
         "CheckResult horizontal_identity_js horizontal_identity_ls jc jc_defining_product js lc ls"

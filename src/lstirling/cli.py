@@ -1,5 +1,6 @@
 """Command-line interface: tables, verification sweeps, gamma reports,
-conjecture certificates, and OEIS b-file cross-checks.
+conjecture certificates and their independent re-check, and OEIS b-file
+cross-checks.
 
 Exit codes: 0 all checks pass, 1 mismatch, 2 inconclusive, 3 I/O or data
 error.  Table and report payloads go to stdout or --out; verification report
@@ -440,18 +441,33 @@ def cmd_conjecture(args) -> int:
     from . import realroots
 
     lines = []
-    verdicts = []
-    for k in range(1, args.kmax + 1):
-        res = realroots.verify_conjecture(k)
-        verdicts.append(res.verdict)
+    ok = True
+    for res in realroots.conjecture_results(args.kmax):
+        ok = ok and res.ok
         lines.append(json.dumps(res.to_json_dict()) + "\n")
     rc = _emit(lines, args.out)
     if rc:
         return rc
-    if any(v == "false" for v in verdicts):
+    # the induction proves each k or runs out of budget; it never refutes
+    return 0 if ok else 2
+
+
+def cmd_check_certs(args) -> int:
+    try:
+        text = Path(args.file).read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        return _fail(f"check-certs: cannot read {args.file}: {err}", 3)
+    # imported here, so that conjecture never loads the checker of its output
+    from . import certcheck
+
+    try:
+        count = certcheck.check(text, CONJECTURE_KMAX_CAP)
+    except certcheck.MalformedCertificate as err:
+        return _fail(f"check-certs: {args.file} {err}", 3)
+    except certcheck.InvalidCertificate as err:
+        print(f"FAIL {args.file} {err}")
         return 1
-    if any(v == "inconclusive" for v in verdicts):
-        return 2
+    print(f"ok   {args.file}: the certificates for k = 1..{count} are valid")
     return 0
 
 
@@ -545,6 +561,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_conjecture)
+
+    p = sub.add_parser("check-certs", help="re-check conjecture certificates without the code that made them")
+    p.add_argument("file", help="JSON lines written by lstirling conjecture")
+    p.set_defaults(func=cmd_check_certs)
 
     p = sub.add_parser("oeis", help="cross-check a sequence b-file against exact values")
     p.add_argument("seq")

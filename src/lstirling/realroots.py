@@ -1,80 +1,42 @@
-"""Exact real-root certificates for the gamma polynomials.
+"""Exact real-root certificates for the gamma polynomials, by interlacing induction.
 
 The polynomials q_k(x) = gamma_k(x) / x^(k+2) are conjectured to have only
-real (necessarily negative) roots, with the roots of consecutive q_k, q_{k+1}
-arranged in a fixed merged order.  This module proves such statements for
-concrete k with Sturm chains over the integers: each chain element is the
-primitive integer polynomial that is a positive multiple of the euclidean
-Sturm element (a primitive pseudo-remainder sequence), so sign variations,
-and with them root counts, are those of the classical chain.  The sign of an
-integer polynomial of degree d at a rational point a/b (b > 0) is read as
-the sign of sum c_i a^i b^(d-i), in ints only.  Isolating intervals have
-rational endpoints and are refined by bisection, each step decided by the
-sign of the polynomial alone, until the merged ordering is decided.
-Floats never enter any verdict; they may appear only in diagnostics.
+real roots, with the roots of q_k (tagged r) and q_{k+1} (tagged s) merged in
+the ascending order (s r)^(k-1) s s (r s)^(k-1).  This module proves that
+for k = 1, 2, ... in turn, reading nothing but the signs of q_{k+1} at
+rational points.
+
+The certificate of q_k is a list of 2k-2 disjoint open intervals
+I_1 < ... < I_{2k-2} in (-1, 0), each with a strict sign change of q_k.
+They leave 2k-1 gaps: (-1, I_1), the gaps between neighbours, and
+(I_{2k-2}, 0).  Step k asks q_{k+1} for a strict sign change across every
+gap but the middle one (index k-1), and for the middle gap to keep its sign
+at both ends and flip it at its midpoint or a quarter point m, which splits
+it into two sign-change intervals.  That gives 2k disjoint open intervals,
+each with a strict sign change of q_{k+1}, a polynomial of degree 2k, so
+every root of q_{k+1} is real and simple, one in each interval, and the
+merged order is the conjectured pattern by construction.  The 2k intervals
+are the certificate of q_{k+1} for step k+1.  q_1 = 1 has no roots, so step
+1 splits (-1, 0) alone.
+
+A gap that fails bisects its neighbouring intervals of q_k (the sign of q_k
+at the midpoint alone picks the half that keeps the root), at most
+REFINE_CAP times per interval, and the gaps are retried from the first one
+whose endpoint moved.  A step that runs out of that budget proves nothing and
+is reported as inconclusive.  The sign of an integer polynomial of degree d
+at a/b (b > 0) is the sign of sum c_i a^i b^(d-i), read in ints only, so no
+float reaches a verdict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
 
 from .algebra import Poly
 from .gamma import gamma_poly
+from .triangles import _require_int
 
 REFINE_CAP = 256
-
-
-def _primitive(cs) -> list:
-    """The primitive integer coefficient list that is a positive multiple of cs."""
-    den = lcm(*(c.denominator for c in cs))
-    ints = [int(c * den) for c in cs]
-    content = gcd(*ints)
-    return [c // content for c in ints]
-
-
-def _pseudo_remainder(a: list, b: list) -> list:
-    """A positive multiple of a mod b, by integer pseudo-division; zeros trimmed."""
-    r = list(a)
-    lead = b[-1]
-    while len(r) >= len(b):
-        # r <- (|lead| r - sign(lead) r[-1] x^shift b) / g: a positive
-        # multiple of r with the same remainder, leading term cancelled
-        g = gcd(lead, r[-1])
-        scale, t = abs(lead) // g, r[-1] // g
-        if lead < 0:
-            t = -t
-        shift = len(r) - len(b)
-        r = [c * scale for c in r]
-        for i, c in enumerate(b):
-            r[shift + i] -= t * c
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
-def sturm_chain(p: Poly) -> list:
-    """The Sturm sequence of p as primitive integer polynomials.
-
-    Element i is the positive multiple with coprime integer coefficients of
-    the euclidean element (p, p', then negated remainders), so every sign,
-    variation count and root count is the classical one.  Ends at the last
-    nonzero remainder; for square-free p that element is a nonzero constant.
-    """
-    if p.is_zero():
-        raise ValueError("sturm_chain: zero polynomial")
-    chain = [_primitive(p.coeffs)]
-    d = [i * c for i, c in enumerate(p.coeffs) if i >= 1]
-    if d:
-        chain.append(_primitive(d))
-        while True:
-            r = _pseudo_remainder(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append(_primitive([-c for c in r]))
-    return [Poly(cs) for cs in chain]
+_MINUS_ONE, _ZERO = Fraction(-1), Fraction(0)
 
 
 def _sign_at(p: Poly, x) -> int:
@@ -93,118 +55,6 @@ def _sign_at(p: Poly, x) -> int:
         bpow *= b
         acc = acc * a + c * bpow
     return (acc > 0) - (acc < 0)
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-def _variations(signs) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _var_at(chain, x) -> int:
-    return _variations([_sign_at(p, x) for p in chain])
-
-
-def _var_at_inf(chain, direction: int) -> int:
-    # sign at +oo is the leading sign; at -oo it flips with odd degree
-    signs = []
-    for p in chain:
-        if p.is_zero():
-            signs.append(0)
-            continue
-        s = _sign(p.leading())
-        if direction < 0 and (len(p.coeffs) - 1) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
-def count_roots(chain, a=None, b=None) -> int:
-    """Distinct real roots of chain[0] in (a, b]; None means -oo / +oo.
-
-    The chain is one built by sturm_chain.  The count is V(a) - V(b), with
-    zero signs dropped, which is exact for (a, b] even when an endpoint is a
-    root of chain[0]: there its zero drops out and the remaining signs vary
-    as they do just right of the root.  An endpoint that is a repeated root
-    makes every chain element vanish and raises ValueError.
-    """
-    # exact rationals from here on; a float endpoint is read at its exact value
-    a = None if a is None else Fraction(a)
-    b = None if b is None else Fraction(b)
-    if a is not None and b is not None and not a < b:
-        raise ValueError("count_roots: need a < b")
-    for x in (a, b):
-        if x is not None and _sign_at(chain[-1], x) == 0:
-            raise ValueError(f"count_roots: endpoint {x} is a repeated root")
-    va = _var_at_inf(chain, -1) if a is None else _var_at(chain, a)
-    vb = _var_at_inf(chain, +1) if b is None else _var_at(chain, b)
-    return va - vb
-
-
-def _root_bound(p: Poly) -> Fraction:
-    # Cauchy bound 1 + max|c_i| / |lc| of the integer polynomial p: every
-    # root has absolute value strictly below it
-    lead = abs(p.leading())
-    rest = max((abs(c) for c in p.coeffs[:-1]), default=0)
-    return Fraction(lead + rest, lead)
-
-
-def _shrink_around(chain, mid, lo, hi):
-    # mid is an exact rational root inside (lo, hi); box it so the box holds
-    # no other root and neither endpoint is a root
-    p = chain[0]
-    w = min(mid - lo, hi - mid) / 2
-    while (
-        _sign_at(p, mid - w) == 0
-        or _sign_at(p, mid + w) == 0
-        or count_roots(chain, mid - w, mid + w) != 1
-    ):
-        w /= 2
-    return (mid - w, mid + w)
-
-
-def isolate_roots(p: Poly):
-    """Disjoint open rational intervals, one per real root, endpoints non-roots.
-
-    Returns (chain, intervals) with intervals in increasing order; chain is
-    the integer Sturm chain of p.  Requires square-free input; a repeated
-    root raises ValueError since every downstream certificate needs simple
-    roots.
-    """
-    if p.is_zero():
-        raise ValueError("isolate_roots: zero polynomial")
-    chain = sturm_chain(p)
-    p = chain[0]
-    # the chain's last element is gcd(p, p') up to a constant factor
-    if chain[-1].degree > 0:
-        raise ValueError(f"isolate_roots: input is not square-free (gcd degree {chain[-1].degree})")
-    if p.degree == 0:
-        return chain, []
-    bound = _root_bound(p)
-    total = count_roots(chain, -bound, bound)
-    intervals = []
-    stack = [(-bound, bound, total)]
-    while stack:
-        lo, hi, cnt = stack.pop()
-        if cnt == 0:
-            continue
-        if cnt == 1:
-            intervals.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if _sign_at(p, mid) == 0:
-            ml, mh = _shrink_around(chain, mid, lo, hi)
-            stack.append((lo, ml, count_roots(chain, lo, ml)))
-            intervals.append((ml, mh))
-            stack.append((mh, hi, count_roots(chain, mh, hi)))
-            continue
-        left = count_roots(chain, lo, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, cnt - left))
-    intervals.sort()
-    return chain, intervals
 
 
 def refine_interval(p: Poly, interval):
@@ -228,6 +78,7 @@ def refine_interval(p: Poly, interval):
 
 def q_poly(k: int) -> Poly:
     """gamma_k(x) / x^(k+2), after checking x = 0 has multiplicity exactly k+2."""
+    _require_int("q_poly", k)
     if k < 1:
         raise ValueError("q_poly: k must be at least 1")
     g = gamma_poly(k)
@@ -237,14 +88,37 @@ def q_poly(k: int) -> Poly:
     return Poly(g.coeffs[val:])
 
 
-@dataclass
 class RootCertificate:
-    """Isolating intervals for the real roots of one q_k."""
+    """Disjoint open rational intervals, each with a strict sign change of q_k.
 
-    k: int
-    degree: int
-    square_free: bool
-    intervals: list  # open (Fraction, Fraction) pairs, increasing
+    square_free is True when the intervals prove every root of q_k real and
+    simple, one per interval; an uncertified q_k has square_free False and no
+    intervals.  A plain slotted class rather than a dataclass, so that
+    `conjecture` never imports dataclasses; equality and repr are the ones a
+    dataclass would generate.
+    """
+
+    __slots__ = ("k", "degree", "square_free", "intervals")
+
+    def __init__(self, k: int, degree: int, square_free: bool, intervals: list):
+        self.k = k
+        self.degree = degree
+        self.square_free = square_free
+        self.intervals = intervals  # open (Fraction, Fraction) pairs, increasing
+
+    def _fields(self) -> tuple:
+        return (self.k, self.degree, self.square_free, self.intervals)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"RootCertificate(k={self.k!r}, degree={self.degree!r}, square_free={self.square_free!r},"
+            f" intervals={self.intervals!r})"
+        )
 
     @property
     def all_real(self) -> bool:
@@ -263,23 +137,51 @@ class RootCertificate:
         }
 
 
-@dataclass
 class ConjectureResult:
     """Verdict for one k: certificates for q_k and q_{k+1} plus the merged order.
 
     The expected ascending pattern tags each root by source, s for q_{k+1}
-    and r for q_k: (s r)^(k-1) s s (r s)^(k-1).  Verdicts: "true" when the
-    pattern is realized, "vacuous" for the degenerate k = 1 case, "false" on
-    a realized violation, "inconclusive" when the refinement budget ran out.
+    and r for q_k: (s r)^(k-1) s s (r s)^(k-1).  The induction gives "true"
+    when it proves the pattern, "vacuous" for the degenerate k = 1 case and
+    "inconclusive" when the refinement budget ran out; "false", a realized
+    violation, is left to a route that can refute, such as a Sturm count.
+    A plain slotted class like RootCertificate.
     """
 
-    k: int
-    lower: RootCertificate
-    upper: RootCertificate
-    pattern: str
-    expected_pattern: str
-    verdict: str
-    note: str | None = None
+    __slots__ = ("k", "lower", "upper", "pattern", "expected_pattern", "verdict", "note")
+
+    def __init__(
+        self,
+        k: int,
+        lower: RootCertificate,
+        upper: RootCertificate,
+        pattern: str,
+        expected_pattern: str,
+        verdict: str,
+        note: str | None = None,
+    ):
+        self.k = k
+        self.lower = lower
+        self.upper = upper
+        self.pattern = pattern
+        self.expected_pattern = expected_pattern
+        self.verdict = verdict
+        self.note = note
+
+    def _fields(self) -> tuple:
+        return (self.k, self.lower, self.upper, self.pattern, self.expected_pattern, self.verdict, self.note)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"ConjectureResult(k={self.k!r}, lower={self.lower!r}, upper={self.upper!r},"
+            f" pattern={self.pattern!r}, expected_pattern={self.expected_pattern!r},"
+            f" verdict={self.verdict!r}, note={self.note!r})"
+        )
 
     @property
     def ok(self) -> bool:
@@ -302,81 +204,114 @@ def expected_pattern(k: int) -> list:
     return ["s", "r"] * (k - 1) + ["s", "s"] + ["r", "s"] * (k - 1)
 
 
-@lru_cache(maxsize=2)
-def _isolation(k: int):
-    # one isolation per q_k: verify_conjecture(k) and verify_conjecture(k+1)
-    # share q_{k+1}; the cached tuples are only read, never changed
-    p = q_poly(k)
-    try:
-        chain, intervals = isolate_roots(p)
-    except ValueError as err:
-        return int(p.degree), p, (), str(err)
-    return int(p.degree), chain[0], tuple(intervals), None
+def _split(p: Poly, lo, hi):
+    """A point of (lo, hi) where p has the sign opposite to its equal signs at lo and hi.
 
-
-def _merge(p_r, ivs_r, p_s, ivs_s):
-    """Refine two sorted lists of isolating intervals into one ascending order.
-
-    Each list is sorted and disjoint, so the first overlap in the merged
-    order is between the two heads: a head wholly left of the other is
-    final, and overlapping heads are both bisected.  Returns the refined
-    lists and the source tags in ascending order, or None once a root would
-    need more than REFINE_CAP bisections.
+    Only the midpoint and the two quarter points are tried: a deeper search
+    costs far more sign evaluations than refining the neighbours and retrying.
     """
-    ivs_r, ivs_s, tags = list(ivs_r), list(ivs_s), []
-    i = j = used_r = used_s = 0
-    while i < len(ivs_r) and j < len(ivs_s):
-        if ivs_r[i][1] <= ivs_s[j][0]:
-            tags.append("r")
-            i, used_r = i + 1, 0
-        elif ivs_s[j][1] <= ivs_r[i][0]:
-            tags.append("s")
-            j, used_s = j + 1, 0
-        elif used_r >= REFINE_CAP or used_s >= REFINE_CAP:
-            return None
+    s = _sign_at(p, lo)
+    if s == 0 or _sign_at(p, hi) != s:
+        return None
+    w = hi - lo
+    for m in (lo + w / 2, lo + w / 4, hi - w / 4):
+        if _sign_at(p, m) == -s:
+            return m
+    return None
+
+
+def _step(k: int, p_r: Poly, ivs: list, p_s: Poly):
+    """Certify q_{k+1} = p_s from the intervals ivs of q_k = p_r.
+
+    Bisects the entries of ivs in place where a gap fails, and returns the
+    2k intervals of q_{k+1}, or None once a failing gap has no neighbour to
+    bisect (only q_1 has none) or one that would need more than REFINE_CAP
+    bisections.
+    """
+    n = len(ivs)
+    used = [0] * n
+    middle = k - 1
+    g = 0
+    while g <= n:
+        # gap g lies between ivs[g-1] and ivs[g]; -1 and 0 bound the outer two
+        lo = ivs[g - 1][1] if g else _MINUS_ONE
+        hi = ivs[g][0] if g < n else _ZERO
+        if g == middle:
+            split = _split(p_s, lo, hi)
+            ok = split is not None
         else:
-            ivs_r[i] = refine_interval(p_r, ivs_r[i])
-            ivs_s[j] = refine_interval(p_s, ivs_s[j])
-            used_r += 1
-            used_s += 1
-    tags += ["r"] * (len(ivs_r) - i) + ["s"] * (len(ivs_s) - j)
-    return ivs_r, ivs_s, tags
+            s = _sign_at(p_s, lo)
+            ok = s != 0 and _sign_at(p_s, hi) == -s
+        if ok:
+            g += 1
+            continue
+        neighbours = [j for j in (g - 1, g) if 0 <= j < n]
+        if len(neighbours) == 2:
+            # the wider neighbour is the likelier to hide the missing root;
+            # bisecting only it cut the sign evaluations by a tenth
+            wl, wr = (ivs[j][1] - ivs[j][0] for j in neighbours)
+            if wl != wr:
+                neighbours = neighbours[:1] if wl > wr else neighbours[1:]
+        if not neighbours or any(used[j] >= REFINE_CAP for j in neighbours):
+            return None
+        restart = g
+        for j in neighbours:
+            old_lo = ivs[j][0]
+            ivs[j] = refine_interval(p_r, ivs[j])
+            used[j] += 1
+            if j < g and ivs[j][0] != old_lo:
+                restart = g - 1  # gap g-1 ends at the left endpoint just moved
+        g = restart
+    ends = [_MINUS_ONE] + [e for iv in ivs for e in iv] + [_ZERO]
+    out = list(zip(ends[::2], ends[1::2]))
+    lo, hi = out[middle]
+    out[middle : middle + 1] = [(lo, split), (split, hi)]
+    return out
+
+
+def _induction(kmax: int):
+    p_r, cert_r = q_poly(1), RootCertificate(1, 0, True, [])
+    for k in range(1, kmax + 1):
+        p_s = q_poly(k + 1)
+        expected = " ".join(expected_pattern(k))
+        # the step refines its own copy, so the certificate yielded before
+        # keeps the intervals it was yielded with
+        ivs = list(cert_r.intervals)
+        ivs_s = _step(k, p_r, ivs, p_s) if cert_r.square_free else None
+        lower = RootCertificate(k, cert_r.degree, cert_r.square_free, ivs)
+        if ivs_s is None:
+            upper = RootCertificate(k + 1, int(p_s.degree), False, [])
+            if cert_r.square_free:
+                note = f"refinement budget exhausted separating roots of q_{k} and q_{k + 1}"
+            else:
+                note = f"q_{k} was not certified"
+            yield ConjectureResult(k, lower, upper, "", expected, "inconclusive", note)
+        else:
+            upper = RootCertificate(k + 1, int(p_s.degree), True, ivs_s)
+            yield ConjectureResult(k, lower, upper, expected, expected, "vacuous" if k == 1 else "true")
+        p_r, cert_r = p_s, upper
+
+
+def conjecture_results(kmax: int):
+    """The ConjectureResult for each k = 1 .. kmax, in order, as an iterator.
+
+    Step k certifies q_{k+1} from the certificate of q_k, so each step runs
+    once; after an inconclusive step every later k is inconclusive too.
+    """
+    _require_int("conjecture_results", kmax)
+    if kmax < 1:
+        raise ValueError("conjecture_results: kmax must be at least 1")
+    return _induction(kmax)
 
 
 def verify_conjecture(k: int) -> ConjectureResult:
     """Decide the merged-order statement for the root sets of q_k and q_{k+1}.
 
-    Both polynomials must be square-free with all roots real; isolating
-    intervals are then refined (at most REFINE_CAP bisections per root) until
-    the merged list is totally ordered, and the ascending source pattern is
-    compared against the conjectured one.  The certificates carry the refined
-    intervals once the order is decided, and the isolating ones otherwise.
+    The last result of conjecture_results(k): the certificate of q_k comes
+    from the k-1 steps before it.
     """
+    _require_int("verify_conjecture", k)
     if k < 1:
         raise ValueError("verify_conjecture: k must be at least 1")
-    deg_r, p_r, ivs_r, err_r = _isolation(k)
-    deg_s, p_s, ivs_s, err_s = _isolation(k + 1)
-    expected = expected_pattern(k)
-
-    def result(pattern, verdict, note=None):
-        # ivs_r and ivs_s as they stand at this call: isolating intervals
-        # before the merge, refined ones after it
-        cert_r = RootCertificate(k, deg_r, err_r is None, list(ivs_r))
-        cert_s = RootCertificate(k + 1, deg_s, err_s is None, list(ivs_s))
-        return ConjectureResult(k, cert_r, cert_s, pattern, " ".join(expected), verdict, note)
-
-    if err_r or err_s:
-        return result("", "false", err_r or err_s)
-    for q, deg, ivs in ((k, deg_r, ivs_r), (k + 1, deg_s, ivs_s)):
-        if len(ivs) != deg:
-            return result("", "false", f"q_{q} has {len(ivs)} real roots, degree {deg}")
-    merged = _merge(p_r, ivs_r, p_s, ivs_s)
-    if merged is None:
-        return result(
-            "", "inconclusive", f"refinement budget exhausted separating roots of q_{k} and q_{k + 1}"
-        )
-    ivs_r, ivs_s, tags = merged
-    pattern = " ".join(tags)
-    if tags != expected:
-        return result(pattern, "false", "merged order differs from the conjectured pattern")
-    return result(pattern, "vacuous" if k == 1 else "true")
+    *_, last = _induction(k)
+    return last

@@ -28,10 +28,17 @@ time, where the CLI writes the lines itself.
 it used to be, with its rendering `repr`; the plain record must compare,
 hash and print as it does.
 
-`verify_conjecture_by_resorting` orders the roots of q_k and q_{k+1} by
-sorting every interval after each refinement and bisecting the first
-overlapping neighbours, instead of merging the two sorted lists once as
-`realroots.verify_conjecture` does.
+The Sturm route is the oracle of the real-root certificates.  `sturm_chain`
+builds the classical Sturm sequence as primitive integer polynomials (a
+primitive pseudo-remainder sequence), `count_roots` counts the distinct real
+roots in (a, b] as V(a) - V(b), and `isolate_roots` bisects a Cauchy bound
+into one isolating interval per root.  `verify_conjecture_by_resorting`
+isolates the roots of q_k and q_{k+1} that way, sorts every interval after
+each refinement and bisects the first overlapping neighbours.
+`realroots.verify_conjecture` instead certifies q_{k+1} from the intervals of
+q_k by interlacing induction and never counts roots, so the two routes share
+only `q_poly`, the sign of a polynomial at a rational point and the bisection
+step.
 """
 import csv
 import io
@@ -39,9 +46,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from lstirling import gamma, realroots, triangles
+from lstirling.algebra import Poly
 from lstirling.codes import A, B, Bb, X
 from lstirling.partitions import LSPartition, render_element
 from lstirling.triangles import CheckResult
@@ -180,13 +188,174 @@ def phi_inverse_by_scanning(p: LSPartition):
     return tuple(reversed(out))
 
 
+def _primitive(cs) -> list:
+    """The primitive integer coefficient list that is a positive multiple of cs."""
+    den = lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    content = gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """A positive multiple of a mod b, by integer pseudo-division; zeros trimmed."""
+    r = list(a)
+    lead = b[-1]
+    while len(r) >= len(b):
+        # r <- (|lead| r - sign(lead) r[-1] x^shift b) / g: a positive
+        # multiple of r with the same remainder, leading term cancelled
+        g = gcd(lead, r[-1])
+        scale, t = abs(lead) // g, r[-1] // g
+        if lead < 0:
+            t = -t
+        shift = len(r) - len(b)
+        r = [c * scale for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= t * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def sturm_chain(p: Poly) -> list:
+    """The Sturm sequence of p as primitive integer polynomials.
+
+    Element i is the positive multiple with coprime integer coefficients of
+    the euclidean element (p, p', then negated remainders), so every sign,
+    variation count and root count is the classical one.  Ends at the last
+    nonzero remainder; for square-free p that element is a nonzero constant.
+    """
+    if p.is_zero():
+        raise ValueError("sturm_chain: zero polynomial")
+    chain = [_primitive(p.coeffs)]
+    d = [i * c for i, c in enumerate(p.coeffs) if i >= 1]
+    if d:
+        chain.append(_primitive(d))
+        while True:
+            r = _pseudo_remainder(chain[-2], chain[-1])
+            if not r:
+                break
+            chain.append(_primitive([-c for c in r]))
+    return [Poly(cs) for cs in chain]
+
+
+def _variations(signs) -> int:
+    signs = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _var_at(chain, x) -> int:
+    return _variations([realroots._sign_at(p, x) for p in chain])
+
+
+def _var_at_inf(chain, direction: int) -> int:
+    # sign at +oo is the leading sign; at -oo it flips with odd degree
+    signs = []
+    for p in chain:
+        if p.is_zero():
+            signs.append(0)
+            continue
+        lead = p.leading()
+        s = (lead > 0) - (lead < 0)
+        if direction < 0 and (len(p.coeffs) - 1) % 2 == 1:
+            s = -s
+        signs.append(s)
+    return _variations(signs)
+
+
+def count_roots(chain, a=None, b=None) -> int:
+    """Distinct real roots of chain[0] in (a, b]; None means -oo / +oo.
+
+    The chain is one built by sturm_chain.  The count is V(a) - V(b), with
+    zero signs dropped, which is exact for (a, b] even when an endpoint is a
+    root of chain[0]: there its zero drops out and the remaining signs vary
+    as they do just right of the root.  An endpoint that is a repeated root
+    makes every chain element vanish and raises ValueError.
+    """
+    # exact rationals from here on; a float endpoint is read at its exact value
+    a = None if a is None else Fraction(a)
+    b = None if b is None else Fraction(b)
+    if a is not None and b is not None and not a < b:
+        raise ValueError("count_roots: need a < b")
+    for x in (a, b):
+        if x is not None and realroots._sign_at(chain[-1], x) == 0:
+            raise ValueError(f"count_roots: endpoint {x} is a repeated root")
+    va = _var_at_inf(chain, -1) if a is None else _var_at(chain, a)
+    vb = _var_at_inf(chain, +1) if b is None else _var_at(chain, b)
+    return va - vb
+
+
+def _root_bound(p: Poly) -> Fraction:
+    # Cauchy bound 1 + max|c_i| / |lc| of the integer polynomial p: every
+    # root has absolute value strictly below it
+    lead = abs(p.leading())
+    rest = max((abs(c) for c in p.coeffs[:-1]), default=0)
+    return Fraction(lead + rest, lead)
+
+
+def _shrink_around(chain, mid, lo, hi):
+    # mid is an exact rational root inside (lo, hi); box it so the box holds
+    # no other root and neither endpoint is a root
+    p = chain[0]
+    w = min(mid - lo, hi - mid) / 2
+    while (
+        realroots._sign_at(p, mid - w) == 0
+        or realroots._sign_at(p, mid + w) == 0
+        or count_roots(chain, mid - w, mid + w) != 1
+    ):
+        w /= 2
+    return (mid - w, mid + w)
+
+
+def isolate_roots(p: Poly):
+    """Disjoint open rational intervals, one per real root, endpoints non-roots.
+
+    Returns (chain, intervals) with intervals in increasing order; chain is
+    the integer Sturm chain of p.  Requires square-free input; a repeated
+    root raises ValueError since every downstream certificate needs simple
+    roots.
+    """
+    if p.is_zero():
+        raise ValueError("isolate_roots: zero polynomial")
+    chain = sturm_chain(p)
+    p = chain[0]
+    # the chain's last element is gcd(p, p') up to a constant factor
+    if chain[-1].degree > 0:
+        raise ValueError(f"isolate_roots: input is not square-free (gcd degree {chain[-1].degree})")
+    if p.degree == 0:
+        return chain, []
+    bound = _root_bound(p)
+    total = count_roots(chain, -bound, bound)
+    intervals = []
+    stack = [(-bound, bound, total)]
+    while stack:
+        lo, hi, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            intervals.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        if realroots._sign_at(p, mid) == 0:
+            ml, mh = _shrink_around(chain, mid, lo, hi)
+            stack.append((lo, ml, count_roots(chain, lo, ml)))
+            intervals.append((ml, mh))
+            stack.append((mh, hi, count_roots(chain, mh, hi)))
+            continue
+        left = count_roots(chain, lo, mid)
+        stack.append((lo, mid, left))
+        stack.append((mid, hi, cnt - left))
+    intervals.sort()
+    return chain, intervals
+
+
 def refine_by_counting(chain, interval):
     """One bisection step, keeping the half whose Sturm count is one."""
     lo, hi = interval
     mid = (lo + hi) / 2
     if realroots._sign_at(chain[0], mid) == 0:
-        return realroots._shrink_around(chain, mid, lo, hi)
-    if realroots.count_roots(chain, lo, mid) == 1:
+        return _shrink_around(chain, mid, lo, hi)
+    if count_roots(chain, lo, mid) == 1:
         return (lo, mid)
     return (mid, hi)
 
@@ -197,7 +366,7 @@ def verify_conjecture_by_resorting(k: int) -> realroots.ConjectureResult:
     for q in (k, k + 1):
         p = realroots.q_poly(q)
         try:
-            chain, intervals = realroots.isolate_roots(p)
+            chain, intervals = isolate_roots(p)
         except ValueError as err:
             chain, intervals, note = (), [], str(err)
         else:

@@ -30,7 +30,7 @@ from lstirling.grammar import (
     js_grammar,
 )
 from lstirling.partitions import count_by_blocks, enumerate_partitions, js_brute
-from lstirling.realroots import refine_interval, sturm_chain, q_poly, verify_conjecture
+from lstirling.realroots import refine_interval, q_poly, verify_conjecture
 from lstirling.triangles import (
     horizontal_identity_js,
     horizontal_identity_ls,
@@ -222,11 +222,7 @@ def test_10_interlacing_certificates():
     res = verify_conjecture(2)
     if res.pattern != "s r s s r s":
         failures.append(f"k=2 pattern {res.pattern}")
-    chains = {2: sturm_chain(q_poly(2).to_fractions()), 3: sturm_chain(q_poly(3).to_fractions())}
-    merged = sorted(
-        [(iv, chains[2]) for iv in res.lower.intervals]
-        + [(iv, chains[3]) for iv in res.upper.intervals]
-    )
+    merged = sorted([(iv, 2) for iv in res.lower.intervals] + [(iv, 3) for iv in res.upper.intervals])
     stated = [
         Fraction(-83, 100),
         Fraction(-645, 1000),
@@ -235,9 +231,9 @@ def test_10_interlacing_certificates():
         Fraction(-155, 1000),
         Fraction(-37, 1000),
     ]
-    for approx, (iv, chain) in zip(stated, merged):
+    for approx, (iv, k) in zip(stated, merged):
         while iv[1] - iv[0] > Fraction(1, 512):
-            iv = refine_interval(chain[0], iv)
+            iv = refine_interval(q_poly(k), iv)
         if not (iv[0] - Fraction(1, 50) <= approx <= iv[1] + Fraction(1, 50)):
             failures.append(f"stated root {float(approx)} outside certified interval {iv}")
     _report(10, "interlacing certificates for 2<=k<=8 with k=2 root locations", failures, time.monotonic() - start, 600)

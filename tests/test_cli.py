@@ -1,4 +1,5 @@
 """Command-line interface: formats, exit codes, and the b-file cross-check."""
+import contextlib
 import csv
 import hashlib
 import http.client
@@ -9,6 +10,7 @@ import re
 import stat
 import threading
 import urllib.request
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -281,7 +283,151 @@ def test_conjecture_certificates_are_byte_stable(capsys):
     rc, out, _ = run(capsys, "conjecture", "--kmax", "10")
     assert rc == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "971a494a3e0bbd647f2a72bf26df87483d23cf163d1740edc7c48e7f3f0ec329"
+    assert digest == "046cc4b185826932cead46111cfc1abee3403176a3d0b180f6cf582cb5391f35"
+
+
+@pytest.fixture(scope="module")
+def certs16():
+    """The JSON lines of `conjecture --kmax 16`, one per k."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["conjecture", "--kmax", "16"]) == 0
+    return buf.getvalue().splitlines()
+
+
+def check_certs(capsys, tmp_path, lines):
+    target = tmp_path / "certs.jsonl"
+    target.write_text("".join(line + "\n" for line in lines))
+    return run(capsys, "check-certs", str(target))
+
+
+def test_check_certs_accepts_the_conjecture_output(capsys, tmp_path, certs16):
+    rc, out, err = check_certs(capsys, tmp_path, certs16)
+    assert (rc, err) == (0, "")
+    assert out.startswith("ok   ") and "k = 1..16 are valid" in out
+    rc, out, _ = check_certs(capsys, tmp_path, certs16[:3])
+    assert rc == 0 and "k = 1..3 are valid" in out
+
+
+def _tampered(lines, k, change):
+    doc = json.loads(lines[k - 1])
+    change(doc)
+    return lines[: k - 1] + [json.dumps(doc)] + lines[k:]
+
+
+def _shift(doc):
+    # the same width, moved past the root it isolated
+    (a, b), (c, d) = doc["lower"]["intervals"][0]
+    lo, hi = Fraction(a, b), Fraction(c, d)
+    new_hi = 2 * hi - lo
+    doc["lower"]["intervals"][0] = [[c, d], [new_hi.numerator, new_hi.denominator]]
+
+
+def _swap_tags(doc):
+    tags = doc["pattern"].split()
+    tags[0], tags[1] = tags[1], tags[0]
+    doc["pattern"] = doc["expected_pattern"] = " ".join(tags)
+
+
+def _drop(doc):
+    doc["upper"]["intervals"].pop()
+
+
+def _overlap(doc):
+    # the first interval of q_{k+1} reaches into the first one of q_k
+    doc["upper"]["intervals"][0][1] = doc["lower"]["intervals"][0][1]
+
+
+def _degree(doc):
+    doc["lower"]["degree"] += 2
+    doc["lower"]["intervals"] += doc["lower"]["intervals"][-1:] * 2
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_shift, "no strict sign change"),
+        (_swap_tags, "re-derived"),
+        (_drop, "intervals for degree"),
+        (_overlap, "overlap"),
+        (_degree, "has degree"),
+        (lambda doc: doc.update(verdict="inconclusive"), "verdict"),
+        (lambda doc: doc["upper"].update(all_real=False), "not stated square-free"),
+        (lambda doc: doc.update(k=4), "certificate 5 is stated for k=4"),
+        (lambda doc: doc["lower"]["intervals"].reverse(), "overlap"),
+    ],
+)
+def test_check_certs_rejects_a_tampered_certificate(capsys, tmp_path, certs16, change, message):
+    rc, out, _ = check_certs(capsys, tmp_path, _tampered(certs16, 5, change))
+    assert rc == 1
+    assert out.startswith("FAIL ") and "line 5" in out and message in out
+
+
+def test_check_certs_re_derives_the_order_from_the_intervals(capsys, tmp_path, certs16, monkeypatch):
+    # a stated pattern that agrees with the conjecture is not taken on trust:
+    # with the conjecture for k = 2 read as s s r r s s, a certificate that
+    # states it fails, because its intervals merge as s r s s r s
+    from lstirling import certcheck
+
+    real = certcheck.expected_pattern
+    monkeypatch.setattr(certcheck, "expected_pattern", lambda k: "s s r r s s" if k == 2 else real(k))
+
+    def restate(doc):
+        doc["pattern"] = doc["expected_pattern"] = "s s r r s s"
+
+    rc, out, _ = check_certs(capsys, tmp_path, _tampered(certs16[:3], 2, restate))
+    assert rc == 1 and "line 2" in out and "re-derived 's r s s r s'" in out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "holds no certificate"),
+        ('{"k": 1', "not JSON"),
+        ("[1, 2]", "expected a JSON object"),
+        ('{"k": true}', "'k' must be a JSON int"),
+        ('{"k": 17}', "outside 1..16"),
+        ("[" * 100_000, "not JSON"),
+    ],
+)
+def test_check_certs_malformed_input_exits_3(capsys, tmp_path, text, message):
+    target = tmp_path / "certs.jsonl"
+    target.write_text(text)
+    rc, out, err = run(capsys, "check-certs", str(target))
+    assert (rc, out) == (3, "")
+    assert message in err
+
+
+def test_check_certs_malformed_certificate_fields_exit_3(capsys, tmp_path, certs16):
+    for change in (
+        lambda doc: doc.pop("upper"),
+        lambda doc: doc["lower"].update(intervals=[[[1, 0], [1, 1]]] * 2),
+        lambda doc: doc["lower"].update(intervals=[[1, 2]] * 2),
+        lambda doc: doc["lower"].update(degree="2"),
+        lambda doc: doc["upper"].update(square_free=False, all_real="yes"),
+    ):
+        rc, out, err = check_certs(capsys, tmp_path, _tampered(certs16, 2, change))
+        assert (rc, out) == (3, "") and "line 2" in err
+
+
+def test_check_certs_unreadable_file_exits_3(capsys, tmp_path):
+    rc, _, err = run(capsys, "check-certs", str(tmp_path / "missing.jsonl"))
+    assert rc == 3 and "cannot read" in err
+    target = tmp_path / "latin1.jsonl"
+    target.write_bytes(b"\xff\n")
+    rc, _, err = run(capsys, "check-certs", str(target))
+    assert rc == 3 and "cannot read" in err
+
+
+def test_conjecture_out_of_budget_exits_2_and_its_output_is_no_proof(capsys, monkeypatch, tmp_path):
+    from lstirling import realroots
+
+    monkeypatch.setattr(realroots, "REFINE_CAP", 0)
+    rc, out, _ = run(capsys, "conjecture", "--kmax", "3")
+    assert rc == 2
+    assert [json.loads(line)["verdict"] for line in out.splitlines()] == ["vacuous", "inconclusive", "inconclusive"]
+    rc, out, _ = check_certs(capsys, tmp_path, out.splitlines())
+    assert rc == 1 and "line 2: verdict 'inconclusive'" in out
 
 
 def test_conjecture_writes_file(capsys, tmp_path):

@@ -93,8 +93,23 @@ print(json.dumps(added()))
 """
     )
     assert "lstirling.realroots" in got
-    for layer in ("codes", "partitions", "grammar"):
+    for layer in ("codes", "partitions", "grammar", "certcheck"):
         assert f"lstirling.{layer}" not in got
+    assert "dataclasses" not in got
+
+
+def test_check_certs_loads_only_the_checker(tmp_path):
+    # the checker trusts none of the code that made the certificates
+    certs = tmp_path / "certs.jsonl"
+    child(f"""run("conjecture", "--kmax", "3", "--out", {str(certs)!r})\nprint("{{}}")""")
+    got = child(
+        f"""
+run("check-certs", {str(certs)!r})
+print(json.dumps(added()))
+"""
+    )
+    assert [m for m in got if m.startswith("lstirling")] == ["lstirling", "lstirling.certcheck", "lstirling.cli"]
+    assert "dataclasses" not in got
 
 
 def test_package_names_resolve_to_their_layer_objects():
@@ -128,7 +143,7 @@ print(json.dumps({"problems": problems, "names": len(lstirling.__all__), "unique
 """
     )
     assert got["problems"] == []
-    assert got["names"] == got["unique"] == 75
+    assert got["names"] == got["unique"] == 73
 
 
 def test_a_layer_module_is_reachable_from_the_package_root():

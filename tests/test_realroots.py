@@ -1,10 +1,22 @@
-"""Exact real-root counting, isolation, and the interlacing certificates."""
+"""The interlacing certificates, and the Sturm-chain oracle they are checked against.
+
+Root counting and isolation by Sturm chains live in `reference_impl`, where
+they are the oracle; the first half of this file tests that oracle against a
+plain Fraction reference, the second half tests `realroots` against it.
+"""
+from dataclasses import field, make_dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from reference_impl import refine_by_counting, verify_conjecture_by_resorting
+from reference_impl import (
+    count_roots,
+    isolate_roots,
+    refine_by_counting,
+    sturm_chain,
+    verify_conjecture_by_resorting,
+)
 
 from lstirling import realroots
 from lstirling.algebra import Poly
@@ -13,12 +25,10 @@ from lstirling.realroots import (
     ConjectureResult,
     RootCertificate,
     _sign_at,
-    count_roots,
+    conjecture_results,
     expected_pattern,
-    isolate_roots,
     q_poly,
     refine_interval,
-    sturm_chain,
     verify_conjecture,
 )
 
@@ -257,8 +267,9 @@ def test_q_poly_strips_the_exact_zero_multiplicity():
     for k in range(1, 7):
         g = gamma_poly(k)
         assert q_poly(k) * Poly((0,) * (k + 2) + (1,)) == g
-    with pytest.raises(ValueError):
-        q_poly(0)
+    for bad in (0, 2.5, True, "3", None):
+        with pytest.raises(ValueError):
+            q_poly(bad)
 
 
 def test_certificates_report_all_roots_real_with_sign_changes():
@@ -308,32 +319,125 @@ def test_certified_range_of_cases():
 
 
 def test_merge_agrees_with_the_resorting_reference():
-    for k in range(1, 9):
-        assert verify_conjecture(k).to_json_dict() == verify_conjecture_by_resorting(k).to_json_dict()
+    # the merged order by induction against isolation, refinement and
+    # re-sorting on Sturm chains, at every k the CLI accepts
+    for res in conjecture_results(16):
+        ref = verify_conjecture_by_resorting(res.k)
+        assert (res.verdict, res.pattern) == (ref.verdict, ref.pattern), res.k
+        assert res.pattern == res.expected_pattern == ref.expected_pattern
+
+
+def test_every_certified_interval_holds_one_root_by_the_sturm_count():
+    # all results are drawn first, so a later step that changed an earlier
+    # certificate's intervals would show here
+    results = list(conjecture_results(16))
+    chains = {q: sturm_chain(q_poly(q)) for q in range(1, 18)}
+    for res in results:
+        for cert in (res.lower, res.upper):
+            assert cert.all_real and len(cert.intervals) == cert.degree
+            chain = chains[cert.k]
+            assert count_roots(chain) == cert.degree
+            for lo, hi in cert.intervals:
+                assert -1 <= lo < hi <= 0
+                assert count_roots(chain, lo, hi) == 1, (res.k, cert.k, lo, hi)
+
+
+def test_each_result_is_verify_conjecture_at_its_k():
+    results = list(conjecture_results(6))
+    assert [r.k for r in results] == [1, 2, 3, 4, 5, 6]
+    for res in results:
+        assert verify_conjecture(res.k) == res
+    for res, nxt in zip(results, results[1:]):
+        # the certificate of q_{k+1} is the one step k+1 refines
+        assert res.upper.k == nxt.lower.k and res.upper.degree == nxt.lower.degree
 
 
 def test_exhausted_budget_is_inconclusive_and_keeps_the_isolating_intervals(monkeypatch):
+    # the intervals (-1, -1/2), (-1/2, 0) that certify q_2 touch -1, each
+    # other and 0, so every gap of step 2 starts empty and needs a bisection,
+    # which cap 0 forbids
     monkeypatch.setattr(realroots, "REFINE_CAP", 0)
-    res = verify_conjecture(3)
+    first, res, after = conjecture_results(3)
+    assert first.verdict == "vacuous"
+    half = Fraction(-1, 2)
+    assert first.upper.intervals == [(Fraction(-1), half), (half, Fraction(0))]
     assert res.verdict == "inconclusive"
     assert res.pattern == ""
     assert "budget" in res.note
-    assert res.lower.intervals == isolate_roots(q_poly(3))[1]
-    assert res.upper.intervals == isolate_roots(q_poly(4))[1]
-    assert res.to_json_dict() == verify_conjecture_by_resorting(3).to_json_dict()
+    assert res.lower.intervals == first.upper.intervals and res.lower.all_real
+    assert not res.upper.square_free and res.upper.intervals == [] and not res.upper.all_real
+    assert after.verdict == "inconclusive" and after.note == "q_3 was not certified"
+    assert not after.lower.all_real and not after.upper.all_real
+    assert res == verify_conjecture(2)
+
+
+def test_a_gap_whose_endpoint_moved_is_checked_again():
+    # gap 0 first shows the one sign change of p_s at -15/16; the failing
+    # middle gap then bisects its wider neighbour (-7/8, -1/2), whose left
+    # end moves to -11/16 past the root -3/4 of p_s, so gap 0 holds two
+    # roots and no sign change.  A step that did not check gap 0 again would
+    # go on to split the middle gap and report a certificate missing one
+    # sign change; no refinement of (-7/8, -1/2) around -13/20 mends gap 0
+    p_r = Poly((13, 20)) * Poly((3, 16))
+    p_s = Poly((15, 16)) * Poly((3, 4)) * Poly((9, 16)) * Poly((3, 10)) * Poly((1, 16))
+    ivs = [(Fraction(-7, 8), Fraction(-1, 2)), (Fraction(-1, 4), Fraction(-1, 8))]
+    assert realroots._step(2, p_r, ivs, p_s) is None
+
+
+def _bisections_per_interval(monkeypatch):
+    """Wrap refine_interval; map each interval it returns to the bisections behind it."""
+    done = {}
+    seen = [0]
+
+    def counting(p, interval):
+        out = refine_interval(p, interval)
+        done[(id(p), out)] = done.pop((id(p), interval), 0) + 1
+        seen[0] = max(seen[0], done[(id(p), out)])
+        return out
+
+    monkeypatch.setattr(realroots, "refine_interval", counting)
+    return seen
 
 
 @pytest.mark.parametrize("cap", [1, 2, 4, 8])
 def test_small_budgets_agree_with_the_resorting_reference(monkeypatch, cap):
-    # a cap near the bisections a root needs counts them per root exactly
+    # under any cap the induction proves a prefix of k = 1..6 and is
+    # inconclusive after it; what it proves agrees with the reference, and no
+    # interval of q_k takes more than cap bisections in its step
+    refs = [verify_conjecture_by_resorting(k) for k in range(1, 7)]
     monkeypatch.setattr(realroots, "REFINE_CAP", cap)
-    for k in range(1, 7):
-        assert verify_conjecture(k).to_json_dict() == verify_conjecture_by_resorting(k).to_json_dict()
+    most = _bisections_per_interval(monkeypatch)
+    verdicts = []
+    for res, ref in zip(conjecture_results(6), refs):
+        verdicts.append(res.verdict)
+        if res.ok:
+            assert (res.verdict, res.pattern) == (ref.verdict, ref.pattern)
+    proved = verdicts.count("vacuous") + verdicts.count("true")
+    assert verdicts[proved:] == ["inconclusive"] * (6 - proved)
+    assert most[0] <= cap
+
+
+def test_refine_cap_counts_bisections_per_interval_exactly(monkeypatch):
+    # the least cap that proves k = 1..6 is the most bisections any interval
+    # took at the default cap, and one less is inconclusive
+    most = _bisections_per_interval(monkeypatch)
+    assert all(r.ok for r in conjecture_results(6))
+    need = most[0]
+    assert 1 <= need < realroots.REFINE_CAP
+    monkeypatch.setattr(realroots, "REFINE_CAP", need)
+    assert all(r.ok for r in conjecture_results(6))
+    monkeypatch.setattr(realroots, "REFINE_CAP", need - 1)
+    assert conjecture_results(6).__next__().ok
+    assert not all(r.ok for r in conjecture_results(6))
 
 
 def test_invalid_k_is_rejected():
-    with pytest.raises(ValueError):
-        verify_conjecture(0)
+    # both entry points check their argument when called, not when iterated
+    for bad in (0, -1, 2.5, "3", True, None):
+        with pytest.raises(ValueError):
+            verify_conjecture(bad)
+        with pytest.raises(ValueError):
+            conjecture_results(bad)
 
 
 def test_result_serialization_shape():
@@ -357,3 +461,27 @@ def test_certificate_dataclass_flags():
     assert not RootCertificate(3, 4, True, []).all_real
     assert not RootCertificate(3, 4, False, []).all_real
     assert isinstance(verify_conjecture(1), ConjectureResult)
+
+
+def test_result_classes_compare_and_print_as_dataclasses():
+    # the dataclasses they used to be, rebuilt with the same names and fields
+    cert_dc = make_dataclass("RootCertificate", ["k", "degree", "square_free", "intervals"])
+    result_dc = make_dataclass(
+        "ConjectureResult",
+        ["k", "lower", "upper", "pattern", "expected_pattern", "verdict", ("note", object, field(default=None))],
+    )
+    res = verify_conjecture(2)
+    lower = cert_dc(res.lower.k, res.lower.degree, res.lower.square_free, res.lower.intervals)
+    upper = cert_dc(res.upper.k, res.upper.degree, res.upper.square_free, res.upper.intervals)
+    assert repr(res.lower) == repr(lower)
+    assert repr(res) == repr(result_dc(2, lower, upper, res.pattern, res.expected_pattern, res.verdict))
+    assert res == verify_conjecture(2) and res != verify_conjecture(3)
+    assert res.lower != lower  # a different class, as between two dataclasses
+    assert res.lower == RootCertificate(2, 2, True, list(res.lower.intervals))
+    assert res.lower != RootCertificate(2, 2, False, list(res.lower.intervals))
+    assert ConjectureResult(1, res.lower, res.upper, "", "", "true") != ConjectureResult(
+        1, res.lower, res.upper, "", "", "true", "note"
+    )
+    for obj in (res, res.lower):
+        assert obj.__hash__ is None  # unhashable, like a dataclass with eq and not frozen
+        assert not hasattr(obj, "__dict__")
