@@ -19,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 
+from . import CheckResult, _Record
+
 TABLE_CAPS = {"ls": 200, "lc": 200, "js": 60, "jc": 60}
 GAMMA_KMAX_CAP = 20
 CONJECTURE_KMAX_CAP = 16
@@ -27,12 +29,10 @@ CACHE_ENV = "LSTIRLING_CACHE_DIR"
 FETCH_TIMEOUT_S = 30
 
 
-class Report:
-    """One verification line: what ran, with what bounds, and how it went.
+class Report(_Record):
+    """One verification line: what ran, with what bounds, and how it went."""
 
-    A plain class, like triangles.CheckResult and BFile, so that no command
-    imports dataclasses for it; equality and repr are a dataclass's.
-    """
+    __slots__ = ("command", "params", "ok", "counterexample", "seconds")
 
     def __init__(self, command: str, params: dict, ok: bool, counterexample: str | None = None, seconds: float = 0.0):
         self.command = command
@@ -41,20 +41,6 @@ class Report:
         self.counterexample = counterexample
         self.seconds = seconds
 
-    def _fields(self) -> tuple:
-        return (self.command, self.params, self.ok, self.counterexample, self.seconds)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return (
-            f"Report(command={self.command!r}, params={self.params!r}, ok={self.ok!r},"
-            f" counterexample={self.counterexample!r}, seconds={self.seconds!r})"
-        )
-
     def line(self) -> str:
         params = " ".join(f"{k}={v}" for k, v in self.params.items())
         head = "ok  " if self.ok else "FAIL"
@@ -62,10 +48,11 @@ class Report:
         return f"{head} {self.command} {params} {self.seconds:.2f}s{tail}"
 
 
-def _run_check(name: str, params: dict, fn) -> Report:
+def _run_check(name: str, params: dict, results) -> Report:
+    """Report the first failed CheckResult of results, iterated up to it and timed."""
     start = time.perf_counter()
-    ok, detail = fn()
-    return Report(name, params, ok, detail, time.perf_counter() - start)
+    first = next((r for r in results if not r), CheckResult(True))
+    return Report(name, params, first.ok, first.detail, time.perf_counter() - start)
 
 
 class BFileError(Exception):
@@ -74,20 +61,14 @@ class BFileError(Exception):
         self.line_no = line_no
 
 
-class BFile:
-    """The (index, value) pairs of one b-file; a plain class like Report."""
+class BFile(_Record):
+    """The (index, value) pairs of one b-file."""
+
+    __slots__ = ("seq_id", "entries")
 
     def __init__(self, seq_id: str, entries: list | None = None):
         self.seq_id = seq_id
         self.entries = [] if entries is None else entries
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.seq_id, self.entries) == (other.seq_id, other.entries)
-
-    def __repr__(self) -> str:
-        return f"BFile(seq_id={self.seq_id!r}, entries={self.entries!r})"
 
 
 def parse_bfile(text: str, seq_id: str = "") -> BFile:
@@ -221,58 +202,35 @@ def cmd_table(args) -> int:
 def _verify_identities(nmax: int) -> list:
     from . import triangles
 
-    reports = []
-
     def four_way():
         for n in range(nmax + 1):
             for k in range(n + 1):
                 byrec = triangles.ls(n, k)
                 if triangles.ls_explicit(n, k) != byrec:
-                    return False, f"ls_explicit({n},{k}) != {byrec}"
+                    yield CheckResult(False, f"ls_explicit({n},{k}) != {byrec}")
                 if 1 <= k <= n and triangles.ls_vertical(n, k) != byrec:
-                    return False, f"ls_vertical({n},{k}) != {byrec}"
+                    yield CheckResult(False, f"ls_vertical({n},{k}) != {byrec}")
         for k in range(1, nmax + 1):
-            r = triangles.vertical_gf_check(k, nmax - k)
-            if not r:
-                return False, r.detail
-        return True, None
-
-    reports.append(_run_check("identities.four_way", {"nmax": nmax}, four_way))
-
-    def horizontal_ls():
-        for n in range(nmax + 1):
-            r = triangles.horizontal_identity_ls(n)
-            if not r:
-                return False, r.detail
-        return True, None
-
-    reports.append(_run_check("identities.horizontal_ls", {"nmax": nmax}, horizontal_ls))
-
-    jmax = min(nmax, 15)
-
-    def bivariate():
-        for n in range(jmax + 1):
-            r = triangles.horizontal_identity_js(n)
-            if not r:
-                return False, r.detail
-            r = triangles.jc_defining_product(n)
-            if not r:
-                return False, r.detail
-        return True, None
-
-    reports.append(_run_check("identities.bivariate", {"nmax": jmax}, bivariate))
+            yield triangles.vertical_gf_check(k, nmax - k)
 
     def specialize():
         for n in range(nmax + 1):
             for k in range(n + 1):
                 if triangles.js(n, k).eval(1) != triangles.ls(n, k):
-                    return False, f"js({n},{k}) at z=1 != ls({n},{k})"
+                    yield CheckResult(False, f"js({n},{k}) at z=1 != ls({n},{k})")
                 if triangles.jc(n, k).eval(1) != triangles.lc(n, k):
-                    return False, f"jc({n},{k}) at z=1 != lc({n},{k})"
-        return True, None
+                    yield CheckResult(False, f"jc({n},{k}) at z=1 != lc({n},{k})")
 
-    reports.append(_run_check("identities.z_equals_1", {"nmax": nmax}, specialize))
-    return reports
+    jmax = min(nmax, 15)
+    bivariate = (
+        check(n) for n in range(jmax + 1) for check in (triangles.horizontal_identity_js, triangles.jc_defining_product)
+    )
+    return [
+        _run_check("identities.four_way", {"nmax": nmax}, four_way()),
+        _run_check("identities.horizontal_ls", {"nmax": nmax}, map(triangles.horizontal_identity_ls, range(nmax + 1))),
+        _run_check("identities.bivariate", {"nmax": jmax}, bivariate),
+        _run_check("identities.z_equals_1", {"nmax": nmax}, specialize()),
+    ]
 
 
 def _verify_bijection(nmax: int) -> list:
@@ -330,18 +288,7 @@ def _verify_grammar(nmax: int) -> list:
         "grammar.js": grammar.check_js_grammar,
         "grammar.jc": grammar.check_jc_grammar,
     }
-    reports = []
-    for name, check in table.items():
-
-        def sweep(check=check):
-            for n in range(nmax + 1):
-                r = check(n)
-                if not r:
-                    return False, r.detail
-            return True, None
-
-        reports.append(_run_check(name, {"nmax": nmax}, sweep))
-    return reports
+    return [_run_check(name, {"nmax": nmax}, map(check, range(nmax + 1))) for name, check in table.items()]
 
 
 def _verify_zstat(nmax: int) -> list:
@@ -351,10 +298,9 @@ def _verify_zstat(nmax: int) -> list:
         for n in range(1, nmax + 1):
             for k in range(1, n + 1):
                 if partitions.js_brute(n, k) != triangles.js(n, k):
-                    return False, f"js_brute({n},{k}) != js({n},{k})"
-        return True, None
+                    yield CheckResult(False, f"js_brute({n},{k}) != js({n},{k})")
 
-    return [_run_check("zstat.brute_vs_triangle", {"nmax": nmax}, sweep)]
+    return [_run_check("zstat.brute_vs_triangle", {"nmax": nmax}, sweep())]
 
 
 def cmd_verify(args) -> int:
@@ -504,6 +450,8 @@ def cmd_oeis(args) -> int:
     if entry is None:
         known = ", ".join(sorted(OEIS_SEQUENCES))
         return _fail(f"oeis: no comparator for {args.seq} (known: {known})", 3)
+    if args.count < 1:
+        return _fail("oeis: count must be positive", 1)
     try:
         text = _read_source(args.seq, args.source)
     except (OSError, UnicodeDecodeError) as err:
@@ -512,13 +460,11 @@ def cmd_oeis(args) -> int:
         bfile = parse_bfile(text, args.seq)
     except BFileError as err:
         return _fail(f"oeis: {args.seq} b-file {err}", 3)
-    if args.count < 1:
-        return _fail("oeis: count must be positive", 1)
     if args.count > len(bfile.entries):
         return _fail(f"oeis: b-file has only {len(bfile.entries)} entries, need {args.count}", 3)
     from . import gamma
 
-    shift = entry["shift"] if args.offset is None else args.offset
+    shift = entry["shift"]
     for idx, val in bfile.entries[: args.count]:
         k = idx + shift
         if k < 0:
@@ -570,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("seq")
     p.add_argument("--source", default=None, help="b-file path or URL (default: fetch from oeis.org)")
     p.add_argument("--count", type=int, default=12)
-    p.add_argument("--offset", type=int, default=None, help="override the index -> k shift")
     p.set_defaults(func=cmd_oeis)
     return parser
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
+from . import CheckResult, _require_int
 from .partitions import ENUM_LIMIT, LSPartition, _code_of, validate
-from .triangles import CheckResult, _require_int
 
 X = ("X",)
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from . import CheckResult, _require_int
 from .algebra import Poly, binomial
-from .triangles import CheckResult, _require_int
 
 
 def support(k: int) -> tuple:

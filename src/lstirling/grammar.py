@@ -19,24 +19,30 @@ exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import CheckResult, _FrozenRecord
 from .algebra import Poly
-from .triangles import CheckResult, Triangle, jc, js
+from .triangles import Triangle, jc, js
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(_FrozenRecord):
     """A named letter, optionally indexed: Letter('b') or Letter('a', 2)."""
 
-    family: str
-    index: int | None = None
+    __slots__ = ("family", "index")
+
+    def __init__(self, family: str, index: int | None = None):
+        _set_family(self, family)
+        _set_index(self, index)
 
     def sort_key(self):
         return (self.family, -1 if self.index is None else self.index)
 
     def __repr__(self):
         return self.family if self.index is None else f"{self.family}_{self.index}"
+
+
+# the slots' own setters, which __init__ calls since __setattr__ refuses
+_set_family = Letter.family.__set__
+_set_index = Letter.index.__set__
 
 
 class Monomial:

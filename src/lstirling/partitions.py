@@ -20,8 +20,8 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
+from . import CheckResult, _FrozenRecord, _require_int
 from .algebra import Poly
-from .triangles import CheckResult, _require_int
 
 ENUM_LIMIT = 7
 
@@ -44,42 +44,19 @@ def _render_box(box) -> str:
     return ",".join(render_element(e) for e in sorted(box))
 
 
-class LSPartition:
+class LSPartition(_FrozenRecord):
     """A partition of {1,1',...,n,n'} into nonzero boxes plus a zero box.
 
-    A plain record with read-only slots rather than a frozen dataclass, so
-    that building one costs three slot stores and no command imports
-    dataclasses for it.  Equality and hash are a frozen dataclass's (over
-    (n, boxes, zero_box)), and assigning or deleting a field raises
-    AttributeError.
+    A frozen record over (n, boxes, zero_box), printed as its rendering.
     """
 
     __slots__ = ("n", "boxes", "zero_box")
-    __match_args__ = __slots__
 
     def __init__(self, n: int, boxes: tuple, zero_box: frozenset):
         # boxes: tuple of frozensets of Elements
         _set_n(self, n)
         _set_boxes(self, boxes)
         _set_zero_box(self, zero_box)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, since the slots are read-only
-        return (LSPartition, (self.n, self.boxes, self.zero_box))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.boxes, self.zero_box) == (other.n, other.boxes, other.zero_box)
-
-    def __hash__(self):
-        return hash((self.n, self.boxes, self.zero_box))
 
     def render(self) -> str:
         inner = "".join("{" + _render_box(b) + "}" for b in self.boxes)
@@ -96,7 +73,7 @@ class LSPartition:
         try:
             return f"LSPartition('{self.render()}')"
         except (TypeError, ValueError):  # fields that do not render print one by one
-            return f"LSPartition(n={self.n!r}, boxes={self.boxes!r}, zero_box={self.zero_box!r})"
+            return super().__repr__()
 
 
 # the slots' own setters, which __init__ calls since __setattr__ refuses

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _Record, _require_int
 from .algebra import Poly
 from .gamma import gamma_poly
-from .triangles import _require_int
 
 REFINE_CAP = 256
 _MINUS_ONE, _ZERO = Fraction(-1), Fraction(0)
@@ -88,14 +88,12 @@ def q_poly(k: int) -> Poly:
     return Poly(g.coeffs[val:])
 
 
-class RootCertificate:
+class RootCertificate(_Record):
     """Disjoint open rational intervals, each with a strict sign change of q_k.
 
     square_free is True when the intervals prove every root of q_k real and
     simple, one per interval; an uncertified q_k has square_free False and no
-    intervals.  A plain slotted class rather than a dataclass, so that
-    `conjecture` never imports dataclasses; equality and repr are the ones a
-    dataclass would generate.
+    intervals.
     """
 
     __slots__ = ("k", "degree", "square_free", "intervals")
@@ -105,20 +103,6 @@ class RootCertificate:
         self.degree = degree
         self.square_free = square_free
         self.intervals = intervals  # open (Fraction, Fraction) pairs, increasing
-
-    def _fields(self) -> tuple:
-        return (self.k, self.degree, self.square_free, self.intervals)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return (
-            f"RootCertificate(k={self.k!r}, degree={self.degree!r}, square_free={self.square_free!r},"
-            f" intervals={self.intervals!r})"
-        )
 
     @property
     def all_real(self) -> bool:
@@ -137,7 +121,7 @@ class RootCertificate:
         }
 
 
-class ConjectureResult:
+class ConjectureResult(_Record):
     """Verdict for one k: certificates for q_k and q_{k+1} plus the merged order.
 
     The expected ascending pattern tags each root by source, s for q_{k+1}
@@ -145,7 +129,6 @@ class ConjectureResult:
     when it proves the pattern, "vacuous" for the degenerate k = 1 case and
     "inconclusive" when the refinement budget ran out; "false", a realized
     violation, is left to a route that can refute, such as a Sturm count.
-    A plain slotted class like RootCertificate.
     """
 
     __slots__ = ("k", "lower", "upper", "pattern", "expected_pattern", "verdict", "note")
@@ -167,21 +150,6 @@ class ConjectureResult:
         self.expected_pattern = expected_pattern
         self.verdict = verdict
         self.note = note
-
-    def _fields(self) -> tuple:
-        return (self.k, self.lower, self.upper, self.pattern, self.expected_pattern, self.verdict, self.note)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return (
-            f"ConjectureResult(k={self.k!r}, lower={self.lower!r}, upper={self.upper!r},"
-            f" pattern={self.pattern!r}, expected_pattern={self.expected_pattern!r},"
-            f" verdict={self.verdict!r}, note={self.note!r})"
-        )
 
     @property
     def ok(self) -> bool:

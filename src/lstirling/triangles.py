@@ -17,42 +17,8 @@ from __future__ import annotations
 
 from math import comb, factorial
 
+from . import CheckResult, _require_int
 from .algebra import Poly, falling_basis, series_geom, series_mul
-
-
-class CheckResult:
-    """Outcome of an identity sweep: ok flag plus the first counterexample.
-
-    A plain class rather than a dataclass, so that the commands that build
-    only these records never import dataclasses; equality and repr are the
-    ones a dataclass would generate.
-    """
-
-    def __init__(self, ok: bool, detail: str | None = None):
-        self.ok = ok
-        self.detail = detail
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.detail) == (other.ok, other.detail)
-
-    def __repr__(self) -> str:
-        return f"CheckResult(ok={self.ok!r}, detail={self.detail!r})"
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _require_int(where: str, *values) -> None:
-    """Raise ValueError unless every value is an int; bool is an int subclass but not an index.
-
-    Shared by the package's entry points; private so that a per-layer trace
-    charges its time to the calling function.
-    """
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"{where}: arguments must be ints, got {v!r}")
 
 
 class Triangle:

@@ -19,11 +19,10 @@ from hypothesis import strategies as st
 
 from reference_impl import gamma_csv_by_csv_writer, table_csv_by_csv_writer
 
-from lstirling import cli, codes, gamma
+from lstirling import CheckResult, cli, codes, gamma
 from lstirling.algebra import Poly
 from lstirling.cli import CACHE_ENV, FETCH_TIMEOUT_S, TABLE_CAPS, BFile, BFileError, Report, main, parse_bfile
 from lstirling.partitions import LSPartition
-from lstirling.triangles import CheckResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -621,6 +620,18 @@ FIXTURE_URL = "https://oeis.org/A025035/b025035.txt"
 def cache_dir(monkeypatch, tmp_path):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     return tmp_path
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_oeis_rejects_a_nonpositive_count_before_any_fetch(capsys, monkeypatch, cache_dir, count):
+    def no_fetch(url, timeout=None):
+        pytest.fail(f"fetched {url} for a count that is rejected anyway")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+    rc, out, err = run(capsys, "oeis", "A025035", "--count", count)
+    assert rc == 1 and out == ""
+    assert "count must be positive" in err
+    assert list(cache_dir.iterdir()) == []
 
 
 def test_oeis_fetch_passes_a_timeout_and_caches_the_file(capsys, monkeypatch, cache_dir):

@@ -1,4 +1,7 @@
 """Formal derivative on indexed letters and the four grammar identities."""
+import copy
+import pickle
+
 import pytest
 
 from lstirling.algebra import Poly
@@ -29,6 +32,25 @@ def test_letter_repr_and_ordering():
     assert repr(b) == "b"
     assert Letter("a", 1).sort_key() < Letter("a", 2).sort_key()
     assert Letter("b").sort_key() < Letter("c").sort_key()
+
+
+def test_letter_is_a_frozen_value():
+    a2 = Letter("a", 2)
+    assert a2 == Letter("a", 2) and hash(a2) == hash(Letter("a", 2)) == hash(("a", 2))
+    assert b == Letter("b", None) and hash(b) == hash(("b", None))
+    assert a2 != ("a", 2) and a2 != Letter("a", 3) and a2 != Letter("b", 2) and b != Letter("b", 0)
+    for name in ("family", "index", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a2, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(a2, name)
+    assert a2 == Letter("a", 2)
+    for letter in (a2, b):
+        for twin in (pickle.loads(pickle.dumps(letter)), copy.copy(letter), copy.deepcopy(letter)):
+            assert twin == letter and hash(twin) == hash(letter) and twin.__class__ is Letter
+    table = {Letter("a", 2): "first", Letter("b"): "b"}
+    table[Letter("a", 2)] = "second"
+    assert table == {a2: "second", b: "b"} and len(table) == 2
 
 
 def test_monomial_algebra():

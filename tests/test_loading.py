@@ -66,11 +66,12 @@ run("table", "--family", "js", "--nmax", "4")
 run("gamma", "--kmax", "4")
 run("oeis", "A025035", "--source", {str(FIXTURES / "b025035.txt")!r})
 run("verify", "identities", "--nmax", "3")
+run("verify", "grammar", "--nmax", "3")
 print(json.dumps(added()))
 """
     )
     assert "dataclasses" not in got and "csv" not in got
-    assert "lstirling.gamma" in got
+    assert "lstirling.gamma" in got and "lstirling.grammar" in got
 
 
 def test_enumeration_sweeps_never_import_dataclasses():
@@ -93,7 +94,8 @@ print(json.dumps(added()))
 """
     )
     assert "lstirling.realroots" in got
-    for layer in ("codes", "partitions", "grammar", "certcheck"):
+    # the check vocabulary lives in the package root, so no triangle layer either
+    for layer in ("codes", "partitions", "grammar", "certcheck", "triangles"):
         assert f"lstirling.{layer}" not in got
     assert "dataclasses" not in got
 

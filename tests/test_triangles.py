@@ -6,12 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from reference_impl import ls_explicit_by_fractions
 
-from lstirling import triangles
+from lstirling import CheckResult, triangles
 from lstirling.algebra import Poly
 from lstirling.codes import count_codes
 from lstirling.gamma import gamma_coeff, gamma_row, support
 from lstirling.triangles import (
-    CheckResult,
     horizontal_identity_js,
     horizontal_identity_ls,
     jc,
