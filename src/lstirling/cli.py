@@ -244,51 +244,45 @@ def _verify_bijection(nmax: int) -> list:
             return f"{codes.render_code(code)}: invalid code ({legal.detail})"
         return f"{codes.render_code(code)}: {err}" if err else codes.render_code(code)
 
-    reports = []
-    for n in range(1, nmax + 1):
+    def round_trip(n):
+        # each code is replayed unchecked; phi_inverse validates the image
+        # and returns only legal codes, so phi_inverse(p) == code shows that
+        # the code equals a legal one, its image is a valid partition and phi
+        # has a left inverse; with ls(n,k) images of k boxes for each k, phi
+        # is a bijection
+        by_k: dict = {}
+        for code in codes.enumerate_codes(n):
+            try:
+                p = codes._replay(code)
+                back = codes.phi_inverse(p)
+            except (IndexError, TypeError, ValueError) as err:
+                yield CheckResult(False, failure(code, err))
+                return
+            if back != code:
+                yield CheckResult(False, failure(code))
+                return
+            by_k[len(p.boxes)] = by_k.get(len(p.boxes), 0) + 1
+        for k in range(1, n + 1):
+            got, want, coded = by_k.get(k, 0), triangles.ls(n, k), codes.count_codes(n, k)
+            if not got == want == coded:
+                yield CheckResult(False, f"count at k={k} is {got}, ls gives {want}, count_codes gives {coded}")
+                return
+        print(f"     bijection n={n}: {sum(by_k.values())} partitions round-tripped")
 
-        def round_trip(n=n):
-            # each code is replayed unchecked; phi_inverse validates the
-            # image and returns only legal codes, so phi_inverse(p) == code
-            # shows that the code equals a legal one, its image is a valid
-            # partition and phi has a left inverse; with ls(n,k) images of k
-            # boxes for each k, phi is a bijection
-            by_k: dict = {}
-            for code in codes.enumerate_codes(n):
-                try:
-                    p = codes._replay(code)
-                    back = codes.phi_inverse(p)
-                except (IndexError, TypeError, ValueError) as err:
-                    return False, failure(code, err)
-                if back != code:
-                    return False, failure(code)
-                by_k[len(p.boxes)] = by_k.get(len(p.boxes), 0) + 1
-            for k in range(1, n + 1):
-                got, want, coded = by_k.get(k, 0), triangles.ls(n, k), codes.count_codes(n, k)
-                if not got == want == coded:
-                    return False, f"count at k={k} is {got}, ls gives {want}, count_codes gives {coded}"
-            return True, f"{sum(by_k.values())} partitions round-tripped"
-
-        start = time.perf_counter()
-        ok, detail = round_trip()
-        seconds = time.perf_counter() - start
-        if ok:
-            print(f"     bijection n={n}: {detail}")
-            detail = None
-        reports.append(Report("bijection.round_trip", {"n": n}, ok, detail, seconds))
-    return reports
+    return [_run_check("bijection.round_trip", {"n": n}, round_trip(n)) for n in range(1, nmax + 1)]
 
 
 def _verify_grammar(nmax: int) -> list:
     from . import grammar
 
-    table = {
-        "grammar.stirling2": grammar.check_stirling2,
-        "grammar.stirling1": grammar.check_stirling1,
-        "grammar.js": grammar.check_js_grammar,
-        "grammar.jc": grammar.check_jc_grammar,
+    # each sweep derives each power once and checks it against its triangle
+    sweeps = {
+        "grammar.stirling2": grammar._stirling2_sweep,
+        "grammar.stirling1": grammar._stirling1_sweep,
+        "grammar.js": grammar._js_sweep,
+        "grammar.jc": grammar._jc_sweep,
     }
-    return [_run_check(name, {"nmax": nmax}, map(check, range(nmax + 1))) for name, check in table.items()]
+    return [_run_check(name, {"nmax": nmax}, sweep(nmax)) for name, sweep in sweeps.items()]
 
 
 def _verify_zstat(nmax: int) -> list:
@@ -312,6 +306,9 @@ def cmd_verify(args) -> int:
 
         if nmax > ENUM_LIMIT:
             return _fail(f"verify {args.suite}: nmax capped at {ENUM_LIMIT}", 1)
+    # the identities fill the triangles to row nmax
+    if args.suite == "identities" and nmax > TABLE_CAPS["ls"]:
+        return _fail(f"verify identities: nmax capped at {TABLE_CAPS['ls']}", 1)
     runner = {
         "identities": _verify_identities,
         "bijection": _verify_bijection,
@@ -334,6 +331,9 @@ def cmd_gamma(args) -> int:
         return _fail(f"gamma: kmax must be in 1..{GAMMA_KMAX_CAP}", 1)
     if args.nmax < 1:
         return _fail("gamma: nmax must be at least 1", 1)
+    # the expansion check reads ls up to row nmax + kmax
+    if args.nmax + args.kmax > TABLE_CAPS["ls"]:
+        return _fail(f"gamma: nmax + kmax capped at {TABLE_CAPS['ls']}", 1)
     from . import gamma, triangles
 
     rows = []

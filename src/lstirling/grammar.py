@@ -15,7 +15,8 @@ Iterated derivations of a seed word produce classical triangles as
 coefficient arrays: this module carries grammars whose n-th derivatives
 encode Stirling numbers of both kinds and the js/jc triangles, together with
 checks that the surviving monomials and coefficients match the recurrences
-exactly.
+exactly.  Each identity is one sweep from its seed that derives each power
+D^n once, from D^(n-1), and checks it against its triangle row n.
 """
 from __future__ import annotations
 
@@ -51,34 +52,29 @@ class Monomial:
     __slots__ = ("powers",)
 
     def __init__(self, powers=()):
-        items = dict(powers)
-        for letter, e in items.items():
+        """Powers from (letter, exponent) pairs or a dict; a repeated letter's exponents add up."""
+        acc: dict = {}
+        for letter, e in powers.items() if isinstance(powers, dict) else powers:
+            acc[letter] = acc.get(letter, 0) + e
+        for letter, e in acc.items():
             if e < 0:
                 raise ValueError(f"negative exponent for {letter!r}")
         self.powers = tuple(
-            sorted(((l, e) for l, e in items.items() if e > 0), key=lambda le: le[0].sort_key())
+            sorted(((l, e) for l, e in acc.items() if e), key=lambda le: le[0].sort_key())
         )
 
     @classmethod
     def of(cls, *pairs) -> "Monomial":
-        acc: dict = {}
-        for letter, e in pairs:
-            acc[letter] = acc.get(letter, 0) + e
-        return cls(acc)
+        return cls(pairs)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        acc = dict(self.powers)
-        for letter, e in other.powers:
-            acc[letter] = acc.get(letter, 0) + e
-        return Monomial(acc)
+        return Monomial(self.powers + other.powers)
 
     def remove_one(self, letter: Letter) -> "Monomial":
-        acc = dict(self.powers)
-        acc[letter] -= 1
-        return Monomial(acc)
+        return Monomial(self.powers + ((letter, -1),))
 
     def degree_of(self, letter: Letter) -> int:
-        return dict(self.powers).get(letter, 0)
+        return next((e for l, e in self.powers if l == letter), 0)
 
     def is_unit(self) -> bool:
         return not self.powers
@@ -118,18 +114,13 @@ class FormalPoly:
         items = terms.items() if isinstance(terms, dict) else terms
         acc: dict = {}
         for mono, coeff in items:
-            coeff = _zpoly(coeff)
-            if mono in acc:
-                coeff = acc[mono] + coeff
+            prev = acc.get(mono)
+            coeff = _zpoly(coeff) if prev is None else prev + coeff
             if coeff.is_zero():
                 acc.pop(mono, None)
             else:
                 acc[mono] = coeff
         self.terms = acc
-
-    @classmethod
-    def zero(cls) -> "FormalPoly":
-        return cls()
 
     @classmethod
     def term(cls, mono: Monomial, coeff=1) -> "FormalPoly":
@@ -148,33 +139,28 @@ class FormalPoly:
     def __add__(self, other: "FormalPoly") -> "FormalPoly":
         if not isinstance(other, FormalPoly):
             return NotImplemented
-        return FormalPoly(list(self.terms.items()) + list(other.terms.items()))
+        return FormalPoly([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "FormalPoly":
-        return FormalPoly({m: -c for m, c in self.terms.items()})
+        return FormalPoly((m, -c) for m, c in self.terms.items())
 
     def __sub__(self, other: "FormalPoly") -> "FormalPoly":
         return self + (-other)
 
     def scale(self, c) -> "FormalPoly":
         c = _zpoly(c)
-        return FormalPoly({m: co * c for m, co in self.terms.items()})
+        return FormalPoly((m, co * c) for m, co in self.terms.items())
 
     def __mul__(self, other):
         if isinstance(other, (int, Poly)):
             return self.scale(other)
         if not isinstance(other, FormalPoly):
             return NotImplemented
-        out: list = []
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                out.append((m1 * m2, c1 * c2))
-        return FormalPoly(out)
+        return FormalPoly(
+            (m1 * m2, c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()
+        )
 
     __rmul__ = __mul__
-
-    def mul_monomial(self, mono: Monomial) -> "FormalPoly":
-        return FormalPoly({m * mono: c for m, c in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, FormalPoly) and self.terms == other.terms
@@ -229,15 +215,16 @@ class Grammar:
 
 def derive(g: Grammar, p: FormalPoly) -> FormalPoly:
     """Apply the derivation once: Leibniz over each monomial, rules on letters."""
-    out = FormalPoly()
+    terms = []
     for mono, coeff in p.terms.items():
         for letter, e in mono.powers:
             img = g.image(letter)
             if img is None:
                 continue
             rest = mono.remove_one(letter)
-            out = out + img.mul_monomial(rest).scale(coeff * e)
-    return out
+            c = coeff * e
+            terms += [(m * rest, co * c) for m, co in img.terms.items()]
+    return FormalPoly(terms)
 
 
 def derive_seq(grammars, seed: FormalPoly) -> FormalPoly:
@@ -248,30 +235,51 @@ def derive_seq(grammars, seed: FormalPoly) -> FormalPoly:
     return p
 
 
+def _sweep(nmax: int, seed: FormalPoly, step, term, label: str):
+    """Yield one CheckResult per n = 0..nmax, deriving seed once per power.
+
+    D^n is derive(step(n), D^(n-1)), and it must equal the sum over
+    k = 0..n of term(n, k), a (monomial, coefficient) pair; a mismatch
+    shows D^n as label.
+    """
+    p = seed
+    for n in range(nmax + 1):
+        if n:
+            p = derive(step(n), p)
+        if p == FormalPoly(term(n, k) for k in range(n + 1)):
+            yield CheckResult(True)
+        else:
+            yield CheckResult(False, f"n={n}: {label} = {p.render()}")
+
+
+def _last(n: int, sweep) -> CheckResult:
+    """The result for n, the last that sweep yields."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    *_, last = sweep
+    return last
+
+
 _stirling2 = Triangle(lambda n, k: k, tag="stirling2")
 _stirling1 = Triangle(lambda n, k: n - 1, tag="stirling1")  # unsigned first kind
 
 
-def check_stirling2(n: int) -> CheckResult:
-    """Grammar {x -> xy, y -> y}: D^n(x) = x sum_k S(n,k) y^k."""
+def _stirling2_sweep(nmax: int):
     x, y = Letter("x"), Letter("y")
     g = Grammar({x: FormalPoly.term(Monomial.of((x, 1), (y, 1))), y: FormalPoly.letter(y)})
-    got = derive_seq([g] * n, FormalPoly.letter(x))
-    expected = FormalPoly(
-        (Monomial.of((x, 1), (y, k)), _stirling2.value(n, k))
-        for k in range(n + 1)
-    )
-    if got == expected:
-        return CheckResult(True)
-    return CheckResult(False, f"n={n}: D^n(x) = {got.render()}")
+
+    def term(n, k):
+        return Monomial.of((x, 1), (y, k)), _stirling2.value(n, k)
+
+    return _sweep(nmax, FormalPoly.letter(x), lambda m: g, term, "D^n(x)")
 
 
-def check_stirling1(n: int) -> CheckResult:
-    """Grammar {x -> xy, y -> yw, w -> w^2}: D^n(x) = x sum_k c(n,k) y^k w^(n-k).
+def check_stirling2(n: int) -> CheckResult:
+    """Grammar {x -> xy, y -> y}: D^n(x) = x sum_k S(n,k) y^k."""
+    return _last(n, _stirling2_sweep(n))
 
-    The squared letter is named w to keep it distinct from the coefficient
-    variable z; the unsigned Stirling numbers of the first kind appear.
-    """
+
+def _stirling1_sweep(nmax: int):
     x, y, w = Letter("x"), Letter("y"), Letter("w")
     g = Grammar(
         {
@@ -280,14 +288,20 @@ def check_stirling1(n: int) -> CheckResult:
             w: FormalPoly.term(Monomial.of((w, 2))),
         }
     )
-    got = derive_seq([g] * n, FormalPoly.letter(x))
-    expected = FormalPoly(
-        (Monomial.of((x, 1), (y, k), (w, n - k)), _stirling1.value(n, k))
-        for k in range(n + 1)
-    )
-    if got == expected:
-        return CheckResult(True)
-    return CheckResult(False, f"n={n}: D^n(x) = {got.render()}")
+
+    def term(n, k):
+        return Monomial.of((x, 1), (y, k), (w, n - k)), _stirling1.value(n, k)
+
+    return _sweep(nmax, FormalPoly.letter(x), lambda m: g, term, "D^n(x)")
+
+
+def check_stirling1(n: int) -> CheckResult:
+    """Grammar {x -> xy, y -> yw, w -> w^2}: D^n(x) = x sum_k c(n,k) y^k w^(n-k).
+
+    The squared letter is named w to keep it distinct from the coefficient
+    variable z; the unsigned Stirling numbers of the first kind appear.
+    """
+    return _last(n, _stirling1_sweep(n))
 
 
 def js_grammar() -> Grammar:
@@ -308,19 +322,18 @@ def js_grammar() -> Grammar:
     return Grammar(rule)
 
 
+def _js_sweep(nmax: int):
+    g, b, c = js_grammar(), Letter("b"), Letter("c")
+
+    def term(n, k):
+        return Monomial.of((Letter("a", k), 1), (b, k * (k - 1) // 2), (c, k)), js(n, k)
+
+    return _sweep(nmax, FormalPoly.letter(Letter("a", 0)), lambda m: g, term, "D^n(a_0)")
+
+
 def check_js_grammar(n: int) -> CheckResult:
     """D^n(a_0) = sum_k js(n,k)(z) a_k b^C(k,2) c^k under the js grammar."""
-    got = derive_seq([js_grammar()] * n, FormalPoly.letter(Letter("a", 0)))
-    expected = FormalPoly(
-        (
-            Monomial.of((Letter("a", k), 1), (Letter("b"), k * (k - 1) // 2), (Letter("c"), k)),
-            js(n, k),
-        )
-        for k in range(n + 1)
-    )
-    if got == expected:
-        return CheckResult(True)
-    return CheckResult(False, f"n={n}: D^n(a_0) = {got.render()}")
+    return _last(n, _js_sweep(n))
 
 
 def jc_grammar(k: int) -> Grammar:
@@ -337,14 +350,16 @@ def jc_grammar(k: int) -> Grammar:
     return Grammar(rule)
 
 
+def _jc_sweep(nmax: int):
+    a = Letter("a")
+
+    def term(n, k):
+        return Monomial.of((a, 1), (Letter("b", k), 1)), jc(n, k)
+
+    return _sweep(nmax, FormalPoly.term(Monomial.of((a, 1), (Letter("b", 0), 1))), jc_grammar, term, "result")
+
+
 def check_jc_grammar(n: int) -> CheckResult:
     """D_n ... D_1(a b_0) = a sum_k jc(n,k)(z) b_k under the per-step grammars."""
-    seed = FormalPoly.term(Monomial.of((Letter("a"), 1), (Letter("b", 0), 1)))
-    got = derive_seq([jc_grammar(k) for k in range(1, n + 1)], seed)
-    expected = FormalPoly(
-        (Monomial.of((Letter("a"), 1), (Letter("b", k), 1)), jc(n, k))
-        for k in range(n + 1)
-    )
-    if got == expected:
-        return CheckResult(True)
-    return CheckResult(False, f"n={n}: result = {got.render()}")
+    return _last(n, _jc_sweep(n))
+

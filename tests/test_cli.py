@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from reference_impl import gamma_csv_by_csv_writer, table_csv_by_csv_writer
 
-from lstirling import CheckResult, cli, codes, gamma
+from lstirling import CheckResult, cli, codes, gamma, grammar, triangles
 from lstirling.algebra import Poly
 from lstirling.cli import CACHE_ENV, FETCH_TIMEOUT_S, TABLE_CAPS, BFile, BFileError, Report, main, parse_bfile
 from lstirling.partitions import LSPartition
@@ -174,6 +174,38 @@ def test_verify_sweep_output_is_stable(capsys, suite, digest):
     assert rc == 0
     stripped = re.sub(r" \d+\.\d+s$", "", out, flags=re.M)
     assert hashlib.sha256(stripped.encode()).hexdigest() == digest
+
+
+def test_verify_grammar_reports_the_first_wrong_power(capsys, monkeypatch):
+    real = grammar.js
+    monkeypatch.setattr(grammar, "js", lambda n, k: real(n, k) + (1 if (n, k) == (5, 2) else 0))
+    rc, out, _ = run(capsys, "verify", "grammar", "--nmax", "8")
+    assert rc == 1
+    lines = re.sub(r" \d+\.\d+s", "", out).splitlines()
+    assert lines == [
+        "ok   grammar.stirling2 nmax=8",
+        "ok   grammar.stirling1 nmax=8",
+        "FAIL grammar.js nmax=8 counterexample: n=5: D^n(a_0) = a_5 b^10 c^5 + (30+10z) a_4 b^6 c^4"
+        " + (147+120z+25z^2) a_3 b^3 c^3 + (85+141z+79z^2+15z^3) a_2 b c^2 + (1+4z+6z^2+4z^3+z^4) a_1 c",
+        "ok   grammar.jc nmax=8",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "identities", "--nmax", "1000000"], "verify identities: nmax capped at 200"),
+        (["verify", "identities", "--nmax", "201"], "verify identities: nmax capped at 200"),
+        (["gamma", "--kmax", "1", "--nmax", "1000000"], "gamma: nmax + kmax capped at 200"),
+        (["gamma", "--kmax", "20", "--nmax", "181"], "gamma: nmax + kmax capped at 200"),
+    ],
+)
+def test_a_triangle_row_past_the_ls_cap_is_rejected_before_any_fill(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(triangles.Triangle, "value", lambda *a: pytest.fail("a triangle was filled"))
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert message in err
 
 
 def test_verify_reports_name_each_check(capsys):

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from lstirling import grammar
 from lstirling.algebra import Poly
 from lstirling.grammar import (
     FormalPoly,
@@ -65,6 +66,23 @@ def test_monomial_algebra():
         Monomial(((b, -1),))
 
 
+def test_monomial_of_merges_repeated_letters_and_drops_zero_exponents():
+    m = Monomial.of((c, 1), (b, 1), (c, 2), (a0, 0))
+    assert m.powers == ((b, 1), (c, 3))
+    assert m == Monomial.of((b, 1), (c, 3)) and hash(m) == hash(Monomial.of((b, 1), (c, 3)))
+    assert m.render() == "b c^3" and m.degree_of(a0) == 0
+    assert Monomial.of((b, 2), (b, -1)) == Monomial.of((b, 1))
+
+
+def test_remove_one_drops_a_letter_whose_exponent_reaches_zero():
+    m = Monomial.of((b, 1), (c, 2))
+    assert m.remove_one(b).powers == ((c, 2),)
+    assert m.remove_one(b).degree_of(b) == 0
+    assert m.remove_one(c).remove_one(c).remove_one(b).is_unit()
+    with pytest.raises(ValueError):
+        Monomial.of((c, 1)).remove_one(b)
+
+
 def test_formal_poly_addition_cancels():
     m = Monomial.of((b, 1))
     p = FormalPoly.term(m, 1) - FormalPoly.term(m, 1)
@@ -114,6 +132,18 @@ def test_derivative_handles_powers():
     assert got.coefficient(Monomial.of((x, 3))) == Poly((3,))
 
 
+def test_derive_merges_cancelling_terms_and_skips_constants():
+    d = Letter("d")
+    g = Grammar({b: FormalPoly.letter(d), c: -FormalPoly.letter(d)}, constants=(d,))
+    bd, cd, bc = (Monomial.of((u, 1), (v, 1)) for u, v in ((b, d), (c, d), (b, c)))
+    # D(bd + cd + bc) = d^2 - d^2 + (cd - bd): the d^2 terms cancel, d derives to 0
+    got = derive(g, FormalPoly([(bd, 1), (cd, 1), (bc, 1)]))
+    assert got == FormalPoly([(cd, 1), (bd, -1)])
+    assert isinstance(got.terms, dict) and set(got.terms) == {bd, cd}
+    assert derive(g, FormalPoly([(bd, 1), (cd, 1)])).terms == {}
+    assert derive(g, FormalPoly.term(Monomial.of((d, 3)), Poly((1, 1)))).is_zero()
+
+
 def test_derive_seq_empty_returns_seed():
     seed = FormalPoly.letter(b)
     assert derive_seq([], seed) == seed
@@ -123,23 +153,54 @@ def test_derive_seq_empty_returns_seed():
 
 
 def test_set_partition_grammar():
-    for n in range(0, 9):
+    for n in range(0, 15):
         assert check_stirling2(n)
 
 
 def test_cycle_grammar():
-    for n in range(0, 9):
+    for n in range(0, 15):
         assert check_stirling1(n)
 
 
 def test_second_kind_bivariate_grammar():
-    for n in range(0, 8):
+    for n in range(0, 15):
         assert check_js_grammar(n)
 
 
 def test_first_kind_bivariate_grammar():
-    for n in range(0, 8):
+    for n in range(0, 15):
         assert check_jc_grammar(n)
+
+
+@pytest.mark.parametrize(
+    "check,sweep",
+    [
+        (check_stirling2, grammar._stirling2_sweep),
+        (check_stirling1, grammar._stirling1_sweep),
+        (check_js_grammar, grammar._js_sweep),
+        (check_jc_grammar, grammar._jc_sweep),
+    ],
+)
+def test_each_check_is_the_last_result_of_its_sweep(check, sweep, monkeypatch):
+    results = list(sweep(12))
+    assert len(results) == 13 and all(results)
+    assert [check(n) for n in range(13)] == results
+    # one derive per power, not one per power and per n
+    calls = []
+    real = grammar.derive
+    monkeypatch.setattr(grammar, "derive", lambda g, p: calls.append(1) or real(g, p))
+    assert len(list(sweep(12))) == 13 and len(calls) == 12
+    with pytest.raises(ValueError):
+        check(-1)
+
+
+def test_a_wrong_value_fails_its_power_only(monkeypatch):
+    real = grammar.js
+    monkeypatch.setattr(grammar, "js", lambda n, k: real(n, k) + (1 if (n, k) == (5, 2) else 0))
+    results = list(grammar._js_sweep(8))
+    assert [bool(r) for r in results] == [n != 5 for n in range(9)]
+    assert results[5].detail.startswith("n=5: D^n(a_0) = a_5 b^10 c^5 + ")
+    assert check_js_grammar(5) == results[5] and check_js_grammar(6)
 
 
 def test_second_kind_grammar_first_two_derivatives_render_exactly():
