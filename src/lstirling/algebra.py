@@ -5,11 +5,12 @@ Everything in this module is exact.  Integers are Python ints, rationals are
 floating point anywhere.  `Poly` is a dense univariate polynomial whose
 coefficients may be ints, Fractions, or again `Poly` values; the nested form
 gives polynomials in x over Z[z], which is all the bivariate structure the
-rest of the package needs.
+rest of the package needs.  `fractions` is imported only where a Fraction is
+built, so integer-only work such as a table never loads it.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from itertools import zip_longest
 from math import comb
 
@@ -68,6 +69,15 @@ def _is_zero_coeff(c) -> bool:
     return c.is_zero() if isinstance(c, Poly) else c == 0
 
 
+def _is_scalar(c) -> bool:
+    """Whether c is an int or a Fraction, the scalars Poly arithmetic accepts."""
+    if isinstance(c, int):
+        return True
+    # a Fraction exists only once fractions is loaded, so this never loads it
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(c, fractions.Fraction)
+
+
 class Poly:
     """Dense polynomial, constant coefficient first, trailing zeros trimmed.
 
@@ -113,10 +123,10 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not _is_scalar(other):
+                return NotImplemented
+            other = Poly((other,))
         return Poly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     __radd__ = __add__
@@ -125,20 +135,20 @@ class Poly:
         return Poly(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not _is_scalar(other):
+                return NotImplemented
+            other = Poly((other,))
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(c * other for c in self.coeffs)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not _is_scalar(other):
+                return NotImplemented
+            return Poly(c * other for c in self.coeffs)
         if self.is_zero() or other.is_zero():
             return Poly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -177,6 +187,8 @@ class Poly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        from fractions import Fraction
+
         lead_inv = Fraction(1, 1) / other.coeffs[-1]
         rem = list(self.coeffs)
         d = len(other.coeffs)
@@ -212,14 +224,20 @@ class Poly:
         return Poly(f(c) for c in self.coeffs)
 
     def to_fractions(self) -> "Poly":
+        from fractions import Fraction
+
         return self.map_coeffs(Fraction)
 
     # -- comparison and display ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return (self - other).is_zero()
-        return NotImplemented
+        # both sides are trimmed, so equal polynomials have equal tuples; a
+        # nested coefficient compares with its constant through this method
+        if isinstance(other, Poly):
+            return self.coeffs == other.coeffs
+        if not _is_scalar(other):
+            return NotImplemented
+        return self.coeffs == ((other,) if other else ())
 
     def render(self, var: str = "x", inner_var: str = "z") -> str:
         """Human-readable form, ascending powers: '1+8x+10x^2'."""

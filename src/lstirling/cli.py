@@ -154,6 +154,11 @@ def _emit(chunks, out: str | None) -> int:
     return 0
 
 
+def _json_list(values) -> str:
+    """A JSON array of ints or of JSON texts, spaced as json.dumps spaces it."""
+    return f"[{', '.join(map(str, values))}]"
+
+
 def _csv_list(values) -> str:
     """A CSV field holding a list of ints as compact JSON.
 
@@ -177,6 +182,18 @@ def _table_csv(value, poly: bool, nmax: int):
             yield "".join(f"{n},{k},{value(n, k)}\r\n" for k in range(n + 1))
 
 
+def _table_json(value, poly: bool, nmax: int, family: str):
+    """Yield json.dumps({"family", "nmax", "rows"}) + "\n", one triangle row per chunk."""
+    # family is a TABLE_CAPS key, so it needs no escaping
+    yield f'{{"family": "{family}", "nmax": {nmax}, "rows": ['
+    for n in range(nmax + 1):
+        cells = (value(n, k) for k in range(n + 1))
+        if poly:
+            cells = (_json_list(c.coeffs) for c in cells)
+        yield (", " if n else "") + _json_list(cells)
+    yield "]}\n"
+
+
 def cmd_table(args) -> int:
     cap = TABLE_CAPS[args.family]
     if args.nmax < 0:
@@ -189,11 +206,10 @@ def cmd_table(args) -> int:
     # a cell of the polynomial families is its list of coefficients
     poly = args.family in ("js", "jc")
     if args.format == "csv":
-        return _emit(_table_csv(value, poly, args.nmax), args.out)
-    import json
-
-    rows = [[list(value(n, k).coeffs) if poly else value(n, k) for k in range(n + 1)] for n in range(args.nmax + 1)]
-    return _emit([json.dumps({"family": args.family, "nmax": args.nmax, "rows": rows}) + "\n"], args.out)
+        chunks = _table_csv(value, poly, args.nmax)
+    else:
+        chunks = _table_json(value, poly, args.nmax, args.family)
+    return _emit(chunks, args.out)
 
 
 # -- verify ---------------------------------------------------------------
@@ -214,7 +230,7 @@ def _verify_identities(nmax: int) -> list:
             yield triangles.vertical_gf_check(k, nmax - k)
 
     def specialize():
-        for n in range(nmax + 1):
+        for n in range(zmax + 1):
             for k in range(n + 1):
                 if triangles.js(n, k).eval(1) != triangles.ls(n, k):
                     yield CheckResult(False, f"js({n},{k}) at z=1 != ls({n},{k})")
@@ -222,6 +238,8 @@ def _verify_identities(nmax: int) -> list:
                     yield CheckResult(False, f"jc({n},{k}) at z=1 != lc({n},{k})")
 
     jmax = min(nmax, 15)
+    # js and jc are swept only up to their table cap
+    zmax = min(nmax, TABLE_CAPS["js"])
     bivariate = (
         check(n) for n in range(jmax + 1) for check in (triangles.horizontal_identity_js, triangles.jc_defining_product)
     )
@@ -229,7 +247,7 @@ def _verify_identities(nmax: int) -> list:
         _run_check("identities.four_way", {"nmax": nmax}, four_way()),
         _run_check("identities.horizontal_ls", {"nmax": nmax}, map(triangles.horizontal_identity_ls, range(nmax + 1))),
         _run_check("identities.bivariate", {"nmax": jmax}, bivariate),
-        _run_check("identities.z_equals_1", {"nmax": nmax}, specialize()),
+        _run_check("identities.z_equals_1", {"nmax": zmax}, specialize()),
     ]
 
 

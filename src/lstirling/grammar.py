@@ -49,7 +49,7 @@ _set_index = Letter.index.__set__
 class Monomial:
     """A finite product of letters with positive integer exponents."""
 
-    __slots__ = ("powers",)
+    __slots__ = ("powers", "_hash")
 
     def __init__(self, powers=()):
         """Powers from (letter, exponent) pairs or a dict; a repeated letter's exponents add up."""
@@ -62,6 +62,8 @@ class Monomial:
         self.powers = tuple(
             sorted(((l, e) for l, e in acc.items() if e), key=lambda le: le[0].sort_key())
         )
+        # a monomial is a dict key in every derivation step; hash its letters once
+        self._hash = hash(self.powers)
 
     @classmethod
     def of(cls, *pairs) -> "Monomial":
@@ -83,7 +85,7 @@ class Monomial:
         return isinstance(other, Monomial) and self.powers == other.powers
 
     def __hash__(self):
-        return hash(self.powers)
+        return self._hash
 
     def sort_key(self):
         return tuple((l.sort_key(), e) for l, e in self.powers)

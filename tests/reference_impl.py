@@ -22,7 +22,9 @@ must give the same result or the same error message.
 
 `table_csv_by_csv_writer` and `gamma_csv_by_csv_writer` render the CSV of
 `lstirling table` and `lstirling gamma` through `csv.writer`, one row at a
-time, where the CLI writes the lines itself.
+time, where the CLI writes the lines itself; `table_json_by_json_dumps`
+renders the JSON of `lstirling table` as one `json.dumps` of the whole
+document, where the CLI writes it one triangle row at a time.
 
 `LSPartitionDataclass` is `partitions.LSPartition` as the frozen dataclass
 it used to be, with its rendering `repr`; the plain record must compare,
@@ -423,6 +425,14 @@ def table_csv_by_csv_writer(family: str, nmax: int) -> str:
                 cell = json.dumps(list(cell.coeffs), separators=(",", ":"))
             writer.writerow([n, k, cell])
     return buf.getvalue()
+
+
+def table_json_by_json_dumps(family: str, nmax: int) -> str:
+    """`table --family FAMILY --nmax NMAX --format json`; a js/jc cell is its coefficient list."""
+    value = getattr(triangles, family)
+    cell = (lambda c: list(c.coeffs)) if family in ("js", "jc") else (lambda c: c)
+    rows = [[cell(value(n, k)) for k in range(n + 1)] for n in range(nmax + 1)]
+    return json.dumps({"family": family, "nmax": nmax, "rows": rows}) + "\n"
 
 
 def gamma_csv_by_csv_writer(kmax: int) -> str:

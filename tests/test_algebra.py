@@ -79,6 +79,19 @@ def test_equality_ignores_representation():
     assert Poly((1,)) != Poly((2,))
     assert Poly((1,)) == 1
     assert 0 == Poly(())
+    assert Poly((Fraction(3), Fraction(1, 2))) == Poly((3, Fraction(1, 2)))
+    assert Poly((Fraction(3),)) == 3 and Poly((3,)) == Fraction(3)
+    assert Poly((Fraction(1, 2),)) == Fraction(1, 2) and Poly((1,)) != Fraction(1, 2)
+    # a nested constant compares with its value, at either level
+    assert Poly((Poly((3,)), 1)) == Poly((3, 1)) and Poly((3, 1)) == Poly((Poly((3,)), 1))
+    assert Poly((Poly((3,)),)) == 3 and Poly((Poly((3,)),)) != 4
+    assert Poly((Poly(()), 1)) == X
+    assert Poly(()) == 0 and Poly(()) == Fraction(0) and Poly((0, 0)) == 0 and Poly((1,)) != 0
+    assert Poly((0, 1)) != 0 and Poly((0, 1)) != 1
+    # anything else is not a polynomial
+    assert (Poly((1,)) == "x") is False and (Poly(()) == "") is False and (Poly((1,)) == 1.0) is False
+    assert Poly((1,)) != None  # noqa: E711
+    assert Poly.__eq__(Poly((1,)), "x") is NotImplemented
 
 
 # -- ring axioms ------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference_impl import gamma_csv_by_csv_writer, table_csv_by_csv_writer
+from reference_impl import gamma_csv_by_csv_writer, table_csv_by_csv_writer, table_json_by_json_dumps
 
 from lstirling import CheckResult, cli, codes, gamma, grammar, triangles
 from lstirling.algebra import Poly
@@ -95,6 +95,32 @@ def test_table_csv_matches_csv_writer_at_the_cap(capsys, tmp_path, family):
     assert (rc, out) == (0, "")
     assert target.read_bytes() == want.encode()
     assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("family", sorted(TABLE_CAPS))
+@pytest.mark.parametrize("nmax", [0, 1, 7, "cap"])
+def test_table_json_matches_one_json_dumps(capsys, tmp_path, family, nmax):
+    nmax = TABLE_CAPS[family] if nmax == "cap" else nmax
+    want = table_json_by_json_dumps(family, nmax).encode()
+    argv = ["table", "--family", family, "--nmax", str(nmax), "--format", "json"]
+    rc, out, _ = run(capsys, *argv)
+    assert (rc, out.encode()) == (0, want)
+    target = tmp_path / "table.json"
+    rc, out, _ = run(capsys, *argv, "--out", str(target))
+    assert (rc, out) == (0, "")
+    assert target.read_bytes() == want
+    assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("family", sorted(TABLE_CAPS))
+def test_table_json_yields_one_triangle_row_per_chunk(family):
+    value, poly = getattr(triangles, family), family in ("js", "jc")
+    chunks = list(cli._table_json(value, poly, 7, family))
+    assert len(chunks) == 7 + 3
+    assert chunks[0] == f'{{"family": "{family}", "nmax": 7, "rows": [' and chunks[-1] == "]}\n"
+    doc = json.loads(table_json_by_json_dumps(family, 7))
+    for n, chunk in enumerate(chunks[1:-1]):
+        assert json.loads(chunk.removeprefix(", ")) == doc["rows"][n]
 
 
 def test_table_cap_exceeded(capsys):
@@ -206,6 +232,17 @@ def test_a_triangle_row_past_the_ls_cap_is_rejected_before_any_fill(capsys, monk
     assert rc == 1
     assert out == ""
     assert message in err
+
+
+def test_z_equals_1_stops_at_the_js_jc_table_cap(capsys, monkeypatch):
+    # fresh triangles, so that rows filled by other tests do not count
+    for name in ("js_triangle", "jc_triangle"):
+        old = getattr(triangles, name)
+        monkeypatch.setattr(triangles, name, triangles.Triangle(old.factor, old.one, old.zero, old.tag))
+    rc, out, _ = run(capsys, "verify", "identities", "--nmax", "61")
+    assert rc == 0
+    assert re.search(r"^ok   identities\.z_equals_1 nmax=60 ", out, flags=re.M)
+    assert len(triangles.js_triangle._rows) == len(triangles.jc_triangle._rows) == 61
 
 
 def test_verify_reports_name_each_check(capsys):

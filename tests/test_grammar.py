@@ -74,6 +74,18 @@ def test_monomial_of_merges_repeated_letters_and_drops_zero_exponents():
     assert Monomial.of((b, 2), (b, -1)) == Monomial.of((b, 1))
 
 
+def test_a_monomial_hashes_its_letters_only_when_built(monkeypatch):
+    m, twin = Monomial.of((b, 1), (c, 2)), Monomial.of((c, 2), (b, 1))
+    hashes = []
+    base = Letter.__hash__
+    monkeypatch.setattr(Letter, "__hash__", lambda self: hashes.append(self) or base(self))
+    table = {m: 1}
+    for _ in range(3):
+        assert table[twin] == 1 and hash(twin) == hash(m)
+    assert hashes == []
+    assert hash(m) == hash(m.powers) and hashes == [b, c]
+
+
 def test_remove_one_drops_a_letter_whose_exponent_reaches_zero():
     m = Monomial.of((b, 1), (c, 2))
     assert m.remove_one(b).powers == ((c, 2),)

@@ -33,12 +33,12 @@ def run(*argv):
 """
 
 
-def child(body: str) -> dict:
-    """Run PRELUDE + body in a fresh interpreter; its last stdout line is JSON."""
+def child(body: str, prelude: str = PRELUDE):
+    """Run prelude + body in a fresh interpreter; its last stdout line is JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run(
-        [sys.executable, "-c", PRELUDE + body], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", prelude + body], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -72,6 +72,36 @@ print(json.dumps(added()))
     )
     assert "dataclasses" not in got and "csv" not in got
     assert "lstirling.gamma" in got and "lstirling.grammar" in got
+
+
+def test_tables_and_grammar_never_import_fractions():
+    # their cells and coefficients are ints, so no Fraction is ever built or met
+    got = child(
+        """
+run("table", "--family", "ls", "--nmax", "6")
+run("table", "--family", "jc", "--nmax", "6", "--format", "json")
+run("verify", "grammar", "--nmax", "4")
+print(json.dumps(added()))
+"""
+    )
+    assert "lstirling.algebra" in got and "lstirling.grammar" in got
+    assert "fractions" not in got
+
+
+def test_a_json_table_never_imports_json():
+    # the table writes its JSON text itself; PRELUDE imports json, so this
+    # child starts bare and prints its verdict as a JSON literal
+    got = child(
+        """
+from lstirling.cli import main
+
+for family in ("ls", "js"):
+    assert main(["table", "--family", family, "--nmax", "6", "--format", "json", "--out", os.devnull]) == 0
+print(str("json" in sys.modules).lower())
+""",
+        prelude="import os, sys\n",
+    )
+    assert got is False
 
 
 def test_enumeration_sweeps_never_import_dataclasses():
