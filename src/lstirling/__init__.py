@@ -14,7 +14,8 @@ Every name in `__all__` can be read from the package root, but a layer
 module is loaded only when one of its names (or the module itself) is first
 used, so `import lstirling` and each CLI command load only what they run.
 The root itself holds what every layer shares: the record bases, the
-CheckResult that every check returns, and the int-argument guard.
+CheckResult that every check returns, the step that reads one check off its
+sweep, and the int-argument guard.
 """
 from __future__ import annotations
 
@@ -88,6 +89,14 @@ class CheckResult(_Record):
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _last(n: int, sweep) -> CheckResult:
+    """The result for n, the last that sweep yields: a check is the last step of its sweep."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    *_, last = sweep
+    return last
 
 
 def _require_int(where: str, *values) -> None:

@@ -223,11 +223,6 @@ class Poly:
     def map_coeffs(self, f) -> "Poly":
         return Poly(f(c) for c in self.coeffs)
 
-    def to_fractions(self) -> "Poly":
-        from fractions import Fraction
-
-        return self.map_coeffs(Fraction)
-
     # -- comparison and display ----------------------------------------------
 
     def __eq__(self, other):

@@ -226,8 +226,7 @@ def _verify_identities(nmax: int) -> list:
                     yield CheckResult(False, f"ls_explicit({n},{k}) != {byrec}")
                 if 1 <= k <= n and triangles.ls_vertical(n, k) != byrec:
                     yield CheckResult(False, f"ls_vertical({n},{k}) != {byrec}")
-        for k in range(1, nmax + 1):
-            yield triangles.vertical_gf_check(k, nmax - k)
+        yield from triangles._vertical_gf_sweep(nmax, nmax)
 
     def specialize():
         for n in range(zmax + 1):
@@ -240,12 +239,12 @@ def _verify_identities(nmax: int) -> list:
     jmax = min(nmax, 15)
     # js and jc are swept only up to their table cap
     zmax = min(nmax, TABLE_CAPS["js"])
-    bivariate = (
-        check(n) for n in range(jmax + 1) for check in (triangles.horizontal_identity_js, triangles.jc_defining_product)
-    )
+    # js(n) then jc(n) for each n, one sweep each
+    pairs = zip(triangles._horizontal_js_sweep(jmax), triangles._jc_product_sweep(jmax))
+    bivariate = (r for pair in pairs for r in pair)
     return [
         _run_check("identities.four_way", {"nmax": nmax}, four_way()),
-        _run_check("identities.horizontal_ls", {"nmax": nmax}, map(triangles.horizontal_identity_ls, range(nmax + 1))),
+        _run_check("identities.horizontal_ls", {"nmax": nmax}, triangles._horizontal_ls_sweep(nmax)),
         _run_check("identities.bivariate", {"nmax": jmax}, bivariate),
         _run_check("identities.z_equals_1", {"nmax": zmax}, specialize()),
     ]
@@ -320,13 +319,12 @@ def cmd_verify(args) -> int:
     if nmax < 1:
         return _fail(f"verify {args.suite}: nmax must be at least 1", 1)
     if args.suite in ("bijection", "zstat"):
-        from .partitions import ENUM_LIMIT
-
-        if nmax > ENUM_LIMIT:
-            return _fail(f"verify {args.suite}: nmax capped at {ENUM_LIMIT}", 1)
-    # the identities fill the triangles to row nmax
-    if args.suite == "identities" and nmax > TABLE_CAPS["ls"]:
-        return _fail(f"verify identities: nmax capped at {TABLE_CAPS['ls']}", 1)
+        from .partitions import ENUM_LIMIT as cap
+    else:
+        # identities fill the ls triangle to row nmax, and grammar the js and jc triangles
+        cap = TABLE_CAPS["ls" if args.suite == "identities" else "js"]
+    if nmax > cap:
+        return _fail(f"verify {args.suite}: nmax capped at {cap}", 1)
     runner = {
         "identities": _verify_identities,
         "bijection": _verify_bijection,

@@ -20,7 +20,7 @@ D^n once, from D^(n-1), and checks it against its triangle row n.
 """
 from __future__ import annotations
 
-from . import CheckResult, _FrozenRecord
+from . import CheckResult, _FrozenRecord, _last
 from .algebra import Poly
 from .triangles import Triangle, jc, js
 
@@ -223,9 +223,9 @@ def derive(g: Grammar, p: FormalPoly) -> FormalPoly:
             img = g.image(letter)
             if img is None:
                 continue
-            rest = mono.remove_one(letter)
             c = coeff * e
-            terms += [(m * rest, co * c) for m, co in img.terms.items()]
+            # one monomial per term: mono with one letter replaced by m
+            terms += [(Monomial((*mono.powers, (letter, -1), *m.powers)), co * c) for m, co in img.terms.items()]
     return FormalPoly(terms)
 
 
@@ -252,14 +252,6 @@ def _sweep(nmax: int, seed: FormalPoly, step, term, label: str):
             yield CheckResult(True)
         else:
             yield CheckResult(False, f"n={n}: {label} = {p.render()}")
-
-
-def _last(n: int, sweep) -> CheckResult:
-    """The result for n, the last that sweep yields."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    *_, last = sweep
-    return last
 
 
 _stirling2 = Triangle(lambda n, k: k, tag="stirling2")

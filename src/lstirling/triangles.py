@@ -11,14 +11,15 @@ T(0,0) = 1 and T vanishing outside 0 <= k <= n:
 Setting z = 1 in js/jc recovers ls/lc.  Alongside the recurrences this module
 carries the independent routes to the same numbers (explicit alternating sum,
 vertical recurrence, generating-function products) and the identity checks
-that tie all routes together.
+that tie all routes together.  Each identity check is the last step of a
+sweep that builds index n from index n-1 by one more factor.
 """
 from __future__ import annotations
 
 from math import comb, factorial
 
-from . import CheckResult, _require_int
-from .algebra import Poly, falling_basis, series_geom, series_mul
+from . import CheckResult, _last, _require_int
+from .algebra import Poly, Series, falling_basis, series_geom, series_mul
 
 
 class Triangle:
@@ -118,59 +119,83 @@ def ls_vertical(n: int, j: int) -> int:
     return sum(ls(k - 1, j - 1) * ratio ** (n - k) for k in range(j, n + 1))
 
 
+def _difference(n: int, got: Poly, want: Poly) -> CheckResult:
+    """Pass when got == want, else name n and show got - want."""
+    if got == want:
+        return CheckResult(True)
+    return CheckResult(False, f"n={n}: difference {(got - want).render()}")
+
+
+def _horizontal_ls_sweep(nmax: int):
+    """Yield horizontal_identity_ls(n) for n = 0..nmax, building each basis once."""
+    # bases[k] is x(x-2)(x-6)...(x-(k-1)k), one factor on bases[k-1]
+    bases = [Poly((1,))]
+    for n in range(nmax + 1):
+        if n:
+            bases.append(bases[-1] * Poly((-(n - 1) * n, 1)))
+        rhs = Poly()
+        for k in range(n + 1):
+            rhs = rhs + bases[k] * ls(n, k)
+        yield _difference(n, rhs, Poly((0,) * n + (1,)))
+
+
 def horizontal_identity_ls(n: int) -> CheckResult:
     """Check x^n = sum_k ls(n,k) x(x-2)(x-6)...(x-(k-1)k) by exact expansion."""
-    if n < 0:
-        raise ValueError("horizontal_identity_ls: n must be nonnegative")
-    # basis is x(x-2)(x-6)...(x-(k-1)k) at the top of step k
-    rhs, basis = Poly(), Poly((1,))
-    for k in range(n + 1):
-        rhs = rhs + basis * ls(n, k)
-        basis = basis * Poly((-k * (k + 1), 1))
-    lhs = Poly((0,) * n + (1,))
-    if rhs == lhs:
-        return CheckResult(True)
-    return CheckResult(False, f"n={n}: difference {(rhs - lhs).render()}")
+    return _last(n, _horizontal_ls_sweep(n))
+
+
+def _vertical_gf_sweep(kmax: int, nmax: int):
+    """Yield vertical_gf_check(k, nmax - k) for k = 1..kmax.
+
+    The product for k is the product for k-1, truncated to order nmax - k,
+    times one geometric series.
+    """
+    prod = None
+    for k in range(1, kmax + 1):
+        geom = series_geom(k, nmax - k)
+        prod = geom if prod is None else series_mul(Series(prod.coeffs, geom.order), geom)
+        yield next(
+            (
+                CheckResult(False, f"k={k}: coefficient of x^{m} is {c}, triangle gives {ls(m + k, k)}")
+                for m, c in enumerate(prod.coeffs)
+                if c != ls(m + k, k)
+            ),
+            CheckResult(True),
+        )
 
 
 def vertical_gf_check(k: int, order: int) -> CheckResult:
     """Check prod_{r=1..k} 1/(1 - r(r+1)x) = sum_m ls(m+k,k) x^m up to x^order."""
     if k < 1:
         raise ValueError("vertical_gf_check: k must be at least 1")
-    prod = series_geom(1, order)
-    for r in range(2, k + 1):
-        prod = series_mul(prod, series_geom(r, order))
-    for m in range(order + 1):
-        expected = ls(m + k, k)
-        if prod.coeffs[m] != expected:
-            return CheckResult(
-                False,
-                f"k={k}: coefficient of x^{m} is {prod.coeffs[m]}, triangle gives {expected}",
-            )
-    return CheckResult(True)
+    return _last(k, _vertical_gf_sweep(k, order + k))
+
+
+def _horizontal_js_sweep(nmax: int):
+    """Yield horizontal_identity_js(n) for n = 0..nmax, building each basis once."""
+    bases = []
+    for n in range(nmax + 1):
+        bases.append(falling_basis(n))
+        rhs = Poly()
+        for k in range(n + 1):
+            rhs = rhs + bases[k].scale(js(n, k))
+        yield _difference(n, rhs, Poly((0,) * n + (1,)))
 
 
 def horizontal_identity_js(n: int) -> CheckResult:
     """Check x^n = sum_k js(n,k)(z) prod_{i<k} (x - i(z+i)) over Z[z]."""
-    if n < 0:
-        raise ValueError("horizontal_identity_js: n must be nonnegative")
-    rhs = Poly()
-    for k in range(n + 1):
-        rhs = rhs + falling_basis(k).scale(js(n, k))
-    lhs = Poly((0,) * n + (1,))
-    if rhs == lhs:
-        return CheckResult(True)
-    return CheckResult(False, f"n={n}: difference {(rhs - lhs).render()}")
+    return _last(n, _horizontal_js_sweep(n))
+
+
+def _jc_product_sweep(nmax: int):
+    """Yield jc_defining_product(n) for n = 0..nmax, one factor per n."""
+    product = Poly((1,))
+    for n in range(nmax + 1):
+        if n:
+            product = product * Poly((Poly(((n - 1) ** 2, n - 1)), 1))
+        yield _difference(n, product, Poly(tuple(jc(n, k) for k in range(n + 1))))
 
 
 def jc_defining_product(n: int) -> CheckResult:
     """Check prod_{i<n} (x + i(z+i)) = sum_k jc(n,k)(z) x^k over Z[z]."""
-    if n < 0:
-        raise ValueError("jc_defining_product: n must be nonnegative")
-    lhs = Poly((1,))
-    for i in range(n):
-        lhs = lhs * Poly((Poly((i * i, i)), 1))
-    rhs = Poly(tuple(jc(n, k) for k in range(n + 1)))
-    if lhs == rhs:
-        return CheckResult(True)
-    return CheckResult(False, f"n={n}: difference {(lhs - rhs).render()}")
+    return _last(n, _jc_product_sweep(n))

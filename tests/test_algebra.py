@@ -149,15 +149,15 @@ def test_power_matches_repeated_multiplication(a, e):
 
 @given(polys, nonzero_polys)
 def test_divmod_reconstructs_dividend_with_small_remainder(a, b):
-    a, b = a.to_fractions(), b.to_fractions()
+    a, b = Poly(map(Fraction, a.coeffs)), Poly(map(Fraction, b.coeffs))
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
 
 
 def test_divmod_exact_division():
-    a = Poly((-1, 0, 1)).to_fractions()  # (x-1)(x+1)
-    b = Poly((1, 1)).to_fractions()
+    a = Poly(map(Fraction, (-1, 0, 1)))  # (x-1)(x+1)
+    b = Poly(map(Fraction, (1, 1)))
     q, r = divmod(a, b)
     assert r.is_zero()
     assert q == Poly((Fraction(-1), Fraction(1)))
@@ -187,10 +187,10 @@ def test_eval_accepts_rational_points(p, t):
     assert p.eval(t) == sum(Fraction(c) * t**i for i, c in enumerate(p.coeffs))
 
 
-def test_map_coeffs_and_to_fractions():
+def test_map_coeffs_rewrites_each_coefficient():
     p = Poly((1, 2))
     assert p.map_coeffs(lambda c: 10 * c) == Poly((10, 20))
-    q = p.to_fractions()
+    q = p.map_coeffs(Fraction)
     assert all(isinstance(c, Fraction) for c in q.coeffs)
     assert q == p
 

@@ -217,6 +217,67 @@ def test_verify_grammar_reports_the_first_wrong_power(capsys, monkeypatch):
     ]
 
 
+def _off_by_one_at(monkeypatch, at, *names):
+    for name in names:
+        real = getattr(triangles, name)
+        monkeypatch.setattr(triangles, name, lambda n, k, real=real: real(n, k) + (1 if (n, k) == at else 0))
+
+
+@pytest.mark.parametrize(
+    "names,at,lines",
+    [
+        (
+            ("ls",),
+            (5, 2),
+            [
+                "FAIL identities.four_way nmax=8 counterexample: ls_explicit(5,2) != 321",
+                "FAIL identities.horizontal_ls nmax=8 counterexample: n=5: difference -2x+x^2",
+                "ok   identities.bivariate nmax=8",
+                "FAIL identities.z_equals_1 nmax=8 counterexample: js(5,2) at z=1 != ls(5,2)",
+            ],
+        ),
+        (
+            ("js",),
+            (5, 2),
+            [
+                "ok   identities.four_way nmax=8",
+                "ok   identities.horizontal_ls nmax=8",
+                "FAIL identities.bivariate nmax=8 counterexample: n=5: difference (-1-z)x+(1)x^2",
+                "FAIL identities.z_equals_1 nmax=8 counterexample: js(5,2) at z=1 != ls(5,2)",
+            ],
+        ),
+        (
+            ("jc",),
+            (5, 2),
+            [
+                "ok   identities.four_way nmax=8",
+                "ok   identities.horizontal_ls nmax=8",
+                "FAIL identities.bivariate nmax=8 counterexample: n=5: difference (-1)x^2",
+                "FAIL identities.z_equals_1 nmax=8 counterexample: jc(5,2) at z=1 != lc(5,2)",
+            ],
+        ),
+        (
+            # the other routes agree with the wrong value, so only the
+            # generating function of column 3 tells it from the truth
+            ("ls", "ls_explicit", "ls_vertical"),
+            (8, 3),
+            [
+                "FAIL identities.four_way nmax=8 counterexample: k=3: coefficient of x^5 is 585536,"
+                " triangle gives 585537",
+                "FAIL identities.horizontal_ls nmax=8 counterexample: n=8: difference 12x-8x^2+x^3",
+                "ok   identities.bivariate nmax=8",
+                "FAIL identities.z_equals_1 nmax=8 counterexample: js(8,3) at z=1 != ls(8,3)",
+            ],
+        ),
+    ],
+)
+def test_verify_identities_reports_the_first_wrong_index(capsys, monkeypatch, names, at, lines):
+    _off_by_one_at(monkeypatch, at, *names)
+    rc, out, _ = run(capsys, "verify", "identities", "--nmax", "8")
+    assert rc == 1
+    assert re.sub(r" \d+\.\d+s", "", out).splitlines() == lines
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -232,6 +293,16 @@ def test_a_triangle_row_past_the_ls_cap_is_rejected_before_any_fill(capsys, monk
     assert rc == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("nmax", ["61", "1000000"])
+def test_verify_grammar_is_capped_at_the_js_jc_table_cap_before_any_derivation(capsys, monkeypatch, nmax):
+    # the js and jc sweeps would fill those triangles to row nmax
+    monkeypatch.setattr(grammar, "derive", lambda *a: pytest.fail("a power was derived"))
+    rc, out, err = run(capsys, "verify", "grammar", "--nmax", nmax)
+    assert rc == 1
+    assert out == ""
+    assert "verify grammar: nmax capped at 60" in err
 
 
 def test_z_equals_1_stops_at_the_js_jc_table_cap(capsys, monkeypatch):

@@ -122,6 +122,28 @@ def test_grammar_from_mapping_and_constants():
     assert derive(g, FormalPoly.letter(c)).is_zero()
 
 
+def test_derive_builds_one_monomial_per_term(monkeypatch):
+    # b -> b c + 2 c^2 and c -> b, with a0 constant, on 3 b^2 c a0 + (1+z) c^2
+    b_image = FormalPoly.term(Monomial.of((b, 1), (c, 1))) + FormalPoly.term(Monomial.of((c, 2)), 2)
+    g = Grammar({b: b_image, c: FormalPoly.letter(b)}, constants=(a0,))
+    p = FormalPoly.term(Monomial.of((b, 2), (c, 1), (a0, 1)), 3) + FormalPoly.term(Monomial.of((c, 2)), Poly((1, 1)))
+    built = []
+    real = Monomial.__init__
+    monkeypatch.setattr(Monomial, "__init__", lambda self, powers=(): built.append(1) or real(self, powers))
+    got = derive(g, p)
+    # two image terms of b and one of c in the first term, one of c in the second
+    assert len(built) == 4
+    monkeypatch.undo()
+    assert got == FormalPoly(
+        [
+            (Monomial.of((b, 2), (c, 2), (a0, 1)), 6),
+            (Monomial.of((b, 1), (c, 3), (a0, 1)), 12),
+            (Monomial.of((b, 3), (a0, 1)), 3),
+            (Monomial.of((b, 1), (c, 1)), Poly((2, 2))),
+        ]
+    )
+
+
 def test_grammar_unknown_letter_raises():
     g = Grammar({b: FormalPoly.letter(c)})
     with pytest.raises(GrammarError):

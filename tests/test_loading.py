@@ -75,17 +75,22 @@ print(json.dumps(added()))
 
 
 def test_tables_and_grammar_never_import_fractions():
-    # their cells and coefficients are ints, so no Fraction is ever built or met
+    # their cells and coefficients are ints, and gamma checks its closed forms
+    # in ints, so no Fraction is ever built or met
     got = child(
-        """
+        f"""
 run("table", "--family", "ls", "--nmax", "6")
 run("table", "--family", "jc", "--nmax", "6", "--format", "json")
 run("verify", "grammar", "--nmax", "4")
+run("gamma", "--kmax", "20")
+run("oeis", "A025035", "--source", {str(FIXTURES / "b025035.txt")!r})
+run("oeis", "A006472", "--source", {str(FIXTURES / "b006472.txt")!r})
 print(json.dumps(added()))
 """
     )
-    assert "lstirling.algebra" in got and "lstirling.grammar" in got
-    assert "fractions" not in got
+    assert "lstirling.algebra" in got and "lstirling.grammar" in got and "lstirling.gamma" in got
+    for module in ("fractions", "decimal", "numbers"):
+        assert module not in got
 
 
 def test_a_json_table_never_imports_json():

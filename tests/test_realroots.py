@@ -279,7 +279,7 @@ def test_certificates_report_all_roots_real_with_sign_changes():
             assert cert.square_free
             assert cert.all_real
             assert len(cert.intervals) == cert.degree
-            p = q_poly(cert.k).to_fractions()
+            p = Poly(map(Fraction, q_poly(cert.k).coeffs))
             for lo, hi in cert.intervals:
                 assert lo < 0  # every root is negative
                 va, vb = p.eval(lo), p.eval(hi)

@@ -189,6 +189,93 @@ def test_first_kind_defining_product():
         assert jc_defining_product(n)
 
 
+@pytest.mark.parametrize(
+    "check,sweep",
+    [
+        (horizontal_identity_ls, triangles._horizontal_ls_sweep),
+        (horizontal_identity_js, triangles._horizontal_js_sweep),
+        (jc_defining_product, triangles._jc_product_sweep),
+    ],
+)
+def test_each_identity_check_is_the_last_result_of_its_sweep(check, sweep):
+    results = list(sweep(12))
+    assert len(results) == 13 and all(results)
+    assert [check(n) for n in range(13)] == results
+    with pytest.raises(ValueError):
+        check(-1)
+
+
+def test_each_vertical_check_is_the_last_result_of_its_sweep():
+    # the sweep to kmax checks order nmax - k at each k
+    results = list(triangles._vertical_gf_sweep(12, 12))
+    assert len(results) == 12 and all(results)
+    assert [vertical_gf_check(k, 12 - k) for k in range(1, 13)] == results
+    with pytest.raises(ValueError):
+        vertical_gf_check(3, -1)
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(triangles, name)
+    monkeypatch.setattr(triangles, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_the_vertical_sweep_multiplies_one_series_per_k(monkeypatch):
+    calls = _counted(monkeypatch, "series_mul")
+    for k in range(1, 9):
+        calls.clear()
+        assert vertical_gf_check(k, 6)
+        assert len(calls) == k - 1
+    # each product is the previous one, truncated, times one geometric series
+    assert [a.order for a, _ in calls] == [b.order for _, b in calls] == list(range(12, 5, -1))
+
+
+def test_the_js_sweep_builds_each_falling_basis_once(monkeypatch):
+    calls = _counted(monkeypatch, "falling_basis")
+    assert len(list(triangles._horizontal_js_sweep(10))) == 11
+    assert calls == [(k,) for k in range(11)]
+
+
+def test_the_ls_and_jc_sweeps_extend_one_factor_per_index(monkeypatch):
+    operands = []
+    real = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: operands.append(b) or real(a, b))
+    # the ls sums scale each basis by an int, so every Poly operand is a factor
+    assert all(triangles._horizontal_ls_sweep(10))
+    assert [b for b in operands if isinstance(b, Poly)] == [Poly((-(k - 1) * k, 1)) for k in range(1, 11)]
+    operands.clear()
+    # the factors in x; the other Poly operands are coefficients in z
+    assert all(triangles._jc_product_sweep(10))
+    factors = [b for b in operands if isinstance(b, Poly) and b.coeffs and isinstance(b.coeffs[0], Poly)]
+    assert factors == [Poly((Poly(((n - 1) ** 2, n - 1)), 1)) for n in range(1, 11)]
+
+
+@pytest.mark.parametrize(
+    "name,sweep,detail",
+    [
+        ("ls", triangles._horizontal_ls_sweep, "n=5: difference -2x+x^2"),
+        ("js", triangles._horizontal_js_sweep, "n=5: difference (-1-z)x+(1)x^2"),
+        ("jc", triangles._jc_product_sweep, "n=5: difference (-1)x^2"),
+    ],
+)
+def test_a_wrong_value_fails_its_index_only(monkeypatch, name, sweep, detail):
+    real = getattr(triangles, name)
+    monkeypatch.setattr(triangles, name, lambda n, k: real(n, k) + (1 if (n, k) == (5, 2) else 0))
+    results = list(sweep(8))
+    assert [bool(r) for r in results] == [n != 5 for n in range(9)]
+    assert results[5].detail == detail
+
+
+def test_a_wrong_vertical_value_fails_its_k_only(monkeypatch):
+    real = triangles.ls
+    monkeypatch.setattr(triangles, "ls", lambda n, k: real(n, k) + (1 if (n, k) == (8, 3) else 0))
+    results = list(triangles._vertical_gf_sweep(8, 8))
+    assert [bool(r) for r in results] == [k != 3 for k in range(1, 9)]
+    assert results[2].detail == "k=3: coefficient of x^5 is 585536, triangle gives 585537"
+    assert vertical_gf_check(3, 5) == results[2] and vertical_gf_check(4, 4)
+
+
 def test_z_equal_one_specializes_to_integer_triangles():
     for n in range(11):
         for k in range(n + 1):
