@@ -161,17 +161,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out, base = Poly((1,)), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def scale(self, c):
         """Multiply every coefficient by c.
 
@@ -219,9 +208,6 @@ class Poly:
         return acc
 
     __call__ = eval
-
-    def map_coeffs(self, f) -> "Poly":
-        return Poly(f(c) for c in self.coeffs)
 
     # -- comparison and display ----------------------------------------------
 

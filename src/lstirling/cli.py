@@ -219,10 +219,10 @@ def _verify_identities(nmax: int) -> list:
     from . import triangles
 
     def four_way():
-        for n in range(nmax + 1):
+        for n, explicit in enumerate(triangles._explicit_rows(nmax)):
             for k in range(n + 1):
                 byrec = triangles.ls(n, k)
-                if triangles.ls_explicit(n, k) != byrec:
+                if explicit[k] != byrec:
                     yield CheckResult(False, f"ls_explicit({n},{k}) != {byrec}")
                 if 1 <= k <= n and triangles.ls_vertical(n, k) != byrec:
                     yield CheckResult(False, f"ls_vertical({n},{k}) != {byrec}")
@@ -357,7 +357,7 @@ def cmd_gamma(args) -> int:
         lo, _ = gamma.support(k)
         rows.append({"k": k, "offset": lo, "coeffs": list(gamma.gamma_row(k))})
     closed = gamma.closed_forms(args.kmax)
-    ode_ok = all(gamma.gamma_poly(k) == gamma.gamma_poly_via_ode(k) for k in range(args.kmax + 1))
+    ode_ok = all(gamma.gamma_poly(k) == p for k, p in enumerate(gamma._ode_polys(args.kmax)))
     expansion_detail = next(
         (
             f"expansion differs from triangle at n={n}, k={k}"

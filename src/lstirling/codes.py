@@ -199,7 +199,10 @@ def _legal_non_x(t: int) -> tuple:
 
 
 def enumerate_codes(n: int):
-    """Yield every valid code of length n; guarded at n <= ENUM_LIMIT."""
+    """An iterator over every valid code of length n; guarded at n <= ENUM_LIMIT.
+
+    n is checked when the function is called, before anything is iterated.
+    """
     _require_int("enumerate_codes", n)
     if not 1 <= n <= ENUM_LIMIT:
         raise ValueError(f"enumerate_codes: n must be in 1..{ENUM_LIMIT}, got {n}")
@@ -216,10 +219,7 @@ def enumerate_codes(n: int):
         for sym in _legal_non_x(t):
             yield from extend(code + (sym,), t)
 
-    if n == 1:
-        yield (X,)
-    else:
-        yield from extend((X,), 1)
+    return iter([(X,)]) if n == 1 else extend((X,), 1)
 
 
 def count_codes(n: int, k: int) -> int:

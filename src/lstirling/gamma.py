@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from . import CheckResult, _require_int
+from . import CheckResult, _last, _require_int
 from .algebra import Poly, binomial
 
 
@@ -114,21 +114,29 @@ def gamma_ode_step(p: Poly, k: int) -> Poly:
     return term1 - term2 + term3
 
 
+def _ode_polys(kmax: int):
+    """Yield gamma_0, ..., gamma_kmax, one gamma_ode_step each from gamma_0 = 1."""
+    p = Poly((1,))
+    yield p
+    for m in range(kmax):
+        p = gamma_ode_step(p, m)
+        yield p
+
+
 def gamma_poly_via_ode(k: int) -> Poly:
     """gamma_k(x) built by iterating gamma_ode_step from gamma_0 = 1.
 
     Independent of gamma_coeff; the two must produce identical rows.
     """
+    _require_int("gamma_poly_via_ode", k)
     if k < 0:
         raise ValueError("gamma_poly_via_ode: k must be nonnegative")
-    p = Poly((1,))
-    for m in range(k):
-        p = gamma_ode_step(p, m)
-    return p
+    return _last(k, _ode_polys(k))
 
 
 def ls_binomial_expansion(n: int, k: int) -> int:
     """ls(n+k, n) via 2^k sum_i gamma(k,i) C(n+k+1, i)."""
+    _require_int("ls_binomial_expansion", n, k)
     if n < 0 or k < 0:
         raise ValueError("ls_binomial_expansion: indices must be nonnegative")
     lo, _ = support(k)
@@ -141,6 +149,7 @@ def ls_nested_sum(n: int, k: int) -> int:
     Every level carries the triangular factor C(t+1, 2); levels telescope as
     prefix sums, so the whole sum is a k-pass dynamic program.
     """
+    _require_int("ls_nested_sum", n, k)
     if n < 1 or k < 1:
         raise ValueError("ls_nested_sum: need n >= 1 and k >= 1")
     cur = [0] * (n + 1)
@@ -159,6 +168,7 @@ def lc_expansion(n: int, k: int) -> int:
 
     (-1)^k 2^k sum_i gamma(k,i) C(-n+k+1, i); needs n >= 1 and 0 <= k <= n-1.
     """
+    _require_int("lc_expansion", n, k)
     if n < 1 or k < 0 or n - k - 1 < 0:
         raise ValueError("lc_expansion: need n >= 1 and 0 <= k <= n-1")
     lo, _ = support(k)
@@ -176,6 +186,7 @@ def closed_forms(kmax: int) -> CheckResult:
 
     The last is checked in integers, cleared of its denominators.
     """
+    _require_int("closed_forms", kmax)
     for k in range(1, kmax + 1):
         checks = (
             ("gamma(k,k+2)=1", gamma_coeff(k, k + 2) == 1),
@@ -201,6 +212,7 @@ def closed_forms(kmax: int) -> CheckResult:
 
 def binomial_poly(m: int) -> Poly:
     """C(x, m) = x(x-1)...(x-m+1)/m! as a polynomial with Fraction coefficients."""
+    _require_int("binomial_poly", m)
     if m < 0:
         raise ValueError("binomial_poly: m must be nonnegative")
     from fractions import Fraction
@@ -214,6 +226,7 @@ def binomial_poly(m: int) -> Poly:
 def lemma_binomial_identity(a: int, b: int) -> CheckResult:
     """Verify C(x-b,2) C(x,a) = C(a+2,2) C(x,a+2) + (a+1)(a-b) C(x,a+1)
     + C(a-b,2) C(x,a) as an exact polynomial identity in x."""
+    _require_int("lemma_binomial_identity", a, b)
     if a < 0:
         raise ValueError("lemma_binomial_identity: a must be nonnegative")
     from fractions import Fraction

@@ -72,12 +72,6 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.powers + other.powers)
 
-    def remove_one(self, letter: Letter) -> "Monomial":
-        return Monomial(self.powers + ((letter, -1),))
-
-    def degree_of(self, letter: Letter) -> int:
-        return next((e for l, e in self.powers if l == letter), 0)
-
     def is_unit(self) -> bool:
         return not self.powers
 

@@ -240,12 +240,12 @@ def validate(p: LSPartition) -> CheckResult:
 
 
 def enumerate_partitions(n: int):
-    """Yield every valid partition of {1,1',...,n,n'} exactly once.
+    """An iterator over every valid partition of {1,1',...,n,n'}, each once.
 
     The partitions are the images under phi of the insertion codes of length
     n (codes.enumerate_codes); standard form holds by construction.  The
     codes are valid as built, so each is replayed without checking it again.
-    Guarded at n <= ENUM_LIMIT.
+    Guarded at n <= ENUM_LIMIT, and n is checked when the function is called.
     """
     _require_int("enumerate_partitions", n)
     if not 1 <= n <= ENUM_LIMIT:
@@ -253,8 +253,7 @@ def enumerate_partitions(n: int):
     # imported here because codes builds on this module
     from . import codes
 
-    for code in codes.enumerate_codes(n):
-        yield codes._replay(code)
+    return map(codes._replay, codes.enumerate_codes(n))
 
 
 def count_by_blocks(n: int) -> dict:

@@ -12,11 +12,13 @@ Setting z = 1 in js/jc recovers ls/lc.  Alongside the recurrences this module
 carries the independent routes to the same numbers (explicit alternating sum,
 vertical recurrence, generating-function products) and the identity checks
 that tie all routes together.  Each identity check is the last step of a
-sweep that builds index n from index n-1 by one more factor.
+sweep that builds index n from index n-1 by one more factor, and the
+explicit sum has a row sweep that advances each power by one factor per row.
 """
 from __future__ import annotations
 
 from math import comb, factorial
+from operator import mul
 
 from . import CheckResult, _last, _require_int
 from .algebra import Poly, Series, falling_basis, series_geom, series_mul
@@ -53,9 +55,6 @@ class Triangle:
             self._rows.append(row)
         return self._rows[n][k]
 
-    def row(self, n: int) -> list:
-        return [self.value(n, k) for k in range(n + 1)]
-
 
 ls_triangle = Triangle(lambda n, k: k * (k + 1), tag="ls")
 lc_triangle = Triangle(lambda n, k: n * (n - 1), tag="lc")
@@ -83,6 +82,24 @@ def jc(n: int, k: int) -> Poly:
     return jc_triangle.value(n, k)
 
 
+def _explicit_weights(k: int) -> list:
+    """The signed weights (-1)^(r+k) (2r+1) C(2k+1, k-r) of the explicit sum, r = 0..k."""
+    return [(-(2 * r + 1) if (r + k) & 1 else 2 * r + 1) * comb(2 * k + 1, k - r) for r in range(k + 1)]
+
+
+def _explicit(n: int, k: int, weights: list, powers: list) -> int:
+    """ls(n,k) as sum_r weights[r] powers[r] / (2k+1)!, where powers[r] = (r^2+r)^n.
+
+    powers may run past r = k; the sum stops with the weights.
+    """
+    total = sum(map(mul, weights, powers))
+    denominator = factorial(2 * k + 1)
+    quotient, remainder = divmod(total, denominator)
+    if remainder:
+        raise ArithmeticError(f"ls_explicit({n},{k}) is not an integer: {total}/{denominator}")
+    return quotient
+
+
 def ls_explicit(n: int, k: int) -> int:
     """ls(n,k) by the explicit alternating sum.
 
@@ -96,15 +113,21 @@ def ls_explicit(n: int, k: int) -> int:
     _require_int("ls_explicit", n, k)
     if n < 0 or k < 0:
         raise ValueError("ls_explicit: indices must be nonnegative")
-    total = 0
-    for r in range(k + 1):
-        term = (2 * r + 1) * (r * r + r) ** n * comb(2 * k + 1, k - r)
-        total += -term if (r + k) & 1 else term
-    denominator = factorial(2 * k + 1)
-    quotient, remainder = divmod(total, denominator)
-    if remainder:
-        raise ArithmeticError(f"ls_explicit({n},{k}) is not an integer: {total}/{denominator}")
-    return quotient
+    return _explicit(n, k, _explicit_weights(k), [(r * r + r) ** n for r in range(k + 1)])
+
+
+def _explicit_rows(nmax: int):
+    """Yield [ls_explicit(n, k) for k = 0..n] for n = 0..nmax.
+
+    Each k's weights are built once, and row n's powers (r^2+r)^n are row
+    n-1's times r^2+r, one multiplication per r.
+    """
+    weights, powers = [], []
+    for n in range(nmax + 1):
+        weights.append(_explicit_weights(n))
+        powers = [p * (r * r + r) for r, p in enumerate(powers)]
+        powers.append((n * n + n) ** n)
+        yield [_explicit(n, k, weights[k], powers) for k in range(n + 1)]
 
 
 def ls_vertical(n: int, j: int) -> int:

@@ -220,7 +220,9 @@ def test_verify_grammar_reports_the_first_wrong_power(capsys, monkeypatch):
 def _off_by_one_at(monkeypatch, at, *names):
     for name in names:
         real = getattr(triangles, name)
-        monkeypatch.setattr(triangles, name, lambda n, k, real=real: real(n, k) + (1 if (n, k) == at else 0))
+        monkeypatch.setattr(
+            triangles, name, lambda n, k, *rest, real=real: real(n, k, *rest) + (1 if (n, k) == at else 0)
+        )
 
 
 @pytest.mark.parametrize(
@@ -258,8 +260,9 @@ def _off_by_one_at(monkeypatch, at, *names):
         ),
         (
             # the other routes agree with the wrong value, so only the
-            # generating function of column 3 tells it from the truth
-            ("ls", "ls_explicit", "ls_vertical"),
+            # generating function of column 3 tells it from the truth; the
+            # explicit sum is spoiled in the formula its row sweep shares
+            ("ls", "_explicit", "ls_vertical"),
             (8, 3),
             [
                 "FAIL identities.four_way nmax=8 counterexample: k=3: coefficient of x^5 is 585536,"
@@ -276,6 +279,13 @@ def test_verify_identities_reports_the_first_wrong_index(capsys, monkeypatch, na
     rc, out, _ = run(capsys, "verify", "identities", "--nmax", "8")
     assert rc == 1
     assert re.sub(r" \d+\.\d+s", "", out).splitlines() == lines
+
+
+def test_verify_identities_sweeps_the_explicit_sum_by_rows(capsys, monkeypatch):
+    monkeypatch.setattr(triangles, "ls_explicit", lambda n, k: pytest.fail("ls_explicit was called"))
+    rc, out, _ = run(capsys, "verify", "identities", "--nmax", "40")
+    assert rc == 0
+    assert re.search(r"^ok   identities\.four_way nmax=40 ", out, flags=re.M)
 
 
 @pytest.mark.parametrize(
@@ -380,11 +390,22 @@ def test_gamma_rejects_an_empty_expansion_range(capsys, nmax):
 
 
 def test_gamma_checks_the_ode_route_for_every_k_it_reports(capsys, monkeypatch):
-    real = gamma.gamma_poly_via_ode
-    monkeypatch.setattr(gamma, "gamma_poly_via_ode", lambda k: real(k) + Poly((1 if k == 15 else 0,)))
+    # the step from gamma_14 spoils gamma_15 and every row after it
+    real = gamma.gamma_ode_step
+    monkeypatch.setattr(gamma, "gamma_ode_step", lambda p, m: real(p, m) + Poly((1 if m == 14 else 0,)))
     rc, out, _ = run(capsys, "gamma", "--kmax", "20")
     assert rc == 1
     assert "ode_rows_ok=False" in out
+
+
+def test_gamma_takes_one_ode_step_per_k(capsys, monkeypatch):
+    steps = []
+    real = gamma.gamma_ode_step
+    monkeypatch.setattr(gamma, "gamma_ode_step", lambda p, m: steps.append(m) or real(p, m))
+    rc, out, _ = run(capsys, "gamma", "--kmax", "20")
+    assert rc == 0
+    assert "ode_rows_ok=True" in out
+    assert steps == list(range(20))
 
 
 def test_gamma_checks_the_expansion_for_every_k_it_reports(capsys, monkeypatch):

@@ -339,15 +339,15 @@ def test_count_codes_agrees_with_exhaustive_enumeration():
 
 def test_enumerate_codes_guard():
     with pytest.raises(ValueError):
-        list(enumerate_codes(0))
+        enumerate_codes(0)
     with pytest.raises(ValueError):
-        list(enumerate_codes(99))
+        enumerate_codes(99)
 
 
 @pytest.mark.parametrize("n", [True, 3.0, "3", None])
 def test_enumerate_codes_rejects_a_non_int_length(n):
     with pytest.raises(ValueError, match="must be ints"):
-        list(enumerate_codes(n))
+        enumerate_codes(n)
 
 
 def test_enumerated_codes_are_distinct():

@@ -157,3 +157,38 @@ def test_binomial_poly_interpolates_binomial_coefficients():
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=-5, max_value=8))
 def test_quadratic_shift_identity_on_binomial_polynomials(a, b):
     assert lemma_binomial_identity(a, b)
+
+
+@pytest.mark.parametrize("bad", [2.5, "2", None, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: ls_binomial_expansion(v, 1),
+        lambda v: ls_binomial_expansion(2, v),
+        lambda v: ls_nested_sum(v, 1),
+        lambda v: ls_nested_sum(2, v),
+        lambda v: lc_expansion(v, 1),
+        lambda v: lc_expansion(3, v),
+        lambda v: lemma_binomial_identity(v, 0),
+        lambda v: lemma_binomial_identity(1, v),
+        gamma_poly_via_ode,
+        closed_forms,
+        binomial_poly,
+    ],
+    ids=[
+        "ls_binomial_expansion-n",
+        "ls_binomial_expansion-k",
+        "ls_nested_sum-n",
+        "ls_nested_sum-k",
+        "lc_expansion-n",
+        "lc_expansion-k",
+        "lemma_binomial_identity-a",
+        "lemma_binomial_identity-b",
+        "gamma_poly_via_ode",
+        "closed_forms",
+        "binomial_poly",
+    ],
+)
+def test_non_int_arguments_raise_value_error(call, bad):
+    with pytest.raises(ValueError, match="must be ints"):
+        call(bad)

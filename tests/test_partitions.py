@@ -293,8 +293,8 @@ def test_a_partition_survives_pickle_copy_and_match():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: list(enumerate_partitions(2.5)),
-        lambda: list(enumerate_partitions(True)),
+        lambda: enumerate_partitions(2.5),
+        lambda: enumerate_partitions(True),
         lambda: count_by_blocks("3"),
         lambda: js_brute(3, "a"),
         lambda: js_brute(3.0, 1),
@@ -459,9 +459,9 @@ def test_enumeration_matches_definition_level_brute_force():
 
 def test_enumeration_limit_guard():
     with pytest.raises(ValueError):
-        list(enumerate_partitions(ENUM_LIMIT + 1))
+        enumerate_partitions(ENUM_LIMIT + 1)
     with pytest.raises(ValueError):
-        list(enumerate_partitions(0))
+        enumerate_partitions(0)
 
 
 # -- zero-box statistic --------------------------------------------------------------

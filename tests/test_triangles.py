@@ -19,7 +19,6 @@ from lstirling.triangles import (
     lc,
     ls,
     ls_explicit,
-    ls_triangle,
     ls_vertical,
     vertical_gf_check,
 )
@@ -65,7 +64,6 @@ JC_ROWS = {
 def test_ls_matches_frozen_rows():
     for n, row in LS_ROWS.items():
         assert [ls(n, k) for k in range(n + 1)] == row
-        assert ls_triangle.row(n) == row
 
 
 def test_lc_matches_frozen_rows():
@@ -110,11 +108,19 @@ def test_explicit_sum_agrees_with_recurrence():
             assert ls_explicit(n, k) == ls_explicit_by_fractions(n, k) == ls(n, k)
 
 
+def test_explicit_rows_match_the_per_call_sum():
+    rows = list(triangles._explicit_rows(30))
+    assert [len(row) for row in rows] == list(range(1, 32))
+    assert all(row[k] == ls_explicit(n, k) for n, row in enumerate(rows) for k in range(n + 1))
+
+
 def test_explicit_sum_raises_when_the_division_is_inexact(monkeypatch):
     # (2k+1)! + 1 no longer divides the integer sum: the guard must fire
     monkeypatch.setattr(triangles, "factorial", lambda m: math.factorial(m) + 1)
     with pytest.raises(ArithmeticError, match="not an integer"):
         ls_explicit(5, 2)
+    with pytest.raises(ArithmeticError, match=r"ls_explicit\(0,0\) is not an integer"):
+        next(triangles._explicit_rows(5))
 
 
 def test_vertical_recurrence_agrees_with_recurrence():
