@@ -14,6 +14,8 @@ import sys
 from itertools import zip_longest
 from math import comb
 
+from . import _require_int
+
 
 class _MinusInfinity:
     """Degree of the zero polynomial.  Compares below every integer."""
@@ -58,8 +60,14 @@ def binomial(n: int, k: int) -> int:
     >>> binomial(2, 5)
     0
     """
+    _require_int("binomial", n, k)
     if k < 0:
         raise ValueError(f"binomial: lower index must be nonnegative, got {k}")
+    return _binomial(n, k)
+
+
+def _binomial(n: int, k: int) -> int:
+    # binomial without the checks, for int indices with k >= 0 by construction
     if n >= 0:
         return comb(n, k)
     return (-1) ** k * comb(k - n - 1, k)
@@ -261,6 +269,7 @@ def falling_basis(k: int) -> Poly:
     >>> falling_basis(2) == Poly((Poly(()), Poly((-1, -1)), 1))
     True
     """
+    _require_int("falling_basis", k)
     if k < 0:
         raise ValueError("falling_basis: k must be nonnegative")
     out = Poly((1,))
@@ -302,6 +311,12 @@ def series_geom(r: int, order: int) -> Series:
     >>> series_geom(1, 3).coeffs == (1, 2, 4, 8)
     True
     """
+    _require_int("series_geom", r, order)
+    return _series_geom(r, order)
+
+
+def _series_geom(r: int, order: int) -> Series:
+    # series_geom without the check, for int arguments by construction
     ratio = r * (r + 1)
     return Series((ratio ** j for j in range(order + 1)), order)
 

@@ -262,17 +262,16 @@ def _verify_bijection(nmax: int) -> list:
         return f"{codes.render_code(code)}: {err}" if err else codes.render_code(code)
 
     def round_trip(n):
-        # each code is replayed unchecked; phi_inverse validates the image
-        # and returns only legal codes, so phi_inverse(p) == code shows that
-        # the code equals a legal one, its image is a valid partition and phi
-        # has a left inverse; with ls(n,k) images of k boxes for each k, phi
-        # is a bijection
+        # the walk builds each code's image unchecked; phi_inverse validates
+        # the image and returns only legal codes, so phi_inverse(p) == code
+        # shows that the code equals a legal one, its image is a valid
+        # partition and phi has a left inverse; with ls(n,k) images of k
+        # boxes for each k, phi is a bijection
         by_k: dict = {}
-        for code in codes.enumerate_codes(n):
+        for code, p in codes._walk(n):
             try:
-                p = codes._replay(code)
                 back = codes.phi_inverse(p)
-            except (IndexError, TypeError, ValueError) as err:
+            except ValueError as err:
                 yield CheckResult(False, failure(code, err))
                 return
             if back != code:
@@ -441,11 +440,15 @@ def _read_source(seq_id: str, source: str | None) -> str:
         source = f"https://oeis.org/{seq_id}/b{seq_id[1:]}.txt"
     if re.match(r"https?://", source):
         # imported here: the network path is rare, and urllib is slow to import
+        import hashlib
         import http.client
         import urllib.request
 
         cache_dir = Path(os.environ.get(CACHE_ENV, Path.home() / ".cache" / "lstirling"))
-        cache_file = cache_dir / source.rstrip("/").rsplit("/", 1)[-1]
+        # keyed by the whole URL, so two URLs with one basename never share an
+        # entry; the basename stays readable after the hash
+        key = hashlib.sha256(source.encode()).hexdigest()[:16]
+        cache_file = cache_dir / f"{key}-{source.rstrip('/').rsplit('/', 1)[-1]}"
         if cache_file.exists():
             return cache_file.read_text()
         try:

@@ -14,6 +14,12 @@ index of each value's two copies.  Codes of length n with k X symbols are counte
 a non-X step taken with t pair boxes available has t(t-1) + 2t = t^2 + t
 choices, which is where the factor k(k+1) of the triangle recurrence lives.
 
+The codes form a prefix tree, and the partition of a code is the partition
+of its prefix plus one insertion.  Every enumeration (enumerate_codes,
+partitions.enumerate_partitions, the bijection and zero-box sweeps) reads
+one depth-first walk of that tree, _walk, which builds each node's
+partition from its parent's; phi stays the path for a single code.
+
 Symbols are plain tuples: ("X",), ("A", i, j), ("B", s), ("Bb", s); box
 indices are ints, never bools.
 """
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import itemgetter
 
 from . import CheckResult, _require_int
 from .partitions import ENUM_LIMIT, LSPartition, _code_of, validate
@@ -152,8 +159,8 @@ _PAIRS = _element_pairs(64)
 
 
 def _replay(code) -> LSPartition:
-    # phi without the check, for codes valid by construction or whose image
-    # phi_inverse checks
+    # phi without the check, for one code; _walk builds the same images for a
+    # whole enumeration
     n = len(code)
     pairs = _PAIRS if n <= len(_PAIRS) else _element_pairs(n)
     boxes: list = []
@@ -190,36 +197,59 @@ def phi_inverse(p: LSPartition):
 
 
 @lru_cache(maxsize=None)
-def _legal_non_x(t: int) -> tuple:
-    """The non-X symbols allowed with t pair boxes open, in enumeration order."""
-    out = [A(i, j) for i in range(1, t + 1) for j in range(1, t + 1) if i != j]
-    out.extend(B(s) for s in range(1, t + 1))
-    out.extend(Bb(s) for s in range(1, t + 1))
+def _insertions(t: int) -> tuple:
+    """The non-X steps allowed with t pair boxes open, in enumeration order.
+
+    Each is (symbol, slot of the plain copy, slot of the barred copy), where
+    slot s >= 1 is nonzero box s and slot 0 the zero box.
+    """
+    out = [(A(i, j), i, j) for i in range(1, t + 1) for j in range(1, t + 1) if i != j]
+    out.extend((B(s), s, 0) for s in range(1, t + 1))
+    out.extend((Bb(s), 0, s) for s in range(1, t + 1))
     return tuple(out)
+
+
+def _walk(n: int):
+    """(code, phi(code)) for every code of length n, in enumeration order.
+
+    A depth-first walk of the code tree, X before the non-X steps in
+    _insertions order.  A node's boxes are its parent's plus one insertion:
+    the boxes the step does not touch are shared, and the unions a parent's
+    children need (each box with the new value's plain copy, and with its
+    barred copy) are made once per parent.  Unguarded: callers check n.
+    """
+    pairs = _element_pairs(n)
+    # nodes still to visit, each (code, [zero box, box 1, ..., box t])
+    stack = [((), [frozenset()])]
+    while stack:
+        code, slots = stack.pop()
+        plain, barred = pairs[len(code)]
+        with_plain = [box | {plain} for box in slots]
+        with_barred = [box | {barred} for box in slots]
+        children = [(code + (X,), slots + [frozenset((plain, barred))])]
+        for sym, a, b in _insertions(len(slots) - 1):
+            child = slots.copy()
+            child[a] = with_plain[a]
+            child[b] = with_barred[b]
+            children.append((code + (sym,), child))
+        if len(code) < n - 1:
+            # reversed, so that the first child is popped first
+            stack.extend(reversed(children))
+        else:
+            for leaf, child in children:
+                yield leaf, LSPartition(n, tuple(child[1:]), child[0])
 
 
 def enumerate_codes(n: int):
     """An iterator over every valid code of length n; guarded at n <= ENUM_LIMIT.
 
-    n is checked when the function is called, before anything is iterated.
+    The codes of _walk, in its order.  n is checked when the function is
+    called, before anything is iterated.
     """
     _require_int("enumerate_codes", n)
     if not 1 <= n <= ENUM_LIMIT:
         raise ValueError(f"enumerate_codes: n must be in 1..{ENUM_LIMIT}, got {n}")
-
-    def extend(code, t):
-        # code has fewer than n symbols; the last level yields the leaves
-        # itself instead of recursing once per leaf
-        if len(code) == n - 1:
-            yield code + (X,)
-            for sym in _legal_non_x(t):
-                yield code + (sym,)
-            return
-        yield from extend(code + (X,), t + 1)
-        for sym in _legal_non_x(t):
-            yield from extend(code + (sym,), t)
-
-    return iter([(X,)]) if n == 1 else extend((X,), 1)
+    return map(itemgetter(0), _walk(n))
 
 
 def count_codes(n: int, k: int) -> int:

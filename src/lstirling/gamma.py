@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import CheckResult, _last, _require_int
-from .algebra import Poly, binomial
+from .algebra import Poly, _binomial
 
 
 def support(k: int) -> tuple:
@@ -140,7 +140,7 @@ def ls_binomial_expansion(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("ls_binomial_expansion: indices must be nonnegative")
     lo, _ = support(k)
-    return 2 ** k * sum(c * binomial(n + k + 1, i) for i, c in enumerate(gamma_row(k), start=lo))
+    return 2 ** k * sum(c * _binomial(n + k + 1, i) for i, c in enumerate(gamma_row(k), start=lo))
 
 
 def ls_nested_sum(n: int, k: int) -> int:
@@ -154,11 +154,11 @@ def ls_nested_sum(n: int, k: int) -> int:
         raise ValueError("ls_nested_sum: need n >= 1 and k >= 1")
     cur = [0] * (n + 1)
     for t in range(1, n + 1):
-        cur[t] = cur[t - 1] + binomial(t + 1, 2)
+        cur[t] = cur[t - 1] + _binomial(t + 1, 2)
     for _ in range(k - 1):
         nxt = [0] * (n + 1)
         for t in range(1, n + 1):
-            nxt[t] = nxt[t - 1] + binomial(t + 1, 2) * cur[t]
+            nxt[t] = nxt[t - 1] + _binomial(t + 1, 2) * cur[t]
         cur = nxt
     return 2 ** k * cur[n]
 
@@ -172,7 +172,7 @@ def lc_expansion(n: int, k: int) -> int:
     if n < 1 or k < 0 or n - k - 1 < 0:
         raise ValueError("lc_expansion: need n >= 1 and 0 <= k <= n-1")
     lo, _ = support(k)
-    s = sum(c * binomial(-n + k + 1, i) for i, c in enumerate(gamma_row(k), start=lo))
+    s = sum(c * _binomial(-n + k + 1, i) for i, c in enumerate(gamma_row(k), start=lo))
     return (-1) ** k * 2 ** k * s
 
 
@@ -234,9 +234,9 @@ def lemma_binomial_identity(a: int, b: int) -> CheckResult:
     xb = Poly((Fraction(-b), Fraction(1)))
     lhs = xb * (xb - 1) * Fraction(1, 2) * binomial_poly(a)
     rhs = (
-        binomial_poly(a + 2) * binomial(a + 2, 2)
+        binomial_poly(a + 2) * _binomial(a + 2, 2)
         + binomial_poly(a + 1) * ((a + 1) * (a - b))
-        + binomial_poly(a) * binomial(a - b, 2)
+        + binomial_poly(a) * _binomial(a - b, 2)
     )
     if lhs == rhs:
         return CheckResult(True)

@@ -20,7 +20,7 @@ D^n once, from D^(n-1), and checks it against its triangle row n.
 """
 from __future__ import annotations
 
-from . import CheckResult, _FrozenRecord, _last
+from . import CheckResult, _FrozenRecord, _last, _require_int
 from .algebra import Poly
 from .triangles import Triangle, jc, js
 
@@ -264,6 +264,7 @@ def _stirling2_sweep(nmax: int):
 
 def check_stirling2(n: int) -> CheckResult:
     """Grammar {x -> xy, y -> y}: D^n(x) = x sum_k S(n,k) y^k."""
+    _require_int("check_stirling2", n)
     return _last(n, _stirling2_sweep(n))
 
 
@@ -289,6 +290,7 @@ def check_stirling1(n: int) -> CheckResult:
     The squared letter is named w to keep it distinct from the coefficient
     variable z; the unsigned Stirling numbers of the first kind appear.
     """
+    _require_int("check_stirling1", n)
     return _last(n, _stirling1_sweep(n))
 
 
@@ -321,11 +323,18 @@ def _js_sweep(nmax: int):
 
 def check_js_grammar(n: int) -> CheckResult:
     """D^n(a_0) = sum_k js(n,k)(z) a_k b^C(k,2) c^k under the js grammar."""
+    _require_int("check_js_grammar", n)
     return _last(n, _js_sweep(n))
 
 
 def jc_grammar(k: int) -> Grammar:
     """Step-k rules a -> (k-1)(k-1+z) a, b_j -> b_{j+1}; one grammar per step."""
+    _require_int("jc_grammar", k)
+    return _jc_grammar(k)
+
+
+def _jc_grammar(k: int) -> Grammar:
+    # jc_grammar without the check, for the int steps of _jc_sweep
     coeff = Poly(((k - 1) ** 2, k - 1))
 
     def rule(letter: Letter):
@@ -344,10 +353,11 @@ def _jc_sweep(nmax: int):
     def term(n, k):
         return Monomial.of((a, 1), (Letter("b", k), 1)), jc(n, k)
 
-    return _sweep(nmax, FormalPoly.term(Monomial.of((a, 1), (Letter("b", 0), 1))), jc_grammar, term, "result")
+    return _sweep(nmax, FormalPoly.term(Monomial.of((a, 1), (Letter("b", 0), 1))), _jc_grammar, term, "result")
 
 
 def check_jc_grammar(n: int) -> CheckResult:
     """D_n ... D_1(a b_0) = a sum_k jc(n,k)(z) b_k under the per-step grammars."""
+    _require_int("check_jc_grammar", n)
     return _last(n, _jc_sweep(n))
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import itemgetter
 
 from . import CheckResult, _FrozenRecord, _require_int
 from .algebra import Poly
@@ -242,10 +243,10 @@ def validate(p: LSPartition) -> CheckResult:
 def enumerate_partitions(n: int):
     """An iterator over every valid partition of {1,1',...,n,n'}, each once.
 
-    The partitions are the images under phi of the insertion codes of length
-    n (codes.enumerate_codes); standard form holds by construction.  The
-    codes are valid as built, so each is replayed without checking it again.
-    Guarded at n <= ENUM_LIMIT, and n is checked when the function is called.
+    The partitions of codes._walk: the images under phi of the insertion
+    codes of length n, in their order, each built from its prefix's partition
+    by one insertion; standard form holds by construction.  Guarded at
+    n <= ENUM_LIMIT, and n is checked when the function is called.
     """
     _require_int("enumerate_partitions", n)
     if not 1 <= n <= ENUM_LIMIT:
@@ -253,7 +254,7 @@ def enumerate_partitions(n: int):
     # imported here because codes builds on this module
     from . import codes
 
-    return map(codes._replay, codes.enumerate_codes(n))
+    return map(itemgetter(1), codes._walk(n))
 
 
 def count_by_blocks(n: int) -> dict:

@@ -169,6 +169,12 @@ class ConjectureResult(_Record):
 
 def expected_pattern(k: int) -> list:
     """Ascending source tags of the conjectured merged root order."""
+    _require_int("expected_pattern", k)
+    return _expected_pattern(k)
+
+
+def _expected_pattern(k: int) -> list:
+    # expected_pattern without the check, for the int k of _induction
     return ["s", "r"] * (k - 1) + ["s", "s"] + ["r", "s"] * (k - 1)
 
 
@@ -241,7 +247,7 @@ def _induction(kmax: int):
     p_r, cert_r = q_poly(1), RootCertificate(1, 0, True, [])
     for k in range(1, kmax + 1):
         p_s = q_poly(k + 1)
-        expected = " ".join(expected_pattern(k))
+        expected = " ".join(_expected_pattern(k))
         # the step refines its own copy, so the certificate yielded before
         # keeps the intervals it was yielded with
         ivs = list(cert_r.intervals)

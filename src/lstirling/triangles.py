@@ -21,7 +21,7 @@ from math import comb, factorial
 from operator import mul
 
 from . import CheckResult, _last, _require_int
-from .algebra import Poly, Series, falling_basis, series_geom, series_mul
+from .algebra import Poly, Series, _series_geom, falling_basis, series_mul
 
 
 class Triangle:
@@ -164,6 +164,7 @@ def _horizontal_ls_sweep(nmax: int):
 
 def horizontal_identity_ls(n: int) -> CheckResult:
     """Check x^n = sum_k ls(n,k) x(x-2)(x-6)...(x-(k-1)k) by exact expansion."""
+    _require_int("horizontal_identity_ls", n)
     return _last(n, _horizontal_ls_sweep(n))
 
 
@@ -175,7 +176,7 @@ def _vertical_gf_sweep(kmax: int, nmax: int):
     """
     prod = None
     for k in range(1, kmax + 1):
-        geom = series_geom(k, nmax - k)
+        geom = _series_geom(k, nmax - k)
         prod = geom if prod is None else series_mul(Series(prod.coeffs, geom.order), geom)
         yield next(
             (
@@ -189,6 +190,7 @@ def _vertical_gf_sweep(kmax: int, nmax: int):
 
 def vertical_gf_check(k: int, order: int) -> CheckResult:
     """Check prod_{r=1..k} 1/(1 - r(r+1)x) = sum_m ls(m+k,k) x^m up to x^order."""
+    _require_int("vertical_gf_check", k, order)
     if k < 1:
         raise ValueError("vertical_gf_check: k must be at least 1")
     return _last(k, _vertical_gf_sweep(k, order + k))
@@ -207,6 +209,7 @@ def _horizontal_js_sweep(nmax: int):
 
 def horizontal_identity_js(n: int) -> CheckResult:
     """Check x^n = sum_k js(n,k)(z) prod_{i<k} (x - i(z+i)) over Z[z]."""
+    _require_int("horizontal_identity_js", n)
     return _last(n, _horizontal_js_sweep(n))
 
 
@@ -221,4 +224,5 @@ def _jc_product_sweep(nmax: int):
 
 def jc_defining_product(n: int) -> CheckResult:
     """Check prod_{i<n} (x + i(z+i)) = sum_k jc(n,k)(z) x^k over Z[z]."""
+    _require_int("jc_defining_product", n)
     return _last(n, _jc_product_sweep(n))

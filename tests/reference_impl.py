@@ -14,6 +14,11 @@ reads only the sign of the polynomial at the midpoint.
 `Fraction` term at a time, where `triangles.ls_explicit` sums integers over
 the single denominator (2k+1)!.
 
+`codes_level_by_level` lists the codes of length n by extending every code
+of each length by every allowed symbol, X first, then A(i,j), B(s) and Bb(s)
+in index order; `codes._walk` walks the same tree depth first and builds
+each partition from its parent's.
+
 `validate_code_rule_by_rule` tries the code rules on each symbol in the order
 of their messages, with `isinstance` tests, and `parse_code_by_scanning`
 matches one token at a time and builds each symbol through the checked
@@ -55,6 +60,21 @@ from lstirling.algebra import Poly
 from lstirling.codes import A, B, Bb, X
 from lstirling.partitions import LSPartition, render_element
 from lstirling.triangles import CheckResult
+
+
+def codes_level_by_level(n: int) -> list:
+    """Every code of length n in enumeration order, one whole level at a time."""
+    level = [((X,), 1)]  # (code, boxes opened)
+    for _ in range(n - 1):
+        level = [
+            (code + (sym,), t + (sym == X))
+            for code, t in level
+            for sym in [X]
+            + [A(i, j) for i in range(1, t + 1) for j in range(1, t + 1) if i != j]
+            + [B(s) for s in range(1, t + 1)]
+            + [Bb(s) for s in range(1, t + 1)]
+        ]
+    return [code for code, _ in level]
 
 
 def validate_code_rule_by_rule(code) -> CheckResult:

@@ -160,7 +160,8 @@ def test_verify_rejects_an_empty_range(capsys, suite, nmax):
 def test_verify_bijection_reports_an_invalid_image(capsys, monkeypatch):
     # every image has two copies of 1 in the zero box, which validate rejects
     bad = LSPartition(1, (), frozenset({(1, False), (1, True)}))
-    monkeypatch.setattr(codes, "_replay", lambda code: bad)
+    walk = codes._walk
+    monkeypatch.setattr(codes, "_walk", lambda n: ((code, bad) for code, _ in walk(n)))
     rc, out, _ = run(capsys, "verify", "bijection", "--nmax", "3")
     assert rc == 1
     fail = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -171,15 +172,17 @@ def test_verify_bijection_reports_an_invalid_image(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "code,detail",
     [
-        # box 2 is used with one box open: the replay indexes past the boxes
+        # box 2 is used with one box open
         ((codes.X, ("A", 1, 2)), "X,A(1,2): invalid code (position 2: box index 2 exceeds the 1 boxes opened)"),
-        # box 0 replays into the last box without an error, and comes back as B(1)
+        # box 0 names no box (a replay would put the copy in the last box, as B(1))
         ((codes.X, ("B", 0)), "X,B(0): invalid code (position 2: box index 0 exceeds the 1 boxes opened)"),
     ],
 )
 def test_verify_bijection_reports_an_illegal_code(capsys, monkeypatch, code, detail):
-    # the sweep replays codes unchecked; an illegal one must fail, not raise
-    monkeypatch.setattr(codes, "enumerate_codes", lambda n: iter([code]))
+    # the sweep trusts the walk's codes; an illegal one, even with a valid
+    # image, must fail by name, not raise
+    image = codes.phi((codes.X, codes.B(1)))
+    monkeypatch.setattr(codes, "_walk", lambda n: iter([(code, image)]))
     rc, out, _ = run(capsys, "verify", "bijection", "--nmax", "2")
     assert rc == 1
     fail = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -808,12 +811,36 @@ def test_oeis_fetch_passes_a_timeout_and_caches_the_file(capsys, monkeypatch, ca
     assert rc == 0
     assert "match" in out
     assert calls == [(FIXTURE_URL, FETCH_TIMEOUT_S)]
-    assert [p.name for p in cache_dir.iterdir()] == ["b025035.txt"]
-    assert (cache_dir / "b025035.txt").read_bytes() == body
+    name = hashlib.sha256(FIXTURE_URL.encode()).hexdigest()[:16] + "-b025035.txt"
+    assert [p.name for p in cache_dir.iterdir()] == [name]
+    assert (cache_dir / name).read_bytes() == body
     # a second run reads the cache and does not fetch again
     rc, _, _ = run(capsys, "oeis", "A025035", "--count", "12")
     assert rc == 0
     assert len(calls) == 1
+
+
+def test_oeis_cache_keeps_apart_two_urls_with_one_basename(capsys, monkeypatch, cache_dir):
+    # a mirror serving another file under the same b-file name must not be
+    # answered from the first URL's cache entry, nor overwrite it
+    mirror = "https://mirror.example/A025035/b025035.txt"
+    bodies = {FIXTURE_URL: (FIXTURES / "b025035.txt").read_bytes(), mirror: b"1 1\n2 11\n"}
+    calls = []
+
+    def fake_urlopen(url, timeout=None):
+        calls.append(url)
+        return io.BytesIO(bodies[url])
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    rc, _, _ = run(capsys, "oeis", "A025035", "--count", "2")
+    assert rc == 0
+    rc, out, _ = run(capsys, "oeis", "A025035", "--source", mirror, "--count", "2")
+    assert rc == 1 and out.startswith("FAIL A025035 index 2: b-file 11")
+    assert calls == [FIXTURE_URL, mirror]
+    assert sorted(p.read_bytes() for p in cache_dir.iterdir()) == sorted(bodies.values())
+    # each URL is answered from its own entry
+    rc, _, _ = run(capsys, "oeis", "A025035", "--count", "2")
+    assert rc == 0 and len(calls) == 2
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,12 @@ import re
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_impl import parse_code_by_scanning, phi_inverse_by_scanning, validate_code_rule_by_rule
+from reference_impl import (
+    codes_level_by_level,
+    parse_code_by_scanning,
+    phi_inverse_by_scanning,
+    validate_code_rule_by_rule,
+)
 from strategies import JSON_LIKE
 
 from lstirling import codes
@@ -23,7 +28,7 @@ from lstirling.codes import (
     render_code,
     validate_code,
 )
-from lstirling.partitions import enumerate_partitions
+from lstirling.partitions import ENUM_LIMIT, enumerate_partitions
 from lstirling.triangles import ls
 
 WORKED_TEXT = "X,X,A(2,1),B(2),Bb(1)"
@@ -310,6 +315,13 @@ def test_enumeration_order_of_codes_is_stable():
         for code in enumerate_codes(n):
             digest.update(render_code(code).encode() + b"\n")
     assert digest.hexdigest() == "6f4bdaccc20cacd56eeeaf1e9a7d1d5560510bc5e3bc86fbc17006e33223cc07"
+
+
+@pytest.mark.parametrize("n", range(1, ENUM_LIMIT + 1))
+def test_the_walk_yields_each_code_with_its_image_under_phi(n):
+    # every image the enumeration sweeps read is phi's, and the codes come in
+    # the order that test_enumeration_order_of_codes_is_stable pins
+    assert list(codes._walk(n)) == [(code, phi(code)) for code in codes_level_by_level(n)]
 
 
 def test_enumerated_codes_are_valid_and_counted_by_x_symbols():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from reference_impl import ls_explicit_by_fractions
 
-from lstirling import CheckResult, triangles
+from lstirling import CheckResult, algebra, grammar, realroots, triangles
 from lstirling.algebra import Poly
 from lstirling.codes import count_codes
 from lstirling.gamma import gamma_coeff, gamma_row, support
@@ -166,6 +166,33 @@ def test_vertical_recurrence_rejects_out_of_range_column():
     ],
 )
 def test_non_int_arguments_raise_value_error(call, bad):
+    with pytest.raises(ValueError, match="must be ints"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", ["2", 2.5, None, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda v: algebra.binomial(v, 1), id="binomial-n"),
+        pytest.param(lambda v: algebra.binomial(4, v), id="binomial-k"),
+        pytest.param(algebra.falling_basis, id="falling_basis"),
+        pytest.param(lambda v: algebra.series_geom(v, 3), id="series_geom-r"),
+        pytest.param(lambda v: algebra.series_geom(2, v), id="series_geom-order"),
+        pytest.param(grammar.check_stirling1, id="check_stirling1"),
+        pytest.param(grammar.check_stirling2, id="check_stirling2"),
+        pytest.param(grammar.check_js_grammar, id="check_js_grammar"),
+        pytest.param(grammar.check_jc_grammar, id="check_jc_grammar"),
+        pytest.param(grammar.jc_grammar, id="jc_grammar"),
+        pytest.param(realroots.expected_pattern, id="expected_pattern"),
+        pytest.param(horizontal_identity_ls, id="horizontal_identity_ls"),
+        pytest.param(horizontal_identity_js, id="horizontal_identity_js"),
+        pytest.param(jc_defining_product, id="jc_defining_product"),
+        pytest.param(lambda v: vertical_gf_check(v, 5), id="vertical_gf_check-k"),
+        pytest.param(lambda v: vertical_gf_check(2, v), id="vertical_gf_check-order"),
+    ],
+)
+def test_index_only_functions_reject_a_non_int_with_value_error(call, bad):
     with pytest.raises(ValueError, match="must be ints"):
         call(bad)
 
