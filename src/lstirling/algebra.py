@@ -5,16 +5,19 @@ Everything in this module is exact.  Integers are Python ints, rationals are
 floating point anywhere.  `Poly` is a dense univariate polynomial whose
 coefficients may be ints, Fractions, or again `Poly` values; the nested form
 gives polynomials in x over Z[z], which is all the bivariate structure the
-rest of the package needs.  `fractions` is imported only where a Fraction is
-built, so integer-only work such as a table never loads it.
+rest of the package needs.  A Poly is falsy exactly when it is zero, and
+Poly and Series products run through the one product loop `_convolve`.
+`fractions` is imported only where a Fraction is built, so integer-only work
+such as a table never loads it.
 """
 from __future__ import annotations
 
 import sys
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import comb
+from operator import mul
 
-from . import _require_int
+from . import _last, _require_int
 
 
 class _MinusInfinity:
@@ -73,8 +76,36 @@ def _binomial(n: int, k: int) -> int:
     return (-1) ** k * comb(k - n - 1, k)
 
 
-def _is_zero_coeff(c) -> bool:
-    return c.is_zero() if isinstance(c, Poly) else c == 0
+def _coeff_list(where: str, coeffs) -> list:
+    """coeffs read once into a new list; ValueError when it is not iterable.
+
+    An exact tuple is read as it is, and for anything else only iter() is
+    guarded, so an error raised while an iterable is read reaches the caller
+    unchanged.
+    """
+    if coeffs.__class__ is not tuple:
+        try:
+            coeffs = iter(coeffs)
+        except TypeError:
+            raise ValueError(f"{where}: coefficients must be iterable, got {coeffs!r}") from None
+    return list(coeffs)
+
+
+def _convolve(a, b, size: int) -> list:
+    """The first size coefficients of the product of the sequences a and b.
+
+    The module's one product loop, for Poly and Series alike.  A zero
+    coefficient of a is skipped, and each term is added as out[j] + x * y,
+    so an int 0 slot takes a Poly term through Poly.__radd__.  For a Poly
+    product the slice of b is all of b, which a tuple returns uncopied.
+    """
+    out = [0] * size
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b[: size - i], i):
+            out[j] = out[j] + x * y
+    return out
 
 
 def _is_scalar(c) -> bool:
@@ -89,9 +120,10 @@ def _is_scalar(c) -> bool:
 class Poly:
     """Dense polynomial, constant coefficient first, trailing zeros trimmed.
 
-    The zero polynomial is the empty coefficient tuple and its degree is the
-    NEG_INF marker, never a plain integer.  Arithmetic works for any
-    coefficient ring closed under + and *: ints, Fractions, or Poly itself.
+    The zero polynomial is the empty coefficient tuple, the one falsy Poly,
+    and its degree is the NEG_INF marker, never a plain integer.  Arithmetic
+    works for any coefficient ring closed under + and *: ints, Fractions, or
+    Poly itself; every coefficient is zero exactly when it is falsy.
 
     >>> p = Poly([-1, 0, 1])
     >>> p.render()
@@ -105,12 +137,15 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and _is_zero_coeff(cs[-1]):
+        cs = _coeff_list("Poly", coeffs)
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
     # -- structure ---------------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -157,15 +192,9 @@ class Poly:
             if not _is_scalar(other):
                 return NotImplemented
             return Poly(c * other for c in self.coeffs)
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if _is_zero_coeff(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        a, b = self.coeffs, other.coeffs
+        # a zero factor leaves every slot 0, and the trim takes them all
+        return Poly(_convolve(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -182,7 +211,7 @@ class Poly:
     def __divmod__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         from fractions import Fraction
 
@@ -191,7 +220,7 @@ class Poly:
         d = len(other.coeffs)
         quo = [Fraction(0)] * max(0, len(rem) - d + 1)
         while True:
-            while rem and _is_zero_coeff(rem[-1]):
+            while rem and not rem[-1]:
                 rem.pop()
             if len(rem) < d:
                 break
@@ -230,11 +259,11 @@ class Poly:
 
     def render(self, var: str = "x", inner_var: str = "z") -> str:
         """Human-readable form, ascending powers: '1+8x+10x^2'."""
-        if self.is_zero():
+        if not self.coeffs:
             return "0"
         parts = []
         for e, c in enumerate(self.coeffs):
-            if _is_zero_coeff(c):
+            if not c:
                 continue
             if isinstance(c, Poly):
                 cs = f"({c.render(inner_var)})"
@@ -272,10 +301,12 @@ def falling_basis(k: int) -> Poly:
     _require_int("falling_basis", k)
     if k < 0:
         raise ValueError("falling_basis: k must be nonnegative")
-    out = Poly((1,))
-    for i in range(k):
-        out = out * Poly((Poly((-i * i, -i)), 1))
-    return out
+    return _last(k, _falling_bases(k))
+
+
+def _falling_bases(kmax: int):
+    """Yield falling_basis(k) for k = 0..kmax, each one factor x - i(z+i) on the one before."""
+    return accumulate((Poly((Poly((-i * i, -i)), 1)) for i in range(kmax)), mul, initial=Poly((1,)))
 
 
 class Series:
@@ -289,9 +320,10 @@ class Series:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order: int):
+        _require_int("Series", order)
         if order < 0:
             raise ValueError("Series: order must be nonnegative")
-        cs = list(coeffs)[: order + 1]
+        cs = _coeff_list("Series", coeffs)[: order + 1]
         cs.extend([0] * (order + 1 - len(cs)))
         self.coeffs = tuple(cs)
         self.order = order
@@ -323,13 +355,8 @@ def _series_geom(r: int, order: int) -> Series:
 
 def series_mul(a: Series, b: Series) -> Series:
     """Product truncated at the common order."""
+    if not (isinstance(a, Series) and isinstance(b, Series)):
+        raise ValueError(f"series_mul: operands must be Series, got {a!r} and {b!r}")
     if a.order != b.order:
         raise ValueError("series_mul: operands must share the truncation order")
-    n = a.order
-    out = [0] * (n + 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for j in range(n + 1 - i):
-            out[i + j] += ca * b.coeffs[j]
-    return Series(out, n)
+    return Series(_convolve(a.coeffs, b.coeffs, a.order + 1), a.order)

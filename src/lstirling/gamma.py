@@ -187,6 +187,8 @@ def closed_forms(kmax: int) -> CheckResult:
     The last is checked in integers, cleared of its denominators.
     """
     _require_int("closed_forms", kmax)
+    if kmax < 1:
+        raise ValueError("closed_forms: kmax must be at least 1")
     for k in range(1, kmax + 1):
         checks = (
             ("gamma(k,k+2)=1", gamma_coeff(k, k + 2) == 1),

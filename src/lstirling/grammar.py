@@ -112,7 +112,7 @@ class FormalPoly:
         for mono, coeff in items:
             prev = acc.get(mono)
             coeff = _zpoly(coeff) if prev is None else prev + coeff
-            if coeff.is_zero():
+            if not coeff:
                 acc.pop(mono, None)
             else:
                 acc[mono] = coeff

@@ -66,7 +66,8 @@ def refine_interval(p: Poly, interval):
     the root is boxed at half the distance to the nearer endpoint.
     """
     lo, hi = interval
-    mid = (lo + hi) / 2
+    # exact for int endpoints too, so no float is ever formed
+    mid = Fraction(lo + hi, 2)
     s = _sign_at(p, mid)
     if s == 0:
         w = min(mid - lo, hi - mid) / 2

@@ -21,7 +21,7 @@ from math import comb, factorial
 from operator import mul
 
 from . import CheckResult, _last, _require_int
-from .algebra import Poly, Series, _series_geom, falling_basis, series_mul
+from .algebra import Poly, Series, _falling_bases, _series_geom, series_mul
 
 
 class Triangle:
@@ -197,13 +197,11 @@ def vertical_gf_check(k: int, order: int) -> CheckResult:
 
 
 def _horizontal_js_sweep(nmax: int):
-    """Yield horizontal_identity_js(n) for n = 0..nmax, building each basis once."""
+    """Yield horizontal_identity_js(n) for n = 0..nmax, one basis factor per n."""
     bases = []
-    for n in range(nmax + 1):
-        bases.append(falling_basis(n))
-        rhs = Poly()
-        for k in range(n + 1):
-            rhs = rhs + bases[k].scale(js(n, k))
+    for n, basis in enumerate(_falling_bases(nmax)):
+        bases.append(basis)
+        rhs = sum((b.scale(js(n, k)) for k, b in enumerate(bases)), Poly())
         yield _difference(n, rhs, Poly((0,) * n + (1,)))
 
 

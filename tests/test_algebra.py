@@ -1,11 +1,13 @@
 """Polynomial, series, and binomial arithmetic."""
+import doctest
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from lstirling import algebra
 from lstirling.algebra import (
     NEG_INF,
     Poly,
@@ -20,6 +22,22 @@ from lstirling.algebra import (
 small_ints = st.integers(min_value=-50, max_value=50)
 polys = st.lists(small_ints, max_size=6).map(lambda cs: Poly(cs))
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
+# coefficient lists with frequent interior zeros, over each coefficient ring Poly takes
+with_zeros = st.one_of(st.just(0), small_ints)
+int_lists = st.lists(with_zeros, max_size=6)
+fraction_lists = st.lists(
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=6)), max_size=6
+)
+z_polys = st.lists(with_zeros, max_size=3).map(Poly)
+nested_lists = st.lists(st.one_of(with_zeros, z_polys), max_size=5)
+coeff_lists = st.one_of(int_lists, fraction_lists, nested_lists)
+
+
+def schoolbook(a, b) -> tuple:
+    """The product's coefficients by the definition: entry n is the sum of a[i] b[n-i]."""
+    return tuple(
+        sum((a[i] * b[n - i] for i in range(len(a)) if 0 <= n - i < len(b)), 0) for n in range(len(a) + len(b) - 1)
+    )
 
 
 # -- binomial ---------------------------------------------------------------
@@ -128,6 +146,29 @@ def test_int_scalars_act_like_constant_polynomials(a, c):
     assert c - a == Poly((c,)) - a
 
 
+@given(coeff_lists, coeff_lists)
+@example([1, 1], [1, -1])  # the x coefficient cancels
+@example([Poly((0, 1)), 1], [Poly((0, 1)), -1])  # (z + x)(z - x): a zero Poly inside
+@example([0, 0], [1, 2])  # a zero factor given with zeros
+@example([], [Fraction(1, 2)])
+def test_product_is_the_schoolbook_product(a, b):
+    assert Poly(a) * Poly(b) == Poly(schoolbook(a, b))
+
+
+@given(int_lists, int_lists, st.integers(min_value=0, max_value=7))
+def test_series_mul_is_the_product_truncated_at_the_order(a, b, order):
+    got = series_mul(Series(a, order), Series(b, order))
+    assert got == Series(schoolbook(a[: order + 1], b[: order + 1]), order)
+
+
+@given(coeff_lists)
+@example([0, Poly(()), 0])
+def test_a_poly_is_falsy_exactly_when_it_is_zero(cs):
+    p = Poly(cs)
+    assert bool(p) == (not p.is_zero())
+    assert bool(p) == any(cs)
+
+
 @given(polys, polys)
 def test_degree_of_product_adds_for_integer_coefficients(a, b):
     if a.is_zero() or b.is_zero():
@@ -211,6 +252,17 @@ def test_falling_basis_small_cases():
     assert falling_basis(1) == Poly((Poly(()), Poly((1,))))
 
 
+@given(small_ints, small_ints)
+def test_falling_basis_is_its_product_built_from_scratch(x, z):
+    scratch = Poly((1,))
+    for k in range(16):
+        basis = falling_basis(k)
+        assert basis == scratch
+        value = sum((c(z) if isinstance(c, Poly) else c) * x**e for e, c in enumerate(basis.coeffs))
+        assert value == math.prod(x - i * (z + i) for i in range(k))
+        scratch = scratch * Poly((Poly((-k * k, -k)), 1))
+
+
 def test_falling_basis_specializes_to_integer_product():
     # at z = 1 the factors become x - i(i+1)
     for k in range(5):
@@ -251,3 +303,36 @@ def test_series_mul_truncates_at_common_order():
 def test_series_mul_requires_matching_orders():
     with pytest.raises(ValueError):
         series_mul(series_geom(1, 3), series_geom(1, 4))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: Poly(5), id="Poly-int"),
+        pytest.param(lambda: Poly(None), id="Poly-None"),
+        pytest.param(lambda: Series(5, 2), id="Series-int"),
+        pytest.param(lambda: Series((1,), "3"), id="Series-order-str"),
+        pytest.param(lambda: Series((1,), True), id="Series-order-bool"),
+        pytest.param(lambda: Series((1,), 2.0), id="Series-order-float"),
+        pytest.param(lambda: series_mul(series_geom(1, 2), 3), id="series_mul-int"),
+        pytest.param(lambda: series_mul((1, 2, 4), series_geom(1, 2)), id="series_mul-tuple"),
+    ],
+)
+def test_bad_constructor_or_series_mul_input_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_an_error_raised_while_coefficients_are_read_reaches_the_caller():
+    with pytest.raises(TypeError, match="unsupported operand"):
+        Poly(c + "x" for c in (1, 2))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        Series((c + "x" for c in (1, 2)), 3)
+
+
+# -- doctests -------------------------------------------------------------------
+
+
+def test_the_module_examples_run_and_pass():
+    failed, attempted = doctest.testmod(algebra)
+    assert failed == 0 and attempted >= 9

@@ -75,6 +75,13 @@ def test_closed_forms_bundle():
     assert closed_forms(12)
 
 
+@pytest.mark.parametrize("kmax", [0, -5])
+def test_closed_forms_refuses_a_range_with_no_k(kmax):
+    # a bundle over no k would pass without checking anything
+    with pytest.raises(ValueError, match="at least 1"):
+        closed_forms(kmax)
+
+
 def test_differential_step_keeps_integer_coefficients():
     p = gamma_poly(5)
     q = gamma_ode_step(p, 5)

@@ -183,6 +183,23 @@ print(json.dumps({"problems": problems, "names": len(lstirling.__all__), "unique
     assert got["names"] == got["unique"] == 73
 
 
+def test_phi_loads_its_layers_and_no_other():
+    got = child(
+        """
+import lstirling
+
+lstirling.phi
+print(json.dumps(added()))
+"""
+    )
+    assert [m for m in got if m.startswith("lstirling")] == [
+        "lstirling",
+        "lstirling.algebra",
+        "lstirling.codes",
+        "lstirling.partitions",
+    ]
+
+
 def test_a_layer_module_is_reachable_from_the_package_root():
     got = child(
         """

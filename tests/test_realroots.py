@@ -247,6 +247,18 @@ def test_refine_interval_boxes_a_root_at_the_midpoint():
     assert refine_by_counting(sturm_chain(p), iv) == (Fraction(-1, 2), Fraction(1, 2))
 
 
+@pytest.mark.parametrize(
+    "lo,hi,want",
+    [(-2, 0, (Fraction(-3, 2), Fraction(-1, 2))), (-3, 0, (Fraction(-3, 2), 0)), (-5, 1, (-2, 1))],
+)
+def test_refine_interval_gives_int_and_fraction_endpoints_one_exact_interval(lo, hi, want):
+    # the root -1 of 1 + x is the midpoint of (-2, 0) and is bisected towards otherwise
+    p = Poly((1, 1))
+    got = refine_interval(p, (lo, hi))
+    assert got == refine_interval(p, (Fraction(lo), Fraction(hi))) == want
+    assert not any(isinstance(end, float) for end in got)
+
+
 @given(_square_free())
 def test_refine_interval_agrees_with_refinement_by_counting(case):
     cs, _, _ = case

@@ -264,10 +264,14 @@ def test_the_vertical_sweep_multiplies_one_series_per_k(monkeypatch):
     assert [a.order for a, _ in calls] == [b.order for _, b in calls] == list(range(12, 5, -1))
 
 
-def test_the_js_sweep_builds_each_falling_basis_once(monkeypatch):
-    calls = _counted(monkeypatch, "falling_basis")
-    assert len(list(triangles._horizontal_js_sweep(10))) == 11
-    assert calls == [(k,) for k in range(11)]
+def test_the_js_sweep_extends_one_falling_factor_per_index(monkeypatch):
+    operands = []
+    real = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: operands.append(b) or real(a, b))
+    assert all(triangles._horizontal_js_sweep(10))
+    # the factors in x; the other Poly operands are coefficients in z
+    factors = [b for b in operands if isinstance(b, Poly) and b.coeffs and isinstance(b.coeffs[0], Poly)]
+    assert factors == [Poly((Poly((-i * i, -i)), 1)) for i in range(10)]
 
 
 def test_the_ls_and_jc_sweeps_extend_one_factor_per_index(monkeypatch):
