@@ -123,7 +123,7 @@ _EXPORTS = {
         " check_stirling2 derive derive_seq jc_grammar js_grammar"
     ),
     "partitions": (
-        "ENUM_LIMIT LSPartition count_by_blocks enumerate_partitions from_json_dict js_brute parse"
+        "ENUM_LIMIT LSPartition enumerate_partitions from_json_dict js_brute parse"
         " parse_element render_element validate"
     ),
     "realroots": (

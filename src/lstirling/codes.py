@@ -14,6 +14,12 @@ index of each value's two copies.  Codes of length n with k X symbols are counte
 a non-X step taken with t pair boxes available has t(t-1) + 2t = t^2 + t
 choices, which is where the factor k(k+1) of the triangle recurrence lives.
 
+One checking replay, _image, is the only place that decides whether a code
+is legal: it checks each symbol against the boxes opened before it and
+inserts it in the same pass.  phi returns its image, and validate_code reads
+its verdict.  parse_code builds every symbol through its constructor (A, B
+or Bb), so each symbol's rule and message are written once.
+
 The codes form a prefix tree, and the partition of a code is the partition
 of its prefix plus one insertion.  Every enumeration (enumerate_codes,
 partitions.enumerate_partitions, the bijection and zero-box sweeps) reads
@@ -59,8 +65,11 @@ def Bb(s: int) -> tuple:
 
 
 def n_x(code) -> int:
-    """Number of X symbols, i.e. the number of pair boxes the code opens."""
-    return sum(1 for sym in code if sym == X)
+    """Number of X symbols, i.e. the number of pair boxes the code opens.
+
+    The code is read as render_code reads it, and fails the same way.
+    """
+    return _known_symbols("n_x", code).count(X)
 
 
 def _read_code(code) -> tuple | None:
@@ -81,39 +90,41 @@ def _read_code(code) -> tuple | None:
     return tuple(it)
 
 
+# each symbol's tag with its length
+_SHAPES = (("X", 1), ("A", 3), ("B", 2), ("Bb", 2))
+
+
+def _known_symbols(where: str, code) -> tuple:
+    """The code read through _read_code, each symbol a tuple of a known tag
+    and arity; ValueError otherwise.  Box indices are not checked, so an
+    illegal but well-formed code such as (X, B(2)) still reads."""
+    read = _read_code(code)
+    if read is None:
+        raise ValueError(f"{where}: {type(code).__name__} object is not iterable")
+    for sym in read:
+        if type(sym) is not tuple or sym[:1] + (len(sym),) not in _SHAPES:
+            raise ValueError(f"{where}: unknown symbol {sym!r}")
+    return read
+
+
 def validate_code(code) -> CheckResult:
     """Check the structural rules; report the first offending position (1-based).
 
-    The one place that decides code legality.  A symbol is a tuple: ("X",),
-    or ("A", i, j) with i != j, or ("B", s) or ("Bb", s), each box index an
-    int (never a bool) in 1..t, where t counts the X symbols before it.  The
-    message is worked out only for the symbol that is rejected.  The code may
-    be any iterable of symbols; it is read once, as a tuple.
+    A symbol is a tuple: ("X",), or ("A", i, j) with i != j, or ("B", s) or
+    ("Bb", s), each box index an int (never a bool) in 1..t, where t counts
+    the X symbols before it.  The verdict is _image's; the message is worked
+    out only for the symbol that it rejects.  The code may be any iterable
+    of symbols; it is read once, as a tuple.
     """
     read = _read_code(code)
     if read is None:
         return CheckResult(False, f"not a code: {type(code).__name__} object is not iterable")
-    code = read
-    if not code:
+    if not read:
         return CheckResult(False, "position 1: empty code")
-    t = 0
-    for pos, sym in enumerate(code, start=1):
-        if type(sym) is tuple:
-            size = len(sym)
-            if size == 1:
-                if sym[0] == "X":
-                    t += 1
-                    continue
-            elif size == 2:
-                s = sym[1]
-                if (sym[0] == "B" or sym[0] == "Bb") and type(s) is int and 0 < s <= t:
-                    continue
-            elif size == 3:
-                i, j = sym[1], sym[2]
-                if sym[0] == "A" and type(i) is int and type(j) is int and i != j and 0 < i <= t and 0 < j <= t:
-                    continue
-        return CheckResult(False, _symbol_error(pos, sym, t))
-    return CheckResult(True)
+    pos = _image(read)
+    if pos.__class__ is not int:
+        return CheckResult(True)
+    return CheckResult(False, _symbol_error(pos, read[pos - 1], n_x(read[: pos - 1])))
 
 
 def _symbol_error(pos: int, sym, t: int) -> str:
@@ -140,12 +151,12 @@ def _symbol_error(pos: int, sym, t: int) -> str:
 def phi(code) -> LSPartition:
     """Replay a code, any iterable of symbols, into the partition it encodes."""
     read = _read_code(code)
-    # a non-iterable code is left for validate_code to reject
-    code = code if read is None else read
-    v = validate_code(code)
-    if not v.ok:
-        raise ValueError(f"phi: invalid code ({v.detail})")
-    return _replay(code)
+    if read is not None:
+        image = _image(read)
+        if image.__class__ is not int:
+            return image
+        code = read
+    raise ValueError(f"phi: invalid code ({validate_code(code).detail})")
 
 
 def _element_pairs(size: int) -> tuple:
@@ -158,26 +169,47 @@ def _element_pairs(size: int) -> tuple:
 _PAIRS = _element_pairs(64)
 
 
-def _replay(code) -> LSPartition:
-    # phi without the check, for one code; _walk builds the same images for a
-    # whole enumeration
+def _image(code: tuple):
+    """phi(code) for a legal code, else the 1-based position of its first
+    illegal symbol (1 for the empty code).
+
+    The one place that decides code legality: each symbol is checked against
+    the t boxes opened before it and inserted in the same pass.  _walk builds
+    the same images, unchecked, for a whole enumeration.
+    """
     n = len(code)
+    if not n:
+        return 1
     pairs = _PAIRS if n <= len(_PAIRS) else _element_pairs(n)
     boxes: list = []
     zero: list = []
-    for (plain, barred), sym in zip(pairs, code):
-        kind = sym[0]
-        if kind == "X":
-            boxes.append([plain, barred])
-        elif kind == "A":
-            boxes[sym[1] - 1].append(plain)
-            boxes[sym[2] - 1].append(barred)
-        elif kind == "B":
-            boxes[sym[1] - 1].append(plain)
-            zero.append(barred)
-        else:
-            boxes[sym[1] - 1].append(barred)
-            zero.append(plain)
+    t = 0  # boxes opened so far
+    for pos, ((plain, barred), sym) in enumerate(zip(pairs, code), start=1):
+        if type(sym) is tuple:
+            size = len(sym)
+            if size == 1:
+                if sym[0] == "X":
+                    boxes.append([plain, barred])
+                    t += 1
+                    continue
+            elif size == 2:
+                s = sym[1]
+                if type(s) is int and 0 < s <= t:
+                    if sym[0] == "B":
+                        boxes[s - 1].append(plain)
+                        zero.append(barred)
+                        continue
+                    if sym[0] == "Bb":
+                        boxes[s - 1].append(barred)
+                        zero.append(plain)
+                        continue
+            elif size == 3:
+                i, j = sym[1], sym[2]
+                if sym[0] == "A" and type(i) is int and type(j) is int and i != j and 0 < i <= t and 0 < j <= t:
+                    boxes[i - 1].append(plain)
+                    boxes[j - 1].append(barred)
+                    continue
+        return pos
     return LSPartition(n, tuple(map(frozenset, boxes)), frozenset(zero))
 
 
@@ -279,55 +311,55 @@ def count_codes(n: int, k: int) -> int:
 
 
 def render_code(code) -> str:
-    """Comma-separated token form: 'X,X,A(2,1),B(2),Bb(1)'."""
-    parts = []
-    for sym in code:
-        if sym == X:
-            parts.append("X")
-        elif sym[0] == "A":
-            parts.append(f"A({sym[1]},{sym[2]})")
-        else:
-            parts.append(f"{sym[0]}({sym[1]})")
-    return ",".join(parts)
+    """Comma-separated token form: 'X,X,A(2,1),B(2),Bb(1)'.
+
+    Any iterable of symbols of a known tag and arity renders, legal or not:
+    (X, B(0)) renders as 'X,B(0)'.  A non-iterable argument or an unknown
+    symbol raises ValueError.
+    """
+    return ",".join(
+        "X" if sym == X else f"A({sym[1]},{sym[2]})" if len(sym) == 3 else f"{sym[0]}({sym[1]})"
+        for sym in _known_symbols("render_code", code)
+    )
 
 
-_TOKEN = r"(X)|A\((\d+),(\d+)\)|(Bb?)\((\d+)\)"
-# one findall reads the whole text: each match is a token with the separators
-# before it, separators alone, or one character of anything else
-_SCAN = re.compile(rf"[, ]*(?:{_TOKEN})|[, ]+|(.)", re.DOTALL)
+_TOKEN = re.compile(r"X|A\(\d+,\d+\)|Bb?\(\d+\)")
 # the longest prefix of tokens and separators, which ends at the first bad token
-_PREFIX = re.compile(rf"(?:[, ]*(?:{_TOKEN}))*[, ]*")
+_PREFIX = re.compile(rf"(?:[, ]*(?:{_TOKEN.pattern}))*[, ]*")
+_CONSTRUCTORS = {"A": A, "B": B, "Bb": Bb}
+
+
+@lru_cache(maxsize=1024)
+def _symbol(token: str) -> tuple:
+    """The symbol a token of _TOKEN names, built by its constructor.
+
+    Cached, since a parse meets the same few tokens again and again; a token
+    whose constructor raises is not cached and raises on every parse.
+    """
+    if token == "X":
+        return X
+    kind, _, args = token[:-1].partition("(")
+    return _CONSTRUCTORS[kind](*map(int, args.split(",")))
 
 
 def parse_code(text: str):
     """Inverse of render_code; text that is not a str raises ValueError.
 
     Tokens may be separated by commas and spaces.  The first error in the
-    text is reported: a box index below 1, a bad token (with its position in
-    the stripped text), or no token at all.
+    text is reported: a box index that its symbol's constructor rejects, a
+    bad token (with its position in the stripped text), or no token at all.
     """
     if not isinstance(text, str):
         raise ValueError(f"parse_code: expected str, got {type(text).__name__}")
     s = text.strip()
-    out = []
-    for x, i, j, kind, idx, junk in _SCAN.findall(s):
-        if i:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError("A(i,j) requires distinct box indices")
-            if i < 1 or j < 1:
-                raise ValueError("A(i,j) box indices start at 1")
-            out.append(("A", i, j))
-        elif kind:
-            idx = int(idx)
-            if idx < 1:
-                raise ValueError(f"{kind}(s) box index starts at 1")
-            out.append((kind, idx))
-        elif x:
-            out.append(X)
-        elif junk:
-            pos = _PREFIX.match(s).end()
-            raise ValueError(f"bad code token at position {pos}: {s[pos:]!r}")
-    if not out:
+    end = _PREFIX.match(s).end()
+    # the tokens before the first bad one, so that a bad index there is
+    # reported first; the tuple is made from a list, since tuple() of an
+    # iterator resizes its result, and the resized tuples of each length
+    # collect on CPython's free lists (+1.2 MB peak on the library_mix queries)
+    code = tuple(list(map(_symbol, _TOKEN.findall(s, 0, end))))
+    if end < len(s):
+        raise ValueError(f"bad code token at position {end}: {s[end:]!r}")
+    if not code:
         raise ValueError("parse_code: empty code text")
-    return tuple(out)
+    return code

@@ -92,11 +92,17 @@ def from_json_dict(doc: dict) -> LSPartition:
         raise ValueError(f"partition document: n must be a nonnegative int, got {n!r}")
     if not isinstance(zero, list) or not isinstance(boxes, list) or not all(isinstance(b, list) for b in boxes):
         raise ValueError("partition document: boxes must be a list of lists and zero_box a list")
-    return LSPartition(
-        n,
-        tuple(frozenset(parse_element(t) for t in b) for b in boxes),
-        frozenset(parse_element(t) for t in zero),
-    )
+    return LSPartition(n, tuple(map(_parse_box, boxes)), _parse_box(zero))
+
+
+def _parse_box(tokens: list) -> frozenset:
+    """The box of the elements that tokens name; ValueError if one is named twice."""
+    elements = [parse_element(t) for t in tokens]
+    box = frozenset(elements)
+    if len(box) < len(elements):
+        twice = next(e for e in elements if elements.count(e) > 1)
+        raise ValueError(f"element {render_element(twice)} is listed twice in one box")
+    return box
 
 
 def parse(text: str) -> LSPartition:
@@ -113,9 +119,9 @@ def parse(text: str) -> LSPartition:
     for body in re.findall(r"\{([^{}]*)\}", m.group(1)):
         if not body.strip():
             raise ValueError("empty nonzero box")
-        boxes.append(frozenset(parse_element(t) for t in body.split(",")))
+        boxes.append(_parse_box(body.split(",")))
     zero_body = m.group(2).strip()
-    zero = frozenset(parse_element(t) for t in zero_body.split(",")) if zero_body else frozenset()
+    zero = _parse_box(zero_body.split(",")) if zero_body else frozenset()
     values = [e[0] for b in boxes for e in b] + [e[0] for e in zero]
     return LSPartition(max(values, default=0), tuple(boxes), zero)
 
@@ -255,15 +261,6 @@ def enumerate_partitions(n: int):
     from . import codes
 
     return map(itemgetter(1), codes._walk(n))
-
-
-def count_by_blocks(n: int) -> dict:
-    """Histogram {k: number of partitions with k nonzero boxes}."""
-    _require_int("count_by_blocks", n)
-    out: dict = {}
-    for p in enumerate_partitions(n):
-        out[len(p.boxes)] = out.get(len(p.boxes), 0) + 1
-    return out
 
 
 @lru_cache(maxsize=None)

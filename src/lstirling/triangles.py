@@ -17,6 +17,7 @@ explicit sum has a row sweep that advances each power by one factor per row.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, factorial
 from operator import mul
 
@@ -82,12 +83,17 @@ def jc(n: int, k: int) -> Poly:
     return jc_triangle.value(n, k)
 
 
-def _explicit_weights(k: int) -> list:
-    """The signed weights (-1)^(r+k) (2r+1) C(2k+1, k-r) of the explicit sum, r = 0..k."""
-    return [(-(2 * r + 1) if (r + k) & 1 else 2 * r + 1) * comb(2 * k + 1, k - r) for r in range(k + 1)]
+@lru_cache(maxsize=256)
+def _explicit_weights(k: int) -> tuple:
+    """The signed weights (-1)^(r+k) (2r+1) C(2k+1, k-r) of the explicit sum, r = 0..k.
+
+    Cached, and a tuple so that the shared value cannot change; the bound
+    holds every k up to the ls table cap.
+    """
+    return tuple((-(2 * r + 1) if (r + k) & 1 else 2 * r + 1) * comb(2 * k + 1, k - r) for r in range(k + 1))
 
 
-def _explicit(n: int, k: int, weights: list, powers: list) -> int:
+def _explicit(n: int, k: int, weights: tuple, powers: list) -> int:
     """ls(n,k) as sum_r weights[r] powers[r] / (2k+1)!, where powers[r] = (r^2+r)^n.
 
     powers may run past r = k; the sum stops with the weights.
@@ -119,15 +125,14 @@ def ls_explicit(n: int, k: int) -> int:
 def _explicit_rows(nmax: int):
     """Yield [ls_explicit(n, k) for k = 0..n] for n = 0..nmax.
 
-    Each k's weights are built once, and row n's powers (r^2+r)^n are row
-    n-1's times r^2+r, one multiplication per r.
+    Each k's weights come from the cache that ls_explicit reads, and row n's
+    powers (r^2+r)^n are row n-1's times r^2+r, one multiplication per r.
     """
-    weights, powers = [], []
+    powers = []
     for n in range(nmax + 1):
-        weights.append(_explicit_weights(n))
         powers = [p * (r * r + r) for r, p in enumerate(powers)]
         powers.append((n * n + n) ** n)
-        yield [_explicit(n, k, weights[k], powers) for k in range(n + 1)]
+        yield [_explicit(n, k, _explicit_weights(k), powers) for k in range(n + 1)]
 
 
 def ls_vertical(n: int, j: int) -> int:

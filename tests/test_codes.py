@@ -238,6 +238,54 @@ def test_parse_code_agrees_with_scanning_reference(text):
     assert _outcome(parse_code, text) == _outcome(parse_code_by_scanning, text)
 
 
+_INDEX = st.integers(1, 10**30)
+
+
+@st.composite
+def well_formed_codes(draw):
+    """A code of known symbols with any positive box indices, so mostly out
+    of range for the boxes opened before them."""
+    symbol = st.one_of(
+        st.just(X),
+        st.tuples(_INDEX, _INDEX).filter(lambda ij: ij[0] != ij[1]).map(lambda ij: A(*ij)),
+        _INDEX.map(B),
+        _INDEX.map(Bb),
+    )
+    return tuple(draw(st.lists(symbol, min_size=1, max_size=8)))
+
+
+@given(st.one_of(valid_codes(), well_formed_codes()))
+def test_parse_code_inverts_render_code(code):
+    assert parse_code(render_code(code)) == code
+
+
+def test_a_rejected_token_raises_on_every_parse():
+    # the token cache keeps symbols only, never a constructor's error
+    for _ in range(2):
+        with pytest.raises(ValueError, match="A\\(i,j\\) requires distinct box indices"):
+            parse_code("X,A(1,1)")
+        with pytest.raises(ValueError, match="B\\(s\\) box index starts at 1"):
+            parse_code("X,B(0)")
+
+
+def test_render_code_and_n_x_reject_what_is_not_a_code_with_value_error():
+    for fn in (render_code, n_x):
+        with pytest.raises(ValueError, match="int object is not iterable"):
+            fn(5)
+        for sym in (("Q",), ("B",), ("A", 1), ("X", 1), ("Bb", 1, 2), (), ["B", 1], "X", None):
+            with pytest.raises(ValueError, match="unknown symbol"):
+                fn([X, sym])
+    assert render_code(iter([X, B(1)])) == "X,B(1)"
+    assert n_x(sym for sym in (X, X, A(2, 1))) == 2
+    assert render_code(()) == "" and n_x(None) == 0
+
+
+def test_render_code_renders_a_well_formed_illegal_code():
+    # the bijection sweep names an illegal code by its rendering
+    assert render_code((X, ("B", 0), ("A", 3, 3), ("Bb", True))) == "X,B(0),A(3,3),Bb(True)"
+    assert n_x((X, ("B", 0), X)) == 2
+
+
 def test_phi_rejects_invalid_codes():
     with pytest.raises(ValueError):
         phi((X, A(2, 1)))

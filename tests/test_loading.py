@@ -180,7 +180,7 @@ print(json.dumps({"problems": problems, "names": len(lstirling.__all__), "unique
 """
     )
     assert got["problems"] == []
-    assert got["names"] == got["unique"] == 73
+    assert got["names"] == got["unique"] == 72
 
 
 def test_phi_loads_its_layers_and_no_other():

@@ -14,7 +14,6 @@ from lstirling.codes import phi_inverse
 from lstirling.partitions import (
     ENUM_LIMIT,
     LSPartition,
-    count_by_blocks,
     enumerate_partitions,
     from_json_dict,
     js_brute,
@@ -88,6 +87,20 @@ def test_parse_rejects_malformed_text():
     for text in ("", "{1,1'}", "<>{1,1'}", "{1,1'}<2,2'>extra", None, 12, b"{1,1'}<>"):
         with pytest.raises(ValueError):
             parse(text)
+
+
+@pytest.mark.parametrize("text", ["{1,1',2,2}<2'>", "{1,1'}{2,2'}<3,3',3>", "{1,1',1}<>"])
+def test_parse_rejects_a_box_that_lists_an_element_twice(text):
+    # dropping the repeat would read a valid partition that the text does not render
+    with pytest.raises(ValueError, match="listed twice in one box"):
+        parse(text)
+
+
+def test_json_rejects_a_box_that_lists_an_element_twice():
+    with pytest.raises(ValueError, match="element 2 is listed twice"):
+        from_json_dict({"n": 2, "boxes": [["1", "1'", "2", "2"]], "zero_box": ["2'"]})
+    with pytest.raises(ValueError, match="element 2' is listed twice"):
+        from_json_dict({"n": 2, "boxes": [["1", "1'", "2"]], "zero_box": ["2'", "2'"]})
 
 
 def test_empty_zero_box_renders_and_parses():
@@ -295,7 +308,6 @@ def test_a_partition_survives_pickle_copy_and_match():
     [
         lambda: enumerate_partitions(2.5),
         lambda: enumerate_partitions(True),
-        lambda: count_by_blocks("3"),
         lambda: js_brute(3, "a"),
         lambda: js_brute(3.0, 1),
         lambda: js_brute(3, True),
@@ -303,7 +315,6 @@ def test_a_partition_survives_pickle_copy_and_match():
     ids=[
         "enumerate_partitions-float",
         "enumerate_partitions-bool",
-        "count_by_blocks-str",
         "js_brute-str-k",
         "js_brute-float-n",
         "js_brute-bool-k",
@@ -400,16 +411,6 @@ def test_validate_and_phi_inverse_agree_with_references_on_perturbations(p):
 
 
 # -- enumeration ------------------------------------------------------------------
-
-
-def test_block_counts_match_second_kind_triangle_row_four():
-    assert count_by_blocks(4) == {1: 8, 2: 52, 3: 20, 4: 1}
-
-
-def test_block_counts_match_second_kind_triangle_row_five():
-    counts = count_by_blocks(5)
-    assert counts == {k: ls(5, k) for k in range(1, 6)}
-    assert sum(counts.values()) == 669
 
 
 def test_every_enumerated_partition_is_valid_and_round_trips():

@@ -108,6 +108,12 @@ def test_explicit_sum_agrees_with_recurrence():
             assert ls_explicit(n, k) == ls_explicit_by_fractions(n, k) == ls(n, k)
 
 
+def test_explicit_weights_are_one_shared_tuple_per_k():
+    # cached, so the value must not be mutable
+    weights = triangles._explicit_weights(7)
+    assert isinstance(weights, tuple) and triangles._explicit_weights(7) is weights
+
+
 def test_explicit_rows_match_the_per_call_sum():
     rows = list(triangles._explicit_rows(30))
     assert [len(row) for row in rows] == list(range(1, 32))
