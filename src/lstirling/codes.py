@@ -210,7 +210,9 @@ def _image(code: tuple):
                     boxes[j - 1].append(barred)
                     continue
         return pos
-    return LSPartition(n, tuple(map(frozenset, boxes)), frozenset(zero))
+    # a tuple from a list, as in parse_code: tuple() of an iterator resizes
+    # its result, and the resized tuples collect on CPython's free lists
+    return LSPartition(n, tuple(list(map(frozenset, boxes))), frozenset(zero))
 
 
 def phi_inverse(p: LSPartition):

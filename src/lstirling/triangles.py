@@ -106,6 +106,16 @@ def _explicit(n: int, k: int, weights: tuple, powers: list) -> int:
     return quotient
 
 
+@lru_cache(maxsize=1024)
+def _explicit_value(n: int, k: int) -> int:
+    """ls_explicit(n,k) once its arguments are checked, cached per (n, k).
+
+    1024 entries hold every (n, k) with n <= 40 (861 keys), and at n <= 200
+    an entry is at most about 1,750 bits, so a full cache stays under 1 MB.
+    """
+    return _explicit(n, k, _explicit_weights(k), [(r * r + r) ** n for r in range(k + 1)])
+
+
 def ls_explicit(n: int, k: int) -> int:
     """ls(n,k) by the explicit alternating sum.
 
@@ -114,12 +124,15 @@ def ls_explicit(n: int, k: int) -> int:
     is taken in integers over that one denominator and finished by a single
     division.  Python's 0**0 == 1 supplies the convention needed at n = 0.  A
     nonzero remainder would mean an implementation bug and raises
-    ArithmeticError.
+    ArithmeticError.  Answers are cached per (n, k), up to 1024 entries; the
+    row sweep of verify identities computes its own.  The arguments are
+    checked before the cache is read, so a bad one raises ValueError on
+    every call.
     """
     _require_int("ls_explicit", n, k)
     if n < 0 or k < 0:
         raise ValueError("ls_explicit: indices must be nonnegative")
-    return _explicit(n, k, _explicit_weights(k), [(r * r + r) ** n for r in range(k + 1)])
+    return _explicit_value(n, k)
 
 
 def _explicit_rows(nmax: int):
@@ -127,6 +140,8 @@ def _explicit_rows(nmax: int):
 
     Each k's weights come from the cache that ls_explicit reads, and row n's
     powers (r^2+r)^n are row n-1's times r^2+r, one multiplication per r.
+    Every entry is computed here: ls_explicit's per-(n, k) cache is neither
+    read nor filled.
     """
     powers = []
     for n in range(nmax + 1):

@@ -121,12 +121,41 @@ def test_explicit_rows_match_the_per_call_sum():
 
 
 def test_explicit_sum_raises_when_the_division_is_inexact(monkeypatch):
-    # (2k+1)! + 1 no longer divides the integer sum: the guard must fire
+    # (2k+1)! + 1 no longer divides the integer sum: the guard must fire,
+    # so ls_explicit(5, 2) must miss the cache that an earlier test filled
+    triangles._explicit_value.cache_clear()
     monkeypatch.setattr(triangles, "factorial", lambda m: math.factorial(m) + 1)
     with pytest.raises(ArithmeticError, match="not an integer"):
         ls_explicit(5, 2)
     with pytest.raises(ArithmeticError, match=r"ls_explicit\(0,0\) is not an integer"):
         next(triangles._explicit_rows(5))
+
+
+def test_a_repeated_explicit_sum_is_a_cache_hit(monkeypatch):
+    triangles._explicit_value.cache_clear()
+    calls = []
+    real = triangles._explicit
+    monkeypatch.setattr(triangles, "_explicit", lambda *args: calls.append(args[:2]) or real(*args))
+    assert ls_explicit(9, 4) == ls_explicit(9, 4) == ls(9, 4)
+    assert calls == [(9, 4)]
+    assert triangles._explicit_value.cache_info().hits == 1
+
+
+def test_explicit_rows_leave_the_per_entry_cache_alone():
+    ls_explicit(7, 3)
+    before = triangles._explicit_value.cache_info()
+    list(triangles._explicit_rows(30))
+    assert triangles._explicit_value.cache_info() == before
+
+
+@pytest.mark.parametrize("bad", [2.5, "1", None, True, [1], -1])
+@pytest.mark.parametrize("call", [lambda v: ls_explicit(v, 1), lambda v: ls_explicit(3, v)], ids=["n", "k"])
+def test_explicit_sum_checks_its_arguments_on_every_call(call, bad):
+    # the checks run before the cache, whose key over a list would raise
+    # TypeError, and a rejected argument leaves nothing there to hit
+    for _ in range(2):
+        with pytest.raises(ValueError, match="ls_explicit"):
+            call(bad)
 
 
 def test_vertical_recurrence_agrees_with_recurrence():
