@@ -112,7 +112,7 @@ def _require_int(where: str, *values) -> None:
 
 # the public names of each layer module, in the order __all__ lists them
 _EXPORTS = {
-    "algebra": "NEG_INF Poly Series binomial falling_basis series_geom series_mul",
+    "algebra": "Poly Series binomial falling_basis series_geom series_mul",
     "codes": "A B Bb X count_codes enumerate_codes n_x parse_code phi phi_inverse render_code validate_code",
     "gamma": (
         "binomial_poly closed_forms gamma_coeff gamma_ode_step gamma_poly gamma_poly_via_ode gamma_row"
@@ -120,7 +120,7 @@ _EXPORTS = {
     ),
     "grammar": (
         "FormalPoly Grammar GrammarError Letter Monomial check_jc_grammar check_js_grammar check_stirling1"
-        " check_stirling2 derive derive_seq jc_grammar js_grammar"
+        " check_stirling2 derive jc_grammar js_grammar"
     ),
     "partitions": (
         "ENUM_LIMIT LSPartition enumerate_partitions from_json_dict js_brute parse"

@@ -20,36 +20,6 @@ from operator import mul
 from . import _last, _require_int
 
 
-class _MinusInfinity:
-    """Degree of the zero polynomial.  Compares below every integer."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return not isinstance(other, _MinusInfinity)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _MinusInfinity)
-
-    def __eq__(self, other):
-        return isinstance(other, _MinusInfinity)
-
-    def __hash__(self):
-        return hash("lstirling.NEG_INF")
-
-    def __repr__(self):
-        return "-oo"
-
-
-NEG_INF = _MinusInfinity()
-
-
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) = n(n-1)...(n-k+1) / k! for any integer n.
 
@@ -121,7 +91,7 @@ class Poly:
     """Dense polynomial, constant coefficient first, trailing zeros trimmed.
 
     The zero polynomial is the empty coefficient tuple, the one falsy Poly,
-    and its degree is the NEG_INF marker, never a plain integer.  Arithmetic
+    and its degree is -1, one below a constant's.  Arithmetic
     works for any coefficient ring closed under + and *: ints, Fractions, or
     Poly itself; every coefficient is zero exactly when it is falsy.
 
@@ -151,9 +121,9 @@ class Poly:
         return not self.coeffs
 
     @property
-    def degree(self):
-        """Degree of the polynomial; NEG_INF for the zero polynomial."""
-        return NEG_INF if not self.coeffs else len(self.coeffs) - 1
+    def degree(self) -> int:
+        """Degree of the polynomial; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     def leading(self):
         if not self.coeffs:

@@ -6,10 +6,10 @@ linearity and the Leibniz rule,
 
     D(uv) = D(u) v + u D(v),
 
-replacing one letter occurrence at a time by its image.  Letters declared
-constant derive to zero; a letter with no rule and no constant declaration is
-an error.  Rules are given as a function of the letter, so indexed families
-(a_0, a_1, ...) need no finite table.
+replacing one letter occurrence at a time by its image.  A constant letter
+is one whose rule is the zero polynomial FormalPoly(), so it derives to
+zero; a letter with no rule is an error.  Rules are given as a function of
+the letter, so indexed families (a_0, a_1, ...) need no finite table.
 
 Iterated derivations of a seed word produce classical triangles as
 coefficient arrays: this module carries grammars whose n-th derivatives
@@ -52,9 +52,9 @@ class Monomial:
     __slots__ = ("powers", "_hash")
 
     def __init__(self, powers=()):
-        """Powers from (letter, exponent) pairs or a dict; a repeated letter's exponents add up."""
+        """Powers from (letter, exponent) pairs; a repeated letter's exponents add up."""
         acc: dict = {}
-        for letter, e in powers.items() if isinstance(powers, dict) else powers:
+        for letter, e in powers:
             acc[letter] = acc.get(letter, 0) + e
         for letter, e in acc.items():
             if e < 0:
@@ -68,12 +68,6 @@ class Monomial:
     @classmethod
     def of(cls, *pairs) -> "Monomial":
         return cls(pairs)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.powers + other.powers)
-
-    def is_unit(self) -> bool:
-        return not self.powers
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.powers == other.powers
@@ -100,16 +94,17 @@ def _zpoly(c) -> Poly:
 class FormalPoly:
     """Finite Z[z]-linear combination of monomials in letters.
 
-    Terms live in a dict Monomial -> Poly (in z); zero coefficients are
-    dropped.  Treat instances as immutable.
+    Built from (monomial, coefficient) pairs, an int or a Poly in z each;
+    the coefficients of a repeated monomial add up, and zero coefficients
+    are dropped.  Terms live in a dict Monomial -> Poly (in z).  Treat
+    instances as immutable: they are compared and rendered.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
         acc: dict = {}
-        for mono, coeff in items:
+        for mono, coeff in terms:
             prev = acc.get(mono)
             coeff = _zpoly(coeff) if prev is None else prev + coeff
             if not coeff:
@@ -125,38 +120,6 @@ class FormalPoly:
     @classmethod
     def letter(cls, letter: Letter) -> "FormalPoly":
         return cls.term(Monomial.of((letter, 1)))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, mono: Monomial) -> Poly:
-        return self.terms.get(mono, Poly())
-
-    def __add__(self, other: "FormalPoly") -> "FormalPoly":
-        if not isinstance(other, FormalPoly):
-            return NotImplemented
-        return FormalPoly([*self.terms.items(), *other.terms.items()])
-
-    def __neg__(self) -> "FormalPoly":
-        return FormalPoly((m, -c) for m, c in self.terms.items())
-
-    def __sub__(self, other: "FormalPoly") -> "FormalPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "FormalPoly":
-        c = _zpoly(c)
-        return FormalPoly((m, co * c) for m, co in self.terms.items())
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Poly)):
-            return self.scale(other)
-        if not isinstance(other, FormalPoly):
-            return NotImplemented
-        return FormalPoly(
-            (m1 * m2, c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()
-        )
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, FormalPoly) and self.terms == other.terms
@@ -174,7 +137,7 @@ class FormalPoly:
                 cs = ""
             else:
                 cs = str(coeff.coefficient(0))
-            body = "" if mono.is_unit() else mono.render()
+            body = mono.render() if mono.powers else ""
             text = " ".join(x for x in (cs, body) if x)
             parts.append(text if text else "1")
         return " + ".join(parts)
@@ -190,21 +153,21 @@ class GrammarError(ValueError):
 class Grammar:
     """Substitution rules: a callable or mapping Letter -> FormalPoly.
 
-    Letters in `constants` derive to zero.  Deriving any other letter for
-    which the rules produce None raises GrammarError naming the letter.
+    A letter whose rule is FormalPoly() is a constant and derives to zero.
+    Deriving a letter for which the rules produce None raises GrammarError
+    naming the letter.
     """
 
-    def __init__(self, rules, constants=frozenset()):
+    def __init__(self, rules):
         if callable(rules):
             self._rules = rules
         else:
             table = dict(rules)
             self._rules = table.get
-        self.constants = frozenset(constants)
 
-    def image(self, letter: Letter):
+    def image(self, letter: Letter) -> FormalPoly:
         out = self._rules(letter)
-        if out is None and letter not in self.constants:
+        if out is None:
             raise GrammarError(f"no rule for letter {letter!r}")
         return out
 
@@ -215,20 +178,10 @@ def derive(g: Grammar, p: FormalPoly) -> FormalPoly:
     for mono, coeff in p.terms.items():
         for letter, e in mono.powers:
             img = g.image(letter)
-            if img is None:
-                continue
             c = coeff * e
             # one monomial per term: mono with one letter replaced by m
             terms += [(Monomial((*mono.powers, (letter, -1), *m.powers)), co * c) for m, co in img.terms.items()]
     return FormalPoly(terms)
-
-
-def derive_seq(grammars, seed: FormalPoly) -> FormalPoly:
-    """Fold derive over a sequence of grammars (first grammar applied first)."""
-    p = seed
-    for g in grammars:
-        p = derive(g, p)
-    return p
 
 
 def _sweep(nmax: int, seed: FormalPoly, step, term, label: str):

@@ -255,14 +255,14 @@ def _induction(kmax: int):
         ivs_s = _step(k, p_r, ivs, p_s) if cert_r.square_free else None
         lower = RootCertificate(k, cert_r.degree, cert_r.square_free, ivs)
         if ivs_s is None:
-            upper = RootCertificate(k + 1, int(p_s.degree), False, [])
+            upper = RootCertificate(k + 1, p_s.degree, False, [])
             if cert_r.square_free:
                 note = f"refinement budget exhausted separating roots of q_{k} and q_{k + 1}"
             else:
                 note = f"q_{k} was not certified"
             yield ConjectureResult(k, lower, upper, "", expected, "inconclusive", note)
         else:
-            upper = RootCertificate(k + 1, int(p_s.degree), True, ivs_s)
+            upper = RootCertificate(k + 1, p_s.degree, True, ivs_s)
             yield ConjectureResult(k, lower, upper, expected, expected, "vacuous" if k == 1 else "true")
         p_r, cert_r = p_s, upper
 

@@ -106,12 +106,17 @@ def _explicit(n: int, k: int, weights: tuple, powers: list) -> int:
     return quotient
 
 
+# the ls table cap: ls_explicit caches no answer for a larger n
+_EXPLICIT_CACHE_NMAX = 200
+
+
 @lru_cache(maxsize=1024)
 def _explicit_value(n: int, k: int) -> int:
     """ls_explicit(n,k) once its arguments are checked, cached per (n, k).
 
-    1024 entries hold every (n, k) with n <= 40 (861 keys), and at n <= 200
-    an entry is at most about 1,750 bits, so a full cache stays under 1 MB.
+    1024 entries hold every (n, k) with n <= 40 (861 keys).  ls_explicit
+    reads the cache only for n <= _EXPLICIT_CACHE_NMAX, where an entry is at
+    most about 1,750 bits, so a full cache stays under 1 MB.
     """
     return _explicit(n, k, _explicit_weights(k), [(r * r + r) ** n for r in range(k + 1)])
 
@@ -124,14 +129,17 @@ def ls_explicit(n: int, k: int) -> int:
     is taken in integers over that one denominator and finished by a single
     division.  Python's 0**0 == 1 supplies the convention needed at n = 0.  A
     nonzero remainder would mean an implementation bug and raises
-    ArithmeticError.  Answers are cached per (n, k), up to 1024 entries; the
-    row sweep of verify identities computes its own.  The arguments are
-    checked before the cache is read, so a bad one raises ValueError on
-    every call.
+    ArithmeticError.  Answers for n up to the ls table cap of 200 are cached
+    per (n, k), up to 1024 entries; a larger n, whose answer has no size
+    bound, is computed on every call and kept nowhere, and the row sweep of
+    verify identities computes its own.  The arguments are checked before
+    the cache is read, so a bad one raises ValueError on every call.
     """
     _require_int("ls_explicit", n, k)
     if n < 0 or k < 0:
         raise ValueError("ls_explicit: indices must be nonnegative")
+    if n > _EXPLICIT_CACHE_NMAX:
+        return _explicit_value.__wrapped__(n, k)
     return _explicit_value(n, k)
 
 

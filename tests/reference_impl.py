@@ -8,7 +8,9 @@ the definitions step by step and share no code with `partitions.validate` or
 
 `refine_by_counting` picks the half of an isolating interval that keeps the
 root by a Sturm count on the left half, where `realroots.refine_interval`
-reads only the sign of the polynomial at the midpoint.
+reads only the sign of the polynomial at the midpoint.  `_sign_by_terms`
+sums the terms of p(a/b) b^d one at a time, where `realroots._sign_at`
+runs Horner's rule.
 
 `ls_explicit_by_fractions` adds the explicit alternating sum for ls(n,k) one
 `Fraction` term at a time, where `triangles.ls_explicit` sums integers over
@@ -41,11 +43,11 @@ primitive pseudo-remainder sequence), `count_roots` counts the distinct real
 roots in (a, b] as V(a) - V(b), and `isolate_roots` bisects a Cauchy bound
 into one isolating interval per root.  `verify_conjecture_by_resorting`
 isolates the roots of q_k and q_{k+1} that way, sorts every interval after
-each refinement and bisects the first overlapping neighbours.
+each refinement and bisects the first overlapping neighbours with
+`refine_by_counting`; every sign it reads comes from `_sign_by_terms`.
 `realroots.verify_conjecture` instead certifies q_{k+1} from the intervals of
 q_k by interlacing induction and never counts roots, so the two routes share
-only `q_poly`, the sign of a polynomial at a rational point and the bisection
-step.
+only `q_poly`.
 """
 import csv
 import io
@@ -53,7 +55,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import factorial, gcd, lcm
+from operator import mul
 
 from lstirling import gamma, realroots, triangles
 from lstirling.algebra import Poly
@@ -261,13 +265,28 @@ def sturm_chain(p: Poly) -> list:
     return [Poly(cs) for cs in chain]
 
 
+def _sign_by_terms(p: Poly, x) -> int:
+    """Sign of the integer polynomial p at the rational x, term by term.
+
+    With x = a/b, b > 0 and d the degree of p, p(x) b^d is the sum of the
+    terms c_i a^i b^(d-i), each computed on its own, where
+    `realroots._sign_at` accumulates the same sum by Horner's rule.
+    """
+    x = Fraction(x)
+    a, b, d = x.numerator, x.denominator, p.degree
+    a_powers = accumulate(repeat(a, d), mul, initial=1)
+    b_powers = list(accumulate(repeat(b, d), mul, initial=1))
+    total = sum(map(mul, map(mul, p.coeffs, a_powers), reversed(b_powers)))
+    return (total > 0) - (total < 0)
+
+
 def _variations(signs) -> int:
     signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _var_at(chain, x) -> int:
-    return _variations([realroots._sign_at(p, x) for p in chain])
+    return _variations([_sign_by_terms(p, x) for p in chain])
 
 
 def _var_at_inf(chain, direction: int) -> int:
@@ -300,7 +319,7 @@ def count_roots(chain, a=None, b=None) -> int:
     if a is not None and b is not None and not a < b:
         raise ValueError("count_roots: need a < b")
     for x in (a, b):
-        if x is not None and realroots._sign_at(chain[-1], x) == 0:
+        if x is not None and _sign_by_terms(chain[-1], x) == 0:
             raise ValueError(f"count_roots: endpoint {x} is a repeated root")
     va = _var_at_inf(chain, -1) if a is None else _var_at(chain, a)
     vb = _var_at_inf(chain, +1) if b is None else _var_at(chain, b)
@@ -321,8 +340,8 @@ def _shrink_around(chain, mid, lo, hi):
     p = chain[0]
     w = min(mid - lo, hi - mid) / 2
     while (
-        realroots._sign_at(p, mid - w) == 0
-        or realroots._sign_at(p, mid + w) == 0
+        _sign_by_terms(p, mid - w) == 0
+        or _sign_by_terms(p, mid + w) == 0
         or count_roots(chain, mid - w, mid + w) != 1
     ):
         w /= 2
@@ -358,7 +377,7 @@ def isolate_roots(p: Poly):
             intervals.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if realroots._sign_at(p, mid) == 0:
+        if _sign_by_terms(p, mid) == 0:
             ml, mh = _shrink_around(chain, mid, lo, hi)
             stack.append((lo, ml, count_roots(chain, lo, ml)))
             intervals.append((ml, mh))
@@ -375,7 +394,7 @@ def refine_by_counting(chain, interval):
     """One bisection step, keeping the half whose Sturm count is one."""
     lo, hi = interval
     mid = (lo + hi) / 2
-    if realroots._sign_at(chain[0], mid) == 0:
+    if _sign_by_terms(chain[0], mid) == 0:
         return _shrink_around(chain, mid, lo, hi)
     if count_roots(chain, lo, mid) == 1:
         return (lo, mid)
@@ -393,7 +412,7 @@ def verify_conjecture_by_resorting(k: int) -> realroots.ConjectureResult:
             chain, intervals, note = (), [], str(err)
         else:
             note = None
-        certs.append((realroots.RootCertificate(q, int(p.degree), note is None, list(intervals)), note))
+        certs.append((realroots.RootCertificate(q, p.degree, note is None, list(intervals)), note))
         chains.append(chain)
     (cert_r, err_r), (cert_s, err_s) = certs
     expected = realroots.expected_pattern(k)
@@ -421,7 +440,7 @@ def verify_conjecture_by_resorting(k: int) -> realroots.ConjectureResult:
                 return result(
                     "", "inconclusive", f"refinement budget exhausted separating roots of q_{k} and q_{k + 1}"
                 )
-            entry[1] = realroots.refine_interval(entry[2][0], entry[1])
+            entry[1] = refine_by_counting(entry[2], entry[1])
             entry[3] += 1
     cert_r.intervals = [e[1] for e in entries if e[0] == "r"]
     cert_s.intervals = [e[1] for e in entries if e[0] == "s"]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lstirling import algebra
 from lstirling.algebra import (
-    NEG_INF,
     Poly,
     Series,
     X,
@@ -74,13 +73,11 @@ def test_poly_trims_trailing_zeros():
     assert Poly((0, 0)).coeffs == ()
 
 
-def test_zero_poly_degree_is_below_every_integer():
+def test_zero_poly_degree_is_minus_one():
     z = Poly(())
     assert z.is_zero()
-    assert z.degree is NEG_INF
-    assert z.degree < -(10**9)
-    assert not (z.degree < NEG_INF)
-    assert z.degree == NEG_INF
+    assert z.degree == -1 and Poly().degree == -1
+    assert Poly((0, 1)).degree == 1 and Poly((5,)).degree == 0
 
 
 def test_degree_and_leading():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from reference_impl import (
+    _sign_by_terms,
     count_roots,
     isolate_roots,
     refine_by_counting,
@@ -175,6 +176,18 @@ def test_sign_at_agrees_with_fraction_horner(case, points):
         for elem, ref in zip(chain, seq):
             v = _ref_eval(ref, x)
             assert _sign_at(elem, x) == (v > 0) - (v < 0)
+
+
+@given(_square_free(), st.lists(_rationals, min_size=1, max_size=5))
+def test_the_oracles_term_by_term_sign_agrees_with_fraction_horner(case, points):
+    # the Sturm oracle reads every sign through its own evaluator, not _sign_at
+    cs, seq, root = case
+    chain = sturm_chain(Poly(cs))
+    for x in points + ([] if root is None else [root]):
+        for elem, ref in zip(chain, seq):
+            v = _ref_eval(ref, x)
+            assert _sign_by_terms(elem, x) == (v > 0) - (v < 0)
+    assert _sign_by_terms(Poly(), points[0]) == 0
 
 
 @given(_square_free(), _rationals, _rationals)

@@ -8,6 +8,7 @@ from reference_impl import ls_explicit_by_fractions
 
 from lstirling import CheckResult, algebra, grammar, realroots, triangles
 from lstirling.algebra import Poly
+from lstirling.cli import TABLE_CAPS
 from lstirling.codes import count_codes
 from lstirling.gamma import gamma_coeff, gamma_row, support
 from lstirling.triangles import (
@@ -146,6 +147,18 @@ def test_explicit_rows_leave_the_per_entry_cache_alone():
     before = triangles._explicit_value.cache_info()
     list(triangles._explicit_rows(30))
     assert triangles._explicit_value.cache_info() == before
+
+
+def test_explicit_sums_past_the_ls_table_cap_leave_the_cache_alone():
+    # an answer past n = 200 has no size bound, so it is never kept
+    assert triangles._EXPLICIT_CACHE_NMAX == TABLE_CAPS["ls"]
+    triangles._explicit_value.cache_clear()
+    before = triangles._explicit_value.cache_info()
+    assert ls_explicit(1000, 1) == 2**999
+    assert ls_explicit(201, 3) == ls_explicit(201, 3) == ls(201, 3)
+    assert triangles._explicit_value.cache_info() == before
+    ls_explicit(200, 3)
+    assert triangles._explicit_value.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("bad", [2.5, "1", None, True, [1], -1])
