@@ -172,24 +172,22 @@ def _csv_list(values) -> str:
 # -- table ---------------------------------------------------------------
 
 
-def _table_csv(value, poly: bool, nmax: int):
+def _table_csv(rows, poly: bool):
     """Yield the CSV lines n,k,value, one triangle row per chunk."""
     yield "n,k,value\r\n"
-    for n in range(nmax + 1):
+    for n, row in enumerate(rows):
         if poly:
-            yield "".join(f"{n},{k},{_csv_list(value(n, k).coeffs)}\r\n" for k in range(n + 1))
+            yield "".join(f"{n},{k},{_csv_list(c.coeffs)}\r\n" for k, c in enumerate(row))
         else:
-            yield "".join(f"{n},{k},{value(n, k)}\r\n" for k in range(n + 1))
+            yield "".join(f"{n},{k},{c}\r\n" for k, c in enumerate(row))
 
 
-def _table_json(value, poly: bool, nmax: int, family: str):
+def _table_json(rows, poly: bool, nmax: int, family: str):
     """Yield json.dumps({"family", "nmax", "rows"}) + "\n", one triangle row per chunk."""
     # family is a TABLE_CAPS key, so it needs no escaping
     yield f'{{"family": "{family}", "nmax": {nmax}, "rows": ['
-    for n in range(nmax + 1):
-        cells = (value(n, k) for k in range(n + 1))
-        if poly:
-            cells = (_json_list(c.coeffs) for c in cells)
+    for n, row in enumerate(rows):
+        cells = (_json_list(c.coeffs) for c in row) if poly else row
         yield (", " if n else "") + _json_list(cells)
     yield "]}\n"
 
@@ -202,13 +200,14 @@ def cmd_table(args) -> int:
         return _fail(f"table: nmax {args.nmax} exceeds the {args.family} cap {cap}", 1)
     from . import triangles
 
-    value = getattr(triangles, args.family)
+    # streamed: the table holds two rows of its triangle, not the whole of it
+    rows = getattr(triangles, f"{args.family}_triangle").rows(args.nmax)
     # a cell of the polynomial families is its list of coefficients
     poly = args.family in ("js", "jc")
     if args.format == "csv":
-        chunks = _table_csv(value, poly, args.nmax)
+        chunks = _table_csv(rows, poly)
     else:
-        chunks = _table_json(value, poly, args.nmax, args.family)
+        chunks = _table_json(rows, poly, args.nmax, args.family)
     return _emit(chunks, args.out)
 
 
@@ -229,11 +228,13 @@ def _verify_identities(nmax: int) -> list:
         yield from triangles._vertical_gf_sweep(nmax, nmax)
 
     def specialize():
-        for n in range(zmax + 1):
+        # row by row, so that js and jc past the bivariate sweep's rows are never cached
+        rows = zip(*(getattr(triangles, f"{family}_triangle").rows(zmax) for family in ("js", "ls", "jc", "lc")))
+        for n, (js_row, ls_row, jc_row, lc_row) in enumerate(rows):
             for k in range(n + 1):
-                if triangles.js(n, k).eval(1) != triangles.ls(n, k):
+                if js_row[k].eval(1) != ls_row[k]:
                     yield CheckResult(False, f"js({n},{k}) at z=1 != ls({n},{k})")
-                if triangles.jc(n, k).eval(1) != triangles.lc(n, k):
+                if jc_row[k].eval(1) != lc_row[k]:
                     yield CheckResult(False, f"jc({n},{k}) at z=1 != lc({n},{k})")
 
     jmax = min(nmax, 15)
@@ -320,7 +321,7 @@ def cmd_verify(args) -> int:
     if args.suite in ("bijection", "zstat"):
         from .partitions import ENUM_LIMIT as cap
     else:
-        # identities fill the ls triangle to row nmax, and grammar the js and jc triangles
+        # identities fill the ls triangle to row nmax, and grammar builds js and jc rows to nmax
         cap = TABLE_CAPS["ls" if args.suite == "identities" else "js"]
     if nmax > cap:
         return _fail(f"verify {args.suite}: nmax capped at {cap}", 1)

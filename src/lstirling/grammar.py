@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from . import CheckResult, _FrozenRecord, _last, _require_int
 from .algebra import Poly
-from .triangles import Triangle, jc, js
+from .triangles import Triangle, jc_triangle, js_triangle
 
 
 class Letter(_FrozenRecord):
@@ -128,19 +128,24 @@ class FormalPoly:
         """Deterministic display, larger monomials first: 'a_2 b c^2 + (1+z) a_1 c'."""
         if not self.terms:
             return "0"
-        parts = []
+        out = ""
         for mono in sorted(self.terms, key=Monomial.sort_key, reverse=True):
             coeff = self.terms[mono]
+            # a negative constant shows its sign as the operator, as Poly.render does
+            sign = "-" if coeff.degree == 0 and coeff.coefficient(0) < 0 else "+"
             if coeff.degree > 0:
                 cs = f"({coeff.render('z')})"
-            elif coeff == 1:
+            elif abs(coeff.coefficient(0)) == 1:
                 cs = ""
             else:
-                cs = str(coeff.coefficient(0))
+                cs = str(abs(coeff.coefficient(0)))
             body = mono.render() if mono.powers else ""
-            text = " ".join(x for x in (cs, body) if x)
-            parts.append(text if text else "1")
-        return " + ".join(parts)
+            text = " ".join(x for x in (cs, body) if x) or "1"
+            if out:
+                out += f" {sign} {text}"
+            else:
+                out = text if sign == "+" else f"-{text}"
+        return out
 
     def __repr__(self):
         return f"FormalPoly('{self.render()}')"
@@ -184,18 +189,18 @@ def derive(g: Grammar, p: FormalPoly) -> FormalPoly:
     return FormalPoly(terms)
 
 
-def _sweep(nmax: int, seed: FormalPoly, step, term, label: str):
+def _sweep(nmax: int, seed: FormalPoly, step, triangle: Triangle, monomial, label: str):
     """Yield one CheckResult per n = 0..nmax, deriving seed once per power.
 
     D^n is derive(step(n), D^(n-1)), and it must equal the sum over
-    k = 0..n of term(n, k), a (monomial, coefficient) pair; a mismatch
-    shows D^n as label.
+    k = 0..n of triangle's T(n,k) times monomial(n, k); the triangle's rows
+    are streamed, not cached.  A mismatch shows D^n as label.
     """
     p = seed
-    for n in range(nmax + 1):
+    for n, row in enumerate(triangle.rows(nmax)):
         if n:
             p = derive(step(n), p)
-        if p == FormalPoly(term(n, k) for k in range(n + 1)):
+        if p == FormalPoly((monomial(n, k), c) for k, c in enumerate(row)):
             yield CheckResult(True)
         else:
             yield CheckResult(False, f"n={n}: {label} = {p.render()}")
@@ -209,10 +214,10 @@ def _stirling2_sweep(nmax: int):
     x, y = Letter("x"), Letter("y")
     g = Grammar({x: FormalPoly.term(Monomial.of((x, 1), (y, 1))), y: FormalPoly.letter(y)})
 
-    def term(n, k):
-        return Monomial.of((x, 1), (y, k)), _stirling2.value(n, k)
+    def monomial(n, k):
+        return Monomial.of((x, 1), (y, k))
 
-    return _sweep(nmax, FormalPoly.letter(x), lambda m: g, term, "D^n(x)")
+    return _sweep(nmax, FormalPoly.letter(x), lambda m: g, _stirling2, monomial, "D^n(x)")
 
 
 def check_stirling2(n: int) -> CheckResult:
@@ -231,10 +236,10 @@ def _stirling1_sweep(nmax: int):
         }
     )
 
-    def term(n, k):
-        return Monomial.of((x, 1), (y, k), (w, n - k)), _stirling1.value(n, k)
+    def monomial(n, k):
+        return Monomial.of((x, 1), (y, k), (w, n - k))
 
-    return _sweep(nmax, FormalPoly.letter(x), lambda m: g, term, "D^n(x)")
+    return _sweep(nmax, FormalPoly.letter(x), lambda m: g, _stirling1, monomial, "D^n(x)")
 
 
 def check_stirling1(n: int) -> CheckResult:
@@ -268,10 +273,10 @@ def js_grammar() -> Grammar:
 def _js_sweep(nmax: int):
     g, b, c = js_grammar(), Letter("b"), Letter("c")
 
-    def term(n, k):
-        return Monomial.of((Letter("a", k), 1), (b, k * (k - 1) // 2), (c, k)), js(n, k)
+    def monomial(n, k):
+        return Monomial.of((Letter("a", k), 1), (b, k * (k - 1) // 2), (c, k))
 
-    return _sweep(nmax, FormalPoly.letter(Letter("a", 0)), lambda m: g, term, "D^n(a_0)")
+    return _sweep(nmax, FormalPoly.letter(Letter("a", 0)), lambda m: g, js_triangle, monomial, "D^n(a_0)")
 
 
 def check_js_grammar(n: int) -> CheckResult:
@@ -303,10 +308,11 @@ def _jc_grammar(k: int) -> Grammar:
 def _jc_sweep(nmax: int):
     a = Letter("a")
 
-    def term(n, k):
-        return Monomial.of((a, 1), (Letter("b", k), 1)), jc(n, k)
+    def monomial(n, k):
+        return Monomial.of((a, 1), (Letter("b", k), 1))
 
-    return _sweep(nmax, FormalPoly.term(Monomial.of((a, 1), (Letter("b", 0), 1))), _jc_grammar, term, "result")
+    seed = FormalPoly.term(Monomial.of((a, 1), (Letter("b", 0), 1)))
+    return _sweep(nmax, seed, _jc_grammar, jc_triangle, monomial, "result")
 
 
 def check_jc_grammar(n: int) -> CheckResult:

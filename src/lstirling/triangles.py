@@ -28,9 +28,10 @@ from .algebra import Poly, Series, _falling_bases, _series_geom, series_mul
 class Triangle:
     """Memoized triangle for T(n,k) = T(n-1,k-1) + f(n,k) T(n-1,k).
 
-    Rows are filled iteratively and cached for the lifetime of the instance.
-    The package is single-process and takes no lock.  `one` and `zero` fix
-    the entry ring (ints, or Poly for the z-triangles).
+    `value` fills rows iteratively and caches them for the lifetime of the
+    instance; `rows` streams them without filling the cache.  Both build a
+    row by `_next_row`.  The package is single-process and takes no lock.
+    `one` and `zero` fix the entry ring (ints, or Poly for the z-triangles).
     """
 
     def __init__(self, factor, one=1, zero=0, tag: str = ""):
@@ -40,21 +41,35 @@ class Triangle:
         self.tag = tag
         self._rows = [[one]]
 
+    def _next_row(self, prev: list) -> list:
+        """Row m = len(prev), built from row m-1: the only copy of the recurrence."""
+        m, factor = len(prev), self.factor
+        # cells[j] is T(m-1, j-1) and cells[j+1] is T(m-1, j), zero outside the row
+        cells = [self.zero, *prev, self.zero]
+        return [cells[j] + factor(m, j) * cells[j + 1] for j in range(m + 1)]
+
     def value(self, n: int, k: int):
         if n < 0 or k < 0:
             raise ValueError(f"triangle {self.tag}: indices must be nonnegative")
         if k > n:
             return self.zero
         while len(self._rows) <= n:
-            m = len(self._rows)
-            prev = self._rows[m - 1]
-            row = []
-            for j in range(m + 1):
-                left = prev[j - 1] if 1 <= j <= m else self.zero
-                up = prev[j] if j < m else self.zero
-                row.append(left + self.factor(m, j) * up)
-            self._rows.append(row)
+            self._rows.append(self._next_row(self._rows[-1]))
         return self._rows[n][k]
+
+    def rows(self, nmax: int):
+        """Yield the rows n = 0..nmax as lists [T(n,0), ..., T(n,n)].
+
+        Rows already cached are yielded as they are, and each further row is
+        built from the one before and stored nowhere, so a pass past the
+        cache holds two rows, not the whole triangle.  Treat the rows as
+        read-only: a cached one is the cache's own list.
+        """
+        memo = self._rows
+        row = None
+        for n in range(nmax + 1):
+            row = memo[n] if n < len(memo) else self._next_row(row)
+            yield row
 
 
 ls_triangle = Triangle(lambda n, k: k * (k + 1), tag="ls")
@@ -83,14 +98,29 @@ def jc(n: int, k: int) -> Poly:
     return jc_triangle.value(n, k)
 
 
+# the ls table cap: ls_explicit caches no answer for a larger n, and no
+# weights for a larger k
+_EXPLICIT_CACHE_NMAX = 200
+
+
 @lru_cache(maxsize=256)
 def _explicit_weights(k: int) -> tuple:
     """The signed weights (-1)^(r+k) (2r+1) C(2k+1, k-r) of the explicit sum, r = 0..k.
 
     Cached, and a tuple so that the shared value cannot change; the bound
-    holds every k up to the ls table cap.
+    holds every k up to the ls table cap, and _weights reads the cache only
+    there.
     """
     return tuple((-(2 * r + 1) if (r + k) & 1 else 2 * r + 1) * comb(2 * k + 1, k - r) for r in range(k + 1))
+
+
+def _weights(k: int) -> tuple:
+    """_explicit_weights(k), read from its cache only for k <= _EXPLICIT_CACHE_NMAX.
+
+    A larger k's weights, up to k + 1 numbers of about 2k bits, are
+    computed on every call and kept nowhere.
+    """
+    return _explicit_weights(k) if k <= _EXPLICIT_CACHE_NMAX else _explicit_weights.__wrapped__(k)
 
 
 def _explicit(n: int, k: int, weights: tuple, powers: list) -> int:
@@ -106,10 +136,6 @@ def _explicit(n: int, k: int, weights: tuple, powers: list) -> int:
     return quotient
 
 
-# the ls table cap: ls_explicit caches no answer for a larger n
-_EXPLICIT_CACHE_NMAX = 200
-
-
 @lru_cache(maxsize=1024)
 def _explicit_value(n: int, k: int) -> int:
     """ls_explicit(n,k) once its arguments are checked, cached per (n, k).
@@ -118,7 +144,7 @@ def _explicit_value(n: int, k: int) -> int:
     reads the cache only for n <= _EXPLICIT_CACHE_NMAX, where an entry is at
     most about 1,750 bits, so a full cache stays under 1 MB.
     """
-    return _explicit(n, k, _explicit_weights(k), [(r * r + r) ** n for r in range(k + 1)])
+    return _explicit(n, k, _weights(k), [(r * r + r) ** n for r in range(k + 1)])
 
 
 def ls_explicit(n: int, k: int) -> int:
@@ -155,7 +181,7 @@ def _explicit_rows(nmax: int):
     for n in range(nmax + 1):
         powers = [p * (r * r + r) for r, p in enumerate(powers)]
         powers.append((n * n + n) ** n)
-        yield [_explicit(n, k, _explicit_weights(k), powers) for k in range(n + 1)]
+        yield [_explicit(n, k, _weights(k), powers) for k in range(n + 1)]
 
 
 def ls_vertical(n: int, j: int) -> int:

@@ -114,13 +114,24 @@ def test_table_json_matches_one_json_dumps(capsys, tmp_path, family, nmax):
 
 @pytest.mark.parametrize("family", sorted(TABLE_CAPS))
 def test_table_json_yields_one_triangle_row_per_chunk(family):
-    value, poly = getattr(triangles, family), family in ("js", "jc")
-    chunks = list(cli._table_json(value, poly, 7, family))
+    rows, poly = getattr(triangles, f"{family}_triangle").rows(7), family in ("js", "jc")
+    chunks = list(cli._table_json(rows, poly, 7, family))
     assert len(chunks) == 7 + 3
     assert chunks[0] == f'{{"family": "{family}", "nmax": 7, "rows": [' and chunks[-1] == "]}\n"
     doc = json.loads(table_json_by_json_dumps(family, 7))
     for n, chunk in enumerate(chunks[1:-1]):
         assert json.loads(chunk.removeprefix(", ")) == doc["rows"][n]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_streams_its_rows_past_the_cache(capsys, monkeypatch, fmt):
+    fresh = triangles.Triangle(triangles.ls_triangle.factor, tag="ls")
+    monkeypatch.setattr(triangles, "ls_triangle", fresh)
+    rc, out, _ = run(capsys, "table", "--family", "ls", "--nmax", "200", "--format", fmt)
+    assert (rc, len(fresh._rows)) == (0, 1)
+    # the oracle reads ls by value, which fills the cache
+    want = table_csv_by_csv_writer if fmt == "csv" else table_json_by_json_dumps
+    assert out == want("ls", 200)
 
 
 def test_table_cap_exceeded(capsys):
@@ -205,9 +216,8 @@ def test_verify_sweep_output_is_stable(capsys, suite, digest):
     assert hashlib.sha256(stripped.encode()).hexdigest() == digest
 
 
-def test_verify_grammar_reports_the_first_wrong_power(capsys, monkeypatch):
-    real = grammar.js
-    monkeypatch.setattr(grammar, "js", lambda n, k: real(n, k) + (1 if (n, k) == (5, 2) else 0))
+def test_verify_grammar_reports_the_first_wrong_power(capsys, monkeypatch, off_by_one):
+    monkeypatch.setattr(grammar, "js_triangle", off_by_one(grammar.js_triangle, (5, 2)))
     rc, out, _ = run(capsys, "verify", "grammar", "--nmax", "8")
     assert rc == 1
     lines = re.sub(r" \d+\.\d+s", "", out).splitlines()
@@ -220,8 +230,13 @@ def test_verify_grammar_reports_the_first_wrong_power(capsys, monkeypatch):
     ]
 
 
-def _off_by_one_at(monkeypatch, at, *names):
+def _off_by_one_at(monkeypatch, off_by_one, at, *names):
+    # a triangle is spoiled in its row step, which its value and its rows share
     for name in names:
+        if name in TABLE_CAPS:
+            triangle = f"{name}_triangle"
+            monkeypatch.setattr(triangles, triangle, off_by_one(getattr(triangles, triangle), at))
+            continue
         real = getattr(triangles, name)
         monkeypatch.setattr(
             triangles, name, lambda n, k, *rest, real=real: real(n, k, *rest) + (1 if (n, k) == at else 0)
@@ -277,8 +292,8 @@ def _off_by_one_at(monkeypatch, at, *names):
         ),
     ],
 )
-def test_verify_identities_reports_the_first_wrong_index(capsys, monkeypatch, names, at, lines):
-    _off_by_one_at(monkeypatch, at, *names)
+def test_verify_identities_reports_the_first_wrong_index(capsys, monkeypatch, off_by_one, names, at, lines):
+    _off_by_one_at(monkeypatch, off_by_one, at, *names)
     rc, out, _ = run(capsys, "verify", "identities", "--nmax", "8")
     assert rc == 1
     assert re.sub(r" \d+\.\d+s", "", out).splitlines() == lines
@@ -323,10 +338,15 @@ def test_z_equals_1_stops_at_the_js_jc_table_cap(capsys, monkeypatch):
     for name in ("js_triangle", "jc_triangle"):
         old = getattr(triangles, name)
         monkeypatch.setattr(triangles, name, triangles.Triangle(old.factor, old.one, old.zero, old.tag))
+    streamed = []
+    real = triangles.Triangle.rows
+    monkeypatch.setattr(triangles.Triangle, "rows", lambda t, nmax: streamed.append((t.tag, nmax)) or real(t, nmax))
     rc, out, _ = run(capsys, "verify", "identities", "--nmax", "61")
     assert rc == 0
     assert re.search(r"^ok   identities\.z_equals_1 nmax=60 ", out, flags=re.M)
-    assert len(triangles.js_triangle._rows) == len(triangles.jc_triangle._rows) == 61
+    assert streamed == [("js", 60), ("ls", 60), ("jc", 60), ("lc", 60)]
+    # z_equals_1 streams its rows: js and jc are cached only to the bivariate sweep's row 15
+    assert len(triangles.js_triangle._rows) == len(triangles.jc_triangle._rows) == 16
 
 
 def test_verify_reports_name_each_check(capsys):

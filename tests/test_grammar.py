@@ -111,6 +111,15 @@ def test_formal_poly_render_shows_a_unit_monomial_by_its_coefficient():
     assert p.render() == "(z) c + 2 b + 1"
 
 
+def test_formal_poly_render_shows_a_negative_constant_by_its_sign():
+    cb = Monomial.of((c, 1)), Monomial.of((b, 1))
+    assert FormalPoly(zip(cb, (1, -2))).render() == "c - 2 b"
+    assert FormalPoly(zip(cb, (-3, -1))).render() == "-3 c - b"
+    assert FormalPoly(zip(cb, (-1, 2))).render() == "-c + 2 b"
+    assert FormalPoly([(cb[0], Poly((-1, 1))), (Monomial(), -1)]).render() == "(-1+z) c - 1"
+    assert FormalPoly.term(Monomial(), -1).render() == "-1"
+
+
 def test_grammar_from_mapping_and_a_zero_rule():
     # a rule to FormalPoly() makes its letter a constant
     g = Grammar({b: FormalPoly.letter(c), c: FormalPoly()})
@@ -222,9 +231,8 @@ def test_each_check_is_the_last_result_of_its_sweep(check, sweep, monkeypatch):
         check(-1)
 
 
-def test_a_wrong_value_fails_its_power_only(monkeypatch):
-    real = grammar.js
-    monkeypatch.setattr(grammar, "js", lambda n, k: real(n, k) + (1 if (n, k) == (5, 2) else 0))
+def test_a_wrong_value_fails_its_power_only(monkeypatch, off_by_one):
+    monkeypatch.setattr(grammar, "js_triangle", off_by_one(grammar.js_triangle, (5, 2)))
     results = list(grammar._js_sweep(8))
     assert [bool(r) for r in results] == [n != 5 for n in range(9)]
     assert results[5].detail.startswith("n=5: D^n(a_0) = a_5 b^10 c^5 + ")

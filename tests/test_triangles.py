@@ -82,6 +82,43 @@ def test_jc_matches_frozen_rows():
         assert [jc(n, k) for k in range(n + 1)] == [Poly(cs) for cs in row]
 
 
+def _fresh(triangle):
+    return triangles.Triangle(triangle.factor, triangle.one, triangle.zero, triangle.tag)
+
+
+ROW_TRIANGLES = {
+    "ls": triangles.ls_triangle,
+    "lc": triangles.lc_triangle,
+    "js": triangles.js_triangle,
+    "jc": triangles.jc_triangle,
+    "stirling1": grammar._stirling1,
+    "stirling2": grammar._stirling2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_TRIANGLES))
+@pytest.mark.parametrize("nmax", [0, 1, 7, 30])
+@pytest.mark.parametrize("cached", ["empty", "part", "longer"])
+def test_streamed_rows_equal_the_cached_rows(name, nmax, cached):
+    reference = _fresh(ROW_TRIANGLES[name])
+    want = [[reference.value(n, k) for k in range(n + 1)] for n in range(nmax + 1)]
+    t = _fresh(ROW_TRIANGLES[name])
+    # the cache holds rows 0..nmax // 2, or rows past nmax
+    if cached != "empty":
+        t.value(nmax // 2 if cached == "part" else nmax + 3, 0)
+    before = len(t._rows)
+    assert list(t.rows(nmax)) == want
+    # streaming past the cache stores nothing
+    assert len(t._rows) == before
+
+
+def test_streamed_rows_match_frozen_rows():
+    assert list(_fresh(triangles.ls_triangle).rows(7)) == [LS_ROWS[n] for n in range(8)]
+    assert list(_fresh(triangles.lc_triangle).rows(6)) == [LC_ROWS[n] for n in range(7)]
+    assert list(_fresh(triangles.js_triangle).rows(5))[1:] == [[Poly(cs) for cs in JS_ROWS[n]] for n in range(1, 6)]
+    assert list(_fresh(triangles.jc_triangle).rows(5))[1:] == [[Poly(cs) for cs in JC_ROWS[n]] for n in range(1, 6)]
+
+
 def test_known_row_sums():
     assert sum(ls(5, k) for k in range(6)) == 669
     assert sum(ls(6, k) for k in range(7)) == 6955
@@ -159,6 +196,17 @@ def test_explicit_sums_past_the_ls_table_cap_leave_the_cache_alone():
     assert triangles._explicit_value.cache_info() == before
     ls_explicit(200, 3)
     assert triangles._explicit_value.cache_info().currsize == 1
+
+
+def test_explicit_weights_past_the_ls_table_cap_leave_their_cache_alone():
+    # a column past k = 200 has weights of unbounded size, so they are never kept
+    triangles._explicit_value.cache_clear()
+    triangles._explicit_weights.cache_clear()
+    assert ls_explicit(5, 201) == 0
+    assert ls_explicit(202, 201) == list(_fresh(triangles.ls_triangle).rows(202))[-1][201]
+    assert triangles._explicit_weights.cache_info().currsize == 0
+    assert ls_explicit(5, 200) == 0
+    assert triangles._explicit_weights.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("bad", [2.5, "1", None, True, [1], -1])
