@@ -112,7 +112,7 @@ def _require_int(where: str, *values) -> None:
 
 # the public names of each layer module, in the order __all__ lists them
 _EXPORTS = {
-    "algebra": "Poly Series binomial falling_basis series_geom series_mul",
+    "algebra": "Poly binomial falling_basis",
     "codes": "A B Bb X count_codes enumerate_codes n_x parse_code phi phi_inverse render_code validate_code",
     "gamma": (
         "binomial_poly closed_forms gamma_coeff gamma_ode_step gamma_poly gamma_poly_via_ode gamma_row"

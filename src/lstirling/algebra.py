@@ -1,4 +1,4 @@
-"""Exact arithmetic substrate: binomials, dense polynomials, truncated series.
+"""Exact arithmetic substrate: binomials and dense polynomials.
 
 Everything in this module is exact.  Integers are Python ints, rationals are
 `fractions.Fraction` (always reduced, positive denominator), and there is no
@@ -6,7 +6,8 @@ floating point anywhere.  `Poly` is a dense univariate polynomial whose
 coefficients may be ints, Fractions, or again `Poly` values; the nested form
 gives polynomials in x over Z[z], which is all the bivariate structure the
 rest of the package needs.  A Poly is falsy exactly when it is zero, and
-Poly and Series products run through the one product loop `_convolve`.
+every product, of polynomials or of truncated coefficient lists, runs through
+the one product loop `_convolve`.
 `fractions` is imported only where a Fraction is built, so integer-only work
 such as a table never loads it.
 """
@@ -46,31 +47,38 @@ def _binomial(n: int, k: int) -> int:
     return (-1) ** k * comb(k - n - 1, k)
 
 
-def _coeff_list(where: str, coeffs) -> list:
-    """coeffs read once into a new list; ValueError when it is not iterable.
+def _coeff_list(coeffs) -> list:
+    """coeffs read once into a new list; ValueError when it is a str or not iterable.
 
     An exact tuple is read as it is, and for anything else only iter() is
     guarded, so an error raised while an iterable is read reaches the caller
-    unchanged.
+    unchanged.  A str is iterable, but its characters are not coefficients.
     """
     if coeffs.__class__ is not tuple:
+        if isinstance(coeffs, str):
+            raise ValueError(f"Poly: coefficients must not be a str, got {coeffs!r}")
         try:
             coeffs = iter(coeffs)
         except TypeError:
-            raise ValueError(f"{where}: coefficients must be iterable, got {coeffs!r}") from None
+            raise ValueError(f"Poly: coefficients must be iterable, got {coeffs!r}") from None
     return list(coeffs)
 
 
 def _convolve(a, b, size: int) -> list:
     """The first size coefficients of the product of the sequences a and b.
 
-    The module's one product loop, for Poly and Series alike.  A zero
-    coefficient of a is skipped, and each term is added as out[j] + x * y,
-    so an int 0 slot takes a Poly term through Poly.__radd__.  For a Poly
-    product the slice of b is all of b, which a tuple returns uncopied.
+    The package's one product loop, for Poly products and for truncated
+    power series given as coefficient lists.  A zero coefficient of a is
+    skipped, and each term is added as out[j] + x * y, so an int 0 slot
+    takes a Poly term through Poly.__radd__.  For a Poly product both
+    slices are whole, and a tuple returns a whole slice uncopied.  Slots
+    past both operands stay 0.
+
+    >>> _convolve([1, 1, 1], [1, 2, 4], 3)
+    [1, 3, 7]
     """
     out = [0] * size
-    for i, x in enumerate(a):
+    for i, x in enumerate(a[:size]):
         if not x:
             continue
         for j, y in enumerate(b[: size - i], i):
@@ -107,7 +115,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = _coeff_list("Poly", coeffs)
+        cs = _coeff_list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -117,18 +125,10 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def coefficient(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
@@ -255,9 +255,6 @@ class Poly:
         return f"Poly('{self.render()}')"
 
 
-X = Poly((0, 1))
-
-
 def falling_basis(k: int) -> Poly:
     """Product of (x - i(z+i)) for i = 0..k-1, as a poly in x over Z[z].
 
@@ -278,55 +275,3 @@ def _falling_bases(kmax: int):
     """Yield falling_basis(k) for k = 0..kmax, each one factor x - i(z+i) on the one before."""
     return accumulate((Poly((Poly((-i * i, -i)), 1)) for i in range(kmax)), mul, initial=Poly((1,)))
 
-
-class Series:
-    """Power series truncated at a fixed order N: exactly N+1 coefficients.
-
-    Coefficients are stored as given (ints, in every caller) and padded
-    with 0.  Multiplication keeps the same truncation order; operands must
-    agree on it.
-    """
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs, order: int):
-        _require_int("Series", order)
-        if order < 0:
-            raise ValueError("Series: order must be nonnegative")
-        cs = _coeff_list("Series", coeffs)[: order + 1]
-        cs.extend([0] * (order + 1 - len(cs)))
-        self.coeffs = tuple(cs)
-        self.order = order
-
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"Series({list(self.coeffs)!r}, order={self.order})"
-
-
-def series_geom(r: int, order: int) -> Series:
-    """Truncation of 1/(1 - r(r+1)x): coefficients (r(r+1))^j.
-
-    >>> series_geom(1, 3).coeffs == (1, 2, 4, 8)
-    True
-    """
-    _require_int("series_geom", r, order)
-    return _series_geom(r, order)
-
-
-def _series_geom(r: int, order: int) -> Series:
-    # series_geom without the check, for int arguments by construction
-    ratio = r * (r + 1)
-    return Series((ratio ** j for j in range(order + 1)), order)
-
-
-def series_mul(a: Series, b: Series) -> Series:
-    """Product truncated at the common order."""
-    if not (isinstance(a, Series) and isinstance(b, Series)):
-        raise ValueError(f"series_mul: operands must be Series, got {a!r} and {b!r}")
-    if a.order != b.order:
-        raise ValueError("series_mul: operands must share the truncation order")
-    return Series(_convolve(a.coeffs, b.coeffs, a.order + 1), a.order)

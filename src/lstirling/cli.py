@@ -61,18 +61,8 @@ class BFileError(Exception):
         self.line_no = line_no
 
 
-class BFile(_Record):
-    """The (index, value) pairs of one b-file."""
-
-    __slots__ = ("seq_id", "entries")
-
-    def __init__(self, seq_id: str, entries: list | None = None):
-        self.seq_id = seq_id
-        self.entries = [] if entries is None else entries
-
-
-def parse_bfile(text: str, seq_id: str = "") -> BFile:
-    """Parse OEIS b-file lines 'index value'; '#' starts a comment."""
+def parse_bfile(text: str) -> list:
+    """Parse OEIS b-file lines 'index value' into (index, value) pairs; '#' starts a comment."""
     entries = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -88,7 +78,7 @@ def parse_bfile(text: str, seq_id: str = "") -> BFile:
         if entries and idx <= entries[-1][0]:
             raise BFileError(line_no, "indices must be strictly increasing")
         entries.append((idx, val))
-    return BFile(seq_id, entries)
+    return entries
 
 
 OEIS_SEQUENCES = {
@@ -477,15 +467,15 @@ def cmd_oeis(args) -> int:
     except (OSError, UnicodeDecodeError) as err:
         return _fail(f"oeis: cannot read b-file: {err}", 3)
     try:
-        bfile = parse_bfile(text, args.seq)
+        entries = parse_bfile(text)
     except BFileError as err:
         return _fail(f"oeis: {args.seq} b-file {err}", 3)
-    if args.count > len(bfile.entries):
-        return _fail(f"oeis: b-file has only {len(bfile.entries)} entries, need {args.count}", 3)
+    if args.count > len(entries):
+        return _fail(f"oeis: b-file has only {len(entries)} entries, need {args.count}", 3)
     from . import gamma
 
     shift = entry["shift"]
-    for idx, val in bfile.entries[: args.count]:
+    for idx, val in entries[: args.count]:
         k = idx + shift
         if k < 0:
             return _fail(f"oeis: index {idx} maps to negative k with shift {shift}", 3)

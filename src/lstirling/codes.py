@@ -124,7 +124,7 @@ def validate_code(code) -> CheckResult:
     pos = _image(read)
     if pos.__class__ is not int:
         return CheckResult(True)
-    return CheckResult(False, _symbol_error(pos, read[pos - 1], n_x(read[: pos - 1])))
+    return CheckResult(False, _symbol_error(pos, read[pos - 1], read[: pos - 1].count(X)))
 
 
 def _symbol_error(pos: int, sym, t: int) -> str:

@@ -22,7 +22,7 @@ from math import comb, factorial
 from operator import mul
 
 from . import CheckResult, _last, _require_int
-from .algebra import Poly, Series, _falling_bases, _series_geom, series_mul
+from .algebra import Poly, _convolve, _falling_bases
 
 
 class Triangle:
@@ -98,32 +98,16 @@ def jc(n: int, k: int) -> Poly:
     return jc_triangle.value(n, k)
 
 
-# the ls table cap: ls_explicit caches no answer for a larger n, and no
-# weights for a larger k
+# the ls table cap: ls_explicit caches no answer for a larger n
 _EXPLICIT_CACHE_NMAX = 200
 
 
-@lru_cache(maxsize=256)
-def _explicit_weights(k: int) -> tuple:
-    """The signed weights (-1)^(r+k) (2r+1) C(2k+1, k-r) of the explicit sum, r = 0..k.
-
-    Cached, and a tuple so that the shared value cannot change; the bound
-    holds every k up to the ls table cap, and _weights reads the cache only
-    there.
-    """
-    return tuple((-(2 * r + 1) if (r + k) & 1 else 2 * r + 1) * comb(2 * k + 1, k - r) for r in range(k + 1))
+def _explicit_weights(k: int) -> list:
+    """The signed weights (-1)^(r+k) (2r+1) C(2k+1, k-r) of the explicit sum, r = 0..k."""
+    return [(-(2 * r + 1) if (r + k) & 1 else 2 * r + 1) * comb(2 * k + 1, k - r) for r in range(k + 1)]
 
 
-def _weights(k: int) -> tuple:
-    """_explicit_weights(k), read from its cache only for k <= _EXPLICIT_CACHE_NMAX.
-
-    A larger k's weights, up to k + 1 numbers of about 2k bits, are
-    computed on every call and kept nowhere.
-    """
-    return _explicit_weights(k) if k <= _EXPLICIT_CACHE_NMAX else _explicit_weights.__wrapped__(k)
-
-
-def _explicit(n: int, k: int, weights: tuple, powers: list) -> int:
+def _explicit(n: int, k: int, weights: list, powers: list) -> int:
     """ls(n,k) as sum_r weights[r] powers[r] / (2k+1)!, where powers[r] = (r^2+r)^n.
 
     powers may run past r = k; the sum stops with the weights.
@@ -144,7 +128,7 @@ def _explicit_value(n: int, k: int) -> int:
     reads the cache only for n <= _EXPLICIT_CACHE_NMAX, where an entry is at
     most about 1,750 bits, so a full cache stays under 1 MB.
     """
-    return _explicit(n, k, _weights(k), [(r * r + r) ** n for r in range(k + 1)])
+    return _explicit(n, k, _explicit_weights(k), [(r * r + r) ** n for r in range(k + 1)])
 
 
 def ls_explicit(n: int, k: int) -> int:
@@ -172,16 +156,17 @@ def ls_explicit(n: int, k: int) -> int:
 def _explicit_rows(nmax: int):
     """Yield [ls_explicit(n, k) for k = 0..n] for n = 0..nmax.
 
-    Each k's weights come from the cache that ls_explicit reads, and row n's
-    powers (r^2+r)^n are row n-1's times r^2+r, one multiplication per r.
-    Every entry is computed here: ls_explicit's per-(n, k) cache is neither
-    read nor filled.
+    The sweep owns its weights and its powers: row n adds column n's
+    weights, and its powers (r^2+r)^n are row n-1's times r^2+r, one
+    multiplication per r.  Every entry is computed here: ls_explicit's
+    per-(n, k) cache is neither read nor filled.
     """
-    powers = []
+    weights, powers = [], []
     for n in range(nmax + 1):
+        weights.append(_explicit_weights(n))
         powers = [p * (r * r + r) for r, p in enumerate(powers)]
         powers.append((n * n + n) ** n)
-        yield [_explicit(n, k, _weights(k), powers) for k in range(n + 1)]
+        yield [_explicit(n, k, weights[k], powers) for k in range(n + 1)]
 
 
 def ls_vertical(n: int, j: int) -> int:
@@ -225,17 +210,18 @@ def horizontal_identity_ls(n: int) -> CheckResult:
 def _vertical_gf_sweep(kmax: int, nmax: int):
     """Yield vertical_gf_check(k, nmax - k) for k = 1..kmax.
 
-    The product for k is the product for k-1, truncated to order nmax - k,
-    times one geometric series.
+    The product for k, a list of its first nmax - k + 1 coefficients, is
+    the product for k-1 times the series (k(k+1))^j of 1/(1 - k(k+1)x),
+    truncated by the one product loop.
     """
-    prod = None
+    prod = [1]
     for k in range(1, kmax + 1):
-        geom = _series_geom(k, nmax - k)
-        prod = geom if prod is None else series_mul(Series(prod.coeffs, geom.order), geom)
+        ratio, size = k * (k + 1), nmax - k + 1
+        prod = _convolve(prod, [ratio**j for j in range(size)], size)
         yield next(
             (
                 CheckResult(False, f"k={k}: coefficient of x^{m} is {c}, triangle gives {ls(m + k, k)}")
-                for m, c in enumerate(prod.coeffs)
+                for m, c in enumerate(prod)
                 if c != ls(m + k, k)
             ),
             CheckResult(True),
@@ -247,6 +233,8 @@ def vertical_gf_check(k: int, order: int) -> CheckResult:
     _require_int("vertical_gf_check", k, order)
     if k < 1:
         raise ValueError("vertical_gf_check: k must be at least 1")
+    if order < 0:
+        raise ValueError("vertical_gf_check: order must be nonnegative")
     return _last(k, _vertical_gf_sweep(k, order + k))
 
 

@@ -251,7 +251,7 @@ def sturm_chain(p: Poly) -> list:
     variation count and root count is the classical one.  Ends at the last
     nonzero remainder; for square-free p that element is a nonzero constant.
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("sturm_chain: zero polynomial")
     chain = [_primitive(p.coeffs)]
     d = [i * c for i, c in enumerate(p.coeffs) if i >= 1]
@@ -293,10 +293,10 @@ def _var_at_inf(chain, direction: int) -> int:
     # sign at +oo is the leading sign; at -oo it flips with odd degree
     signs = []
     for p in chain:
-        if p.is_zero():
+        if not p:
             signs.append(0)
             continue
-        lead = p.leading()
+        lead = p.coeffs[-1]
         s = (lead > 0) - (lead < 0)
         if direction < 0 and (len(p.coeffs) - 1) % 2 == 1:
             s = -s
@@ -329,7 +329,7 @@ def count_roots(chain, a=None, b=None) -> int:
 def _root_bound(p: Poly) -> Fraction:
     # Cauchy bound 1 + max|c_i| / |lc| of the integer polynomial p: every
     # root has absolute value strictly below it
-    lead = abs(p.leading())
+    lead = abs(p.coeffs[-1])
     rest = max((abs(c) for c in p.coeffs[:-1]), default=0)
     return Fraction(lead + rest, lead)
 
@@ -356,7 +356,7 @@ def isolate_roots(p: Poly):
     root raises ValueError since every downstream certificate needs simple
     roots.
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("isolate_roots: zero polynomial")
     chain = sturm_chain(p)
     p = chain[0]

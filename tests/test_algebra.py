@@ -1,4 +1,4 @@
-"""Polynomial, series, and binomial arithmetic."""
+"""Polynomial, truncated product, and binomial arithmetic."""
 import doctest
 import math
 from fractions import Fraction
@@ -8,19 +8,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lstirling import algebra
-from lstirling.algebra import (
-    Poly,
-    Series,
-    X,
-    binomial,
-    falling_basis,
-    series_geom,
-    series_mul,
-)
+from lstirling.algebra import Poly, _convolve, binomial, falling_basis
 
 small_ints = st.integers(min_value=-50, max_value=50)
 polys = st.lists(small_ints, max_size=6).map(lambda cs: Poly(cs))
-nonzero_polys = polys.filter(lambda p: not p.is_zero())
+nonzero_polys = polys.filter(bool)
 # coefficient lists with frequent interior zeros, over each coefficient ring Poly takes
 with_zeros = st.one_of(st.just(0), small_ints)
 int_lists = st.lists(with_zeros, max_size=6)
@@ -75,22 +67,22 @@ def test_poly_trims_trailing_zeros():
 
 def test_zero_poly_degree_is_minus_one():
     z = Poly(())
-    assert z.is_zero()
+    assert not z
     assert z.degree == -1 and Poly().degree == -1
     assert Poly((0, 1)).degree == 1 and Poly((5,)).degree == 0
 
 
-def test_degree_and_leading():
+def test_degree_and_coefficients():
     p = Poly((3, 0, 7))
     assert p.degree == 2
-    assert p.leading() == 7
+    assert p.coefficient(2) == 7
     assert p.coefficient(1) == 0
     assert p.coefficient(99) == 0
 
 
 def test_equality_ignores_representation():
     assert Poly((1, 0)) == Poly((1,))
-    assert Poly((0, 1)) == X
+    assert Poly((0, 1, 0, 0)) == Poly((0, 1))
     assert Poly((1,)) != Poly((2,))
     assert Poly((1,)) == 1
     assert 0 == Poly(())
@@ -100,7 +92,7 @@ def test_equality_ignores_representation():
     # a nested constant compares with its value, at either level
     assert Poly((Poly((3,)), 1)) == Poly((3, 1)) and Poly((3, 1)) == Poly((Poly((3,)), 1))
     assert Poly((Poly((3,)),)) == 3 and Poly((Poly((3,)),)) != 4
-    assert Poly((Poly(()), 1)) == X
+    assert Poly((Poly(()), 1)) == Poly((0, 1))
     assert Poly(()) == 0 and Poly(()) == Fraction(0) and Poly((0, 0)) == 0 and Poly((1,)) != 0
     assert Poly((0, 1)) != 0 and Poly((0, 1)) != 1
     # anything else is not a polynomial
@@ -127,7 +119,7 @@ def test_multiplication_distributes_and_associates(a, b, c):
 
 @given(polys)
 def test_additive_inverse_and_units(a):
-    assert (a + (-a)).is_zero()
+    assert not a + (-a)
     assert a - a == Poly(())
     assert a * Poly((1,)) == a
     assert a * 1 == a
@@ -152,24 +144,53 @@ def test_product_is_the_schoolbook_product(a, b):
     assert Poly(a) * Poly(b) == Poly(schoolbook(a, b))
 
 
-@given(int_lists, int_lists, st.integers(min_value=0, max_value=7))
-def test_series_mul_is_the_product_truncated_at_the_order(a, b, order):
-    got = series_mul(Series(a, order), Series(b, order))
-    assert got == Series(schoolbook(a[: order + 1], b[: order + 1]), order)
+@given(int_lists, int_lists, st.integers(min_value=0, max_value=13))
+@example([0, 0, 0, 5], [1, 1], 2)  # a term of a past the truncation
+def test_convolve_is_the_schoolbook_product_truncated_and_padded(a, b, size):
+    assert _convolve(a, b, size) == [*schoolbook(a, b), *[0] * size][:size]
+
+
+@pytest.mark.parametrize(
+    "a, b, size, want",
+    [
+        pytest.param([1, 2], [3, 4], 0, [], id="size-0"),
+        pytest.param([], [1, 2], 3, [0, 0, 0], id="empty-a"),
+        pytest.param([1, 2], [], 2, [0, 0], id="empty-b"),
+        pytest.param([1, 1], [1, 1], 5, [1, 2, 1, 0, 0], id="pads-past-both"),
+        pytest.param((1, 2), (1, 3), 3, [1, 5, 6], id="tuples"),
+        pytest.param([Fraction(1, 2)], [Fraction(2, 3), 1], 2, [Fraction(1, 3), Fraction(1, 2)], id="fractions"),
+        # an int 0 slot takes a Poly term
+        pytest.param([Poly((0, 1))], [Poly((1,)), Poly((2,))], 2, [Poly((0, 1)), Poly((0, 2))], id="polys"),
+    ],
+)
+def test_convolve_examples(a, b, size, want):
+    assert _convolve(a, b, size) == want
+
+
+def test_convolve_of_two_geometric_series_is_their_closed_form():
+    # coefficient j of 1/((1-2x)(1-6x)) is sum_{i<=j} 2^i 6^(j-i)
+    prod = _convolve([2**j for j in range(6)], [6**j for j in range(6)], 6)
+    assert prod == [sum(2**i * 6 ** (j - i) for i in range(j + 1)) for j in range(6)]
+    assert all(type(c) is int for c in prod)
+
+
+@given(int_lists, int_lists, st.integers(min_value=0, max_value=9))
+def test_convolve_leaves_its_operands_unchanged(a, b, size):
+    a0, b0 = list(a), list(b)
+    _convolve(a, b, size)
+    assert (a, b) == (a0, b0)
 
 
 @given(coeff_lists)
 @example([0, Poly(()), 0])
 def test_a_poly_is_falsy_exactly_when_it_is_zero(cs):
-    p = Poly(cs)
-    assert bool(p) == (not p.is_zero())
-    assert bool(p) == any(cs)
+    assert bool(Poly(cs)) == any(cs)
 
 
 @given(polys, polys)
 def test_degree_of_product_adds_for_integer_coefficients(a, b):
-    if a.is_zero() or b.is_zero():
-        assert (a * b).is_zero()
+    if not a or not b:
+        assert not a * b
     else:
         assert (a * b).degree == a.degree + b.degree
 
@@ -189,7 +210,7 @@ def test_divmod_exact_division():
     a = Poly(map(Fraction, (-1, 0, 1)))  # (x-1)(x+1)
     b = Poly(map(Fraction, (1, 1)))
     q, r = divmod(a, b)
-    assert r.is_zero()
+    assert not r
     assert q == Poly((Fraction(-1), Fraction(1)))
 
 
@@ -270,61 +291,29 @@ def test_falling_basis_specializes_to_integer_product():
         assert specialized == direct
 
 
-# -- series -------------------------------------------------------------------
-
-
-def test_series_pads_and_truncates_to_order():
-    s = Series((1, 2), 3)
-    assert s.coeffs == (1, 2, 0, 0)
-    t = Series((1, 2, 3, 4, 5), 2)
-    assert t.coeffs == (1, 2, 3)
-    with pytest.raises(ValueError):
-        Series((), -1)
-
-
-def test_series_geom_coefficients_are_ratio_powers():
-    s = series_geom(2, 4)
-    assert s.coeffs == (1, 6, 36, 216, 1296)
-
-
-def test_series_mul_truncates_at_common_order():
-    a = series_geom(1, 5)
-    b = series_geom(2, 5)
-    prod = series_mul(a, b)
-    # coefficient j of 1/((1-2x)(1-6x)) is sum_{i<=j} 2^i 6^(j-i)
-    for j in range(6):
-        assert prod.coeffs[j] == sum(2**i * 6 ** (j - i) for i in range(j + 1))
-    assert all(type(c) is int for c in prod.coeffs)
-
-
-def test_series_mul_requires_matching_orders():
-    with pytest.raises(ValueError):
-        series_mul(series_geom(1, 3), series_geom(1, 4))
+# -- construction ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "call",
+    "bad, message",
     [
-        pytest.param(lambda: Poly(5), id="Poly-int"),
-        pytest.param(lambda: Poly(None), id="Poly-None"),
-        pytest.param(lambda: Series(5, 2), id="Series-int"),
-        pytest.param(lambda: Series((1,), "3"), id="Series-order-str"),
-        pytest.param(lambda: Series((1,), True), id="Series-order-bool"),
-        pytest.param(lambda: Series((1,), 2.0), id="Series-order-float"),
-        pytest.param(lambda: series_mul(series_geom(1, 2), 3), id="series_mul-int"),
-        pytest.param(lambda: series_mul((1, 2, 4), series_geom(1, 2)), id="series_mul-tuple"),
+        pytest.param(5, "must be iterable", id="Poly-int"),
+        pytest.param(None, "must be iterable", id="Poly-None"),
+        # iterable, but its characters are not coefficients
+        pytest.param("12", "must not be a str", id="Poly-str"),
+        pytest.param("", "must not be a str", id="Poly-empty-str"),
+        pytest.param(type("Text", (str,), {})("12"), "must not be a str", id="Poly-str-subclass"),
+        pytest.param(2.5, "must be iterable", id="Poly-float"),
     ],
 )
-def test_bad_constructor_or_series_mul_input_raises_value_error(call):
-    with pytest.raises(ValueError):
-        call()
+def test_bad_poly_input_raises_value_error(bad, message):
+    with pytest.raises(ValueError, match=message):
+        Poly(bad)
 
 
 def test_an_error_raised_while_coefficients_are_read_reaches_the_caller():
     with pytest.raises(TypeError, match="unsupported operand"):
         Poly(c + "x" for c in (1, 2))
-    with pytest.raises(TypeError, match="unsupported operand"):
-        Series((c + "x" for c in (1, 2)), 3)
 
 
 # -- doctests -------------------------------------------------------------------

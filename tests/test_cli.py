@@ -21,7 +21,7 @@ from reference_impl import gamma_csv_by_csv_writer, table_csv_by_csv_writer, tab
 
 from lstirling import CheckResult, cli, codes, gamma, grammar, triangles
 from lstirling.algebra import Poly
-from lstirling.cli import CACHE_ENV, FETCH_TIMEOUT_S, TABLE_CAPS, BFile, BFileError, Report, main, parse_bfile
+from lstirling.cli import CACHE_ENV, FETCH_TIMEOUT_S, TABLE_CAPS, BFileError, Report, main, parse_bfile
 from lstirling.partitions import LSPartition
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -702,8 +702,6 @@ def test_plain_records_compare_and_print_as_dataclasses_did():
     assert repr(Report("x", {}, False, "c", 1.5)) == (
         "Report(command='x', params={}, ok=False, counterexample='c', seconds=1.5)"
     )
-    assert BFile("A1") == BFile("A1", []) and BFile("A1").entries is not BFile("A1").entries
-    assert repr(BFile("A1", [(1, 2)])) == "BFile(seq_id='A1', entries=[(1, 2)])"
     assert CheckResult(False, "why") == CheckResult(False, "why") != CheckResult(True)
     assert repr(CheckResult(False, "why")) == "CheckResult(ok=False, detail='why')"
 
@@ -712,8 +710,23 @@ def test_plain_records_compare_and_print_as_dataclasses_did():
 
 
 def test_parse_bfile_skips_comments_and_reads_pairs():
-    bf = parse_bfile("# header\n1 1\n2 10\n\n3 280\n")
-    assert bf.entries == [(1, 1), (2, 10), (3, 280)]
+    assert parse_bfile("# header\n1 1\n2 10\n\n3 280\n") == [(1, 1), (2, 10), (3, 280)]
+
+
+@pytest.mark.parametrize(
+    "text, entries",
+    [
+        pytest.param("", [], id="empty"),
+        pytest.param("# A000001\n#\n\n", [], id="comments-only"),
+        pytest.param("1 5 # note\n2 6#\n", [(1, 5), (2, 6)], id="trailing-comments"),
+        pytest.param("0 -3\n1 4\n", [(0, -3), (1, 4)], id="signed-values"),
+        pytest.param("1 1\r\n2 2\r\n", [(1, 1), (2, 2)], id="crlf"),
+    ],
+)
+def test_parse_bfile_returns_the_index_value_pairs(text, entries):
+    got = parse_bfile(text)
+    assert got == entries
+    assert all(type(i) is int and type(v) is int for i, v in got)
 
 
 def test_parse_bfile_rejects_malformed_lines_with_line_number():
@@ -730,11 +743,11 @@ def test_parse_bfile_rejects_nonincreasing_indices():
 @given(st.one_of(st.text(), st.text(alphabet="0123456789 -+_#\n\r\t\u0661\x0b\x1cx", max_size=60)))
 def test_parse_bfile_returns_or_raises_bfile_error_only(text):
     try:
-        bf = parse_bfile(text)
+        entries = parse_bfile(text)
     except BFileError:
         return
-    assert isinstance(bf, BFile)
-    assert all(a < b for (a, _), (b, _) in zip(bf.entries, bf.entries[1:]))
+    assert isinstance(entries, list)
+    assert all(a < b for (a, _), (b, _) in zip(entries, entries[1:]))
 
 
 # -- oeis cross-check ------------------------------------------------------------------

@@ -108,6 +108,21 @@ def test_validate_bounds_indices_by_prefix_x_count():
     assert validate_code((X, X, A(2, 1)))
 
 
+@pytest.mark.parametrize(
+    "code, detail",
+    [
+        pytest.param((X, X, B(3)), "position 3: box index 3 exceeds the 2 boxes opened", id="B-after-two"),
+        pytest.param((X, B(2), X), "position 2: box index 2 exceeds the 1 boxes opened", id="later-X-uncounted"),
+        pytest.param((X, X, X, A(4, 1)), "position 4: box index 4 exceeds the 3 boxes opened", id="A-after-three"),
+        pytest.param((X, B(1), X, Bb(5), X), "position 4: box index 5 exceeds the 2 boxes opened", id="Bb-between-X"),
+    ],
+)
+def test_an_out_of_range_index_names_the_boxes_open_before_it(code, detail):
+    # only the X symbols before the rejected position open boxes
+    res = validate_code(code)
+    assert (res.ok, res.detail) == (False, detail)
+
+
 def test_bool_box_indices_are_rejected():
     # True == 1, so without a type check ("B", True) would replay as B(1)
     res = validate_code((X, ("B", True)))

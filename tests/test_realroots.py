@@ -163,7 +163,7 @@ def test_sturm_chain_is_a_positive_multiple_of_the_fraction_chain(case):
     assert len(chain) == len(seq)
     for elem, ref in zip(chain, seq):
         assert all(isinstance(c, int) for c in elem.coeffs)
-        ratio = Fraction(elem.leading()) / ref[-1]
+        ratio = Fraction(elem.coeffs[-1]) / ref[-1]
         assert ratio > 0
         assert list(elem.coeffs) == [c * ratio for c in ref]
 

@@ -146,10 +146,15 @@ def test_explicit_sum_agrees_with_recurrence():
             assert ls_explicit(n, k) == ls_explicit_by_fractions(n, k) == ls(n, k)
 
 
-def test_explicit_weights_are_one_shared_tuple_per_k():
-    # cached, so the value must not be mutable
+def test_explicit_weights_are_a_new_list_per_call():
+    # nothing caches them, so a caller may change its list
     weights = triangles._explicit_weights(7)
-    assert isinstance(weights, tuple) and triangles._explicit_weights(7) is weights
+    want = [(-1) ** (r + 7) * (2 * r + 1) * math.comb(15, 7 - r) for r in range(8)]
+    assert weights == want
+    weights[0] = 0
+    assert triangles._explicit_weights(7) == want and triangles._explicit_weights(7) is not weights
+    triangles._explicit_value.cache_clear()
+    assert ls_explicit(9, 7) == ls(9, 7)
 
 
 def test_explicit_rows_match_the_per_call_sum():
@@ -198,15 +203,10 @@ def test_explicit_sums_past_the_ls_table_cap_leave_the_cache_alone():
     assert triangles._explicit_value.cache_info().currsize == 1
 
 
-def test_explicit_weights_past_the_ls_table_cap_leave_their_cache_alone():
-    # a column past k = 200 has weights of unbounded size, so they are never kept
+def test_explicit_sums_past_the_ls_table_cap_in_k_match_the_rows():
     triangles._explicit_value.cache_clear()
-    triangles._explicit_weights.cache_clear()
     assert ls_explicit(5, 201) == 0
     assert ls_explicit(202, 201) == list(_fresh(triangles.ls_triangle).rows(202))[-1][201]
-    assert triangles._explicit_weights.cache_info().currsize == 0
-    assert ls_explicit(5, 200) == 0
-    assert triangles._explicit_weights.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("bad", [2.5, "1", None, True, [1], -1])
@@ -273,8 +273,6 @@ def test_non_int_arguments_raise_value_error(call, bad):
         pytest.param(lambda v: algebra.binomial(v, 1), id="binomial-n"),
         pytest.param(lambda v: algebra.binomial(4, v), id="binomial-k"),
         pytest.param(algebra.falling_basis, id="falling_basis"),
-        pytest.param(lambda v: algebra.series_geom(v, 3), id="series_geom-r"),
-        pytest.param(lambda v: algebra.series_geom(2, v), id="series_geom-order"),
         pytest.param(grammar.check_stirling1, id="check_stirling1"),
         pytest.param(grammar.check_stirling2, id="check_stirling2"),
         pytest.param(grammar.check_js_grammar, id="check_js_grammar"),
@@ -334,6 +332,13 @@ def test_each_identity_check_is_the_last_result_of_its_sweep(check, sweep):
         check(-1)
 
 
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_vertical_check_at_order_zero_reads_the_diagonal(k):
+    # one coefficient: the product of the constant terms, ls(k, k) = 1
+    assert vertical_gf_check(k, 0)
+    assert [bool(r) for r in triangles._vertical_gf_sweep(k, k)] == [True] * k
+
+
 def test_each_vertical_check_is_the_last_result_of_its_sweep():
     # the sweep to kmax checks order nmax - k at each k
     results = list(triangles._vertical_gf_sweep(12, 12))
@@ -351,13 +356,15 @@ def _counted(monkeypatch, name):
 
 
 def test_the_vertical_sweep_multiplies_one_series_per_k(monkeypatch):
-    calls = _counted(monkeypatch, "series_mul")
+    calls = _counted(monkeypatch, "_convolve")
     for k in range(1, 9):
         calls.clear()
         assert vertical_gf_check(k, 6)
-        assert len(calls) == k - 1
+        assert len(calls) == k
     # each product is the previous one, truncated, times one geometric series
-    assert [a.order for a, _ in calls] == [b.order for _, b in calls] == list(range(12, 5, -1))
+    assert [size for _, _, size in calls] == list(range(14, 6, -1))
+    assert [b for _, b, _ in calls] == [[(k * (k + 1)) ** j for j in range(15 - k)] for k in range(1, 9)]
+    assert calls[0][0] == [1] and [len(a) for a, _, _ in calls[1:]] == list(range(14, 7, -1))
 
 
 def test_the_js_sweep_extends_one_falling_factor_per_index(monkeypatch):
