@@ -14,8 +14,7 @@ Every name in `__all__` can be read from the package root, but a layer
 module is loaded only when one of its names (or the module itself) is first
 used, so `import lstirling` and each CLI command load only what they run.
 The root itself holds what every layer shares: the record bases, the
-CheckResult that every check returns, the step that reads one check off its
-sweep, and the int-argument guard.
+CheckResult that every check returns, and the int-argument guard.
 """
 from __future__ import annotations
 
@@ -91,14 +90,6 @@ class CheckResult(_Record):
         return self.ok
 
 
-def _last(n: int, sweep) -> CheckResult:
-    """The result for n, the last that sweep yields: a check is the last step of its sweep."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    *_, last = sweep
-    return last
-
-
 def _require_int(where: str, *values) -> None:
     """Raise ValueError unless every value is an int; bool is an int subclass but not an index.
 
@@ -115,25 +106,18 @@ _EXPORTS = {
     "algebra": "Poly binomial falling_basis",
     "codes": "A B Bb X count_codes enumerate_codes n_x parse_code phi phi_inverse render_code validate_code",
     "gamma": (
-        "binomial_poly closed_forms gamma_coeff gamma_ode_step gamma_poly gamma_poly_via_ode gamma_row"
+        "binomial_poly closed_forms gamma_coeff gamma_ode_step gamma_poly gamma_row"
         " lc_expansion lemma_binomial_identity ls_binomial_expansion ls_nested_sum support"
     ),
-    "grammar": (
-        "FormalPoly Grammar GrammarError Letter Monomial check_jc_grammar check_js_grammar check_stirling1"
-        " check_stirling2 derive jc_grammar js_grammar"
-    ),
+    "grammar": "FormalPoly Grammar GrammarError Letter Monomial derive jc_grammar js_grammar",
     "partitions": (
         "ENUM_LIMIT LSPartition enumerate_partitions from_json_dict js_brute parse"
         " parse_element render_element validate"
     ),
     "realroots": (
         "REFINE_CAP ConjectureResult RootCertificate conjecture_results expected_pattern q_poly refine_interval"
-        " verify_conjecture"
     ),
-    "triangles": (
-        "horizontal_identity_js horizontal_identity_ls jc jc_defining_product js lc ls"
-        " ls_explicit ls_vertical vertical_gf_check"
-    ),
+    "triangles": "jc js lc ls ls_explicit ls_vertical",
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
 

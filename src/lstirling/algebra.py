@@ -18,7 +18,7 @@ from itertools import accumulate, zip_longest
 from math import comb
 from operator import mul
 
-from . import _last, _require_int
+from . import _require_int
 
 
 def binomial(n: int, k: int) -> int:
@@ -268,7 +268,8 @@ def falling_basis(k: int) -> Poly:
     _require_int("falling_basis", k)
     if k < 0:
         raise ValueError("falling_basis: k must be nonnegative")
-    return _last(k, _falling_bases(k))
+    *_, basis = _falling_bases(k)
+    return basis
 
 
 def _falling_bases(kmax: int):

@@ -140,7 +140,8 @@ def _emit(chunks, out: str | None) -> int:
     try:
         _write_atomic(Path(out), write)
     except OSError as err:
-        return _fail(f"cannot write {out}: {err}", 3)
+        # the error may name the temporary file; report the path given
+        return _fail(f"cannot write {out}: {err.strerror or err}", 3)
     return 0
 
 

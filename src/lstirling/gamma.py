@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from . import CheckResult, _last, _require_int
+from . import CheckResult, _require_int
 from .algebra import Poly, _binomial
 
 
@@ -63,9 +63,6 @@ def gamma_row(k: int) -> tuple:
     return _ROWS[k]
 
 
-# the cache adds nothing to the row table; it stays because the benchmark's
-# tracer (perfbench/tracer.py) reads gamma_coeff.cache_info
-@lru_cache(maxsize=None)
 def gamma_coeff(k: int, i: int) -> int:
     """gamma(k, i); zero outside the support.
 
@@ -73,9 +70,16 @@ def gamma_coeff(k: int, i: int) -> int:
     entries that gamma(k, i) depends on is computed, row by row from the last
     row in the table and kept nowhere: row m needs the indices within
     i - 3(k-m) .. i - (k-m), so a corner such as gamma(k, 3k) costs one
-    entry per row.
+    entry per row.  The arguments are checked before the cache is read, so
+    a bad one raises ValueError on every call.
     """
     _require_int("gamma_coeff", k, i)
+    return _gamma_coeff(k, i)
+
+
+@lru_cache(maxsize=None)
+def _gamma_coeff(k: int, i: int) -> int:
+    # gamma_coeff once its arguments are checked, cached per (k, i)
     if k < 0 or i < 0:
         return 0
     lo, hi = support(k)
@@ -87,6 +91,11 @@ def gamma_coeff(k: int, i: int) -> int:
         m_lo, m_hi = max(i - 3 * (k - m), m + 2), min(i - (k - m), 3 * m)
         row, row_lo = _next_row(row, row_lo, m, m_lo, m_hi), m_lo
     return row[i - row_lo]
+
+
+# the cache adds nothing to the row table; it stays because the benchmark's
+# tracer (perfbench/tracer.py) reads gamma_coeff.cache_info
+gamma_coeff.cache_info = _gamma_coeff.cache_info
 
 
 def gamma_poly(k: int) -> Poly:
@@ -103,8 +112,11 @@ def gamma_ode_step(p: Poly, k: int) -> Poly:
                   + (1+x)^2 x^3 / 2 gamma_k''
 
     All divisions are exact: gamma_k''/2 has integer coefficients because
-    i(i-1) is always even.
+    i(i-1) is always even.  k must be a nonnegative int.
     """
+    _require_int("gamma_ode_step", k)
+    if k < 0:
+        raise ValueError("gamma_ode_step: k must be nonnegative")
     d1 = p.derivative()
     d2 = d1.derivative()
     half_d2 = Poly(tuple(c // 2 for c in d2.coeffs))
@@ -115,23 +127,15 @@ def gamma_ode_step(p: Poly, k: int) -> Poly:
 
 
 def _ode_polys(kmax: int):
-    """Yield gamma_0, ..., gamma_kmax, one gamma_ode_step each from gamma_0 = 1."""
+    """Yield gamma_0, ..., gamma_kmax, one gamma_ode_step each from gamma_0 = 1.
+
+    Independent of gamma_coeff; the two must produce identical rows.
+    """
     p = Poly((1,))
     yield p
     for m in range(kmax):
         p = gamma_ode_step(p, m)
         yield p
-
-
-def gamma_poly_via_ode(k: int) -> Poly:
-    """gamma_k(x) built by iterating gamma_ode_step from gamma_0 = 1.
-
-    Independent of gamma_coeff; the two must produce identical rows.
-    """
-    _require_int("gamma_poly_via_ode", k)
-    if k < 0:
-        raise ValueError("gamma_poly_via_ode: k must be nonnegative")
-    return _last(k, _ode_polys(k))
 
 
 def ls_binomial_expansion(n: int, k: int) -> int:

@@ -20,7 +20,7 @@ D^n once, from D^(n-1), and checks it against its triangle row n.
 """
 from __future__ import annotations
 
-from . import CheckResult, _FrozenRecord, _last, _require_int
+from . import CheckResult, _FrozenRecord, _require_int
 from .algebra import Poly
 from .triangles import Triangle, jc_triangle, js_triangle
 
@@ -211,6 +211,7 @@ _stirling1 = Triangle(lambda n, k: n - 1, tag="stirling1")  # unsigned first kin
 
 
 def _stirling2_sweep(nmax: int):
+    """Grammar {x -> xy, y -> y}: D^n(x) = x sum_k S(n,k) y^k, for n = 0..nmax."""
     x, y = Letter("x"), Letter("y")
     g = Grammar({x: FormalPoly.term(Monomial.of((x, 1), (y, 1))), y: FormalPoly.letter(y)})
 
@@ -220,13 +221,12 @@ def _stirling2_sweep(nmax: int):
     return _sweep(nmax, FormalPoly.letter(x), lambda m: g, _stirling2, monomial, "D^n(x)")
 
 
-def check_stirling2(n: int) -> CheckResult:
-    """Grammar {x -> xy, y -> y}: D^n(x) = x sum_k S(n,k) y^k."""
-    _require_int("check_stirling2", n)
-    return _last(n, _stirling2_sweep(n))
-
-
 def _stirling1_sweep(nmax: int):
+    """Grammar {x -> xy, y -> yw, w -> w^2}: D^n(x) = x sum_k c(n,k) y^k w^(n-k), for n = 0..nmax.
+
+    The squared letter is named w to keep it distinct from the coefficient
+    variable z; the unsigned Stirling numbers of the first kind appear.
+    """
     x, y, w = Letter("x"), Letter("y"), Letter("w")
     g = Grammar(
         {
@@ -240,16 +240,6 @@ def _stirling1_sweep(nmax: int):
         return Monomial.of((x, 1), (y, k), (w, n - k))
 
     return _sweep(nmax, FormalPoly.letter(x), lambda m: g, _stirling1, monomial, "D^n(x)")
-
-
-def check_stirling1(n: int) -> CheckResult:
-    """Grammar {x -> xy, y -> yw, w -> w^2}: D^n(x) = x sum_k c(n,k) y^k w^(n-k).
-
-    The squared letter is named w to keep it distinct from the coefficient
-    variable z; the unsigned Stirling numbers of the first kind appear.
-    """
-    _require_int("check_stirling1", n)
-    return _last(n, _stirling1_sweep(n))
 
 
 def js_grammar() -> Grammar:
@@ -271,6 +261,7 @@ def js_grammar() -> Grammar:
 
 
 def _js_sweep(nmax: int):
+    """D^n(a_0) = sum_k js(n,k)(z) a_k b^C(k,2) c^k under the js grammar, for n = 0..nmax."""
     g, b, c = js_grammar(), Letter("b"), Letter("c")
 
     def monomial(n, k):
@@ -279,20 +270,9 @@ def _js_sweep(nmax: int):
     return _sweep(nmax, FormalPoly.letter(Letter("a", 0)), lambda m: g, js_triangle, monomial, "D^n(a_0)")
 
 
-def check_js_grammar(n: int) -> CheckResult:
-    """D^n(a_0) = sum_k js(n,k)(z) a_k b^C(k,2) c^k under the js grammar."""
-    _require_int("check_js_grammar", n)
-    return _last(n, _js_sweep(n))
-
-
 def jc_grammar(k: int) -> Grammar:
     """Step-k rules a -> (k-1)(k-1+z) a, b_j -> b_{j+1}; one grammar per step."""
     _require_int("jc_grammar", k)
-    return _jc_grammar(k)
-
-
-def _jc_grammar(k: int) -> Grammar:
-    # jc_grammar without the check, for the int steps of _jc_sweep
     coeff = Poly(((k - 1) ** 2, k - 1))
 
     def rule(letter: Letter):
@@ -306,17 +286,11 @@ def _jc_grammar(k: int) -> Grammar:
 
 
 def _jc_sweep(nmax: int):
+    """D_n ... D_1(a b_0) = a sum_k jc(n,k)(z) b_k under the per-step grammars, for n = 0..nmax."""
     a = Letter("a")
 
     def monomial(n, k):
         return Monomial.of((a, 1), (Letter("b", k), 1))
 
     seed = FormalPoly.term(Monomial.of((a, 1), (Letter("b", 0), 1)))
-    return _sweep(nmax, seed, _jc_grammar, jc_triangle, monomial, "result")
-
-
-def check_jc_grammar(n: int) -> CheckResult:
-    """D_n ... D_1(a b_0) = a sum_k jc(n,k)(z) b_k under the per-step grammars."""
-    _require_int("check_jc_grammar", n)
-    return _last(n, _jc_sweep(n))
-
+    return _sweep(nmax, seed, jc_grammar, jc_triangle, monomial, "result")

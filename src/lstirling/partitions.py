@@ -30,6 +30,9 @@ Element = tuple  # (value: int, barred: bool)
 
 
 def render_element(e: Element) -> str:
+    """v for the element (v, False) and v' for (v, True); anything else raises ValueError."""
+    if not (isinstance(e, tuple) and len(e) == 2 and type(e[0]) is int and e[0] >= 1 and type(e[1]) is bool):
+        raise ValueError(f"render_element: expected (value, barred), an int >= 1 and a bool, got {e!r}")
     v, barred = e
     return f"{v}'" if barred else str(v)
 

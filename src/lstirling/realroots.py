@@ -37,6 +37,7 @@ from .gamma import gamma_poly
 
 REFINE_CAP = 256
 _MINUS_ONE, _ZERO = Fraction(-1), Fraction(0)
+_ENDPOINT_TYPES = (int, Fraction)
 
 
 def _sign_at(p: Poly, x) -> int:
@@ -63,9 +64,13 @@ def refine_interval(p: Poly, interval):
     The interval holds one simple root of the square-free p and neither
     endpoint is a root, so p changes sign across it: the sign of p at the
     midpoint alone picks the half that keeps the root.  A midpoint that is
-    the root is boxed at half the distance to the nearer endpoint.
+    the root is boxed at half the distance to the nearer endpoint.  An
+    interval that is not a tuple of two ints or Fractions (a bool is
+    neither) raises ValueError.
     """
-    lo, hi = interval
+    lo, hi = interval if isinstance(interval, tuple) and len(interval) == 2 else (None, None)
+    if type(lo) not in _ENDPOINT_TYPES or type(hi) not in _ENDPOINT_TYPES:
+        raise ValueError(f"refine_interval: expected a pair of int or Fraction endpoints, got {interval!r}")
     # exact for int endpoints too, so no float is ever formed
     mid = Fraction(lo + hi, 2)
     s = _sign_at(p, mid)
@@ -169,13 +174,10 @@ class ConjectureResult(_Record):
 
 
 def expected_pattern(k: int) -> list:
-    """Ascending source tags of the conjectured merged root order."""
+    """Ascending source tags of the conjectured merged root order, for k >= 1."""
     _require_int("expected_pattern", k)
-    return _expected_pattern(k)
-
-
-def _expected_pattern(k: int) -> list:
-    # expected_pattern without the check, for the int k of _induction
+    if k < 1:
+        raise ValueError("expected_pattern: k must be at least 1")
     return ["s", "r"] * (k - 1) + ["s", "s"] + ["r", "s"] * (k - 1)
 
 
@@ -248,7 +250,7 @@ def _induction(kmax: int):
     p_r, cert_r = q_poly(1), RootCertificate(1, 0, True, [])
     for k in range(1, kmax + 1):
         p_s = q_poly(k + 1)
-        expected = " ".join(_expected_pattern(k))
+        expected = " ".join(expected_pattern(k))
         # the step refines its own copy, so the certificate yielded before
         # keeps the intervals it was yielded with
         ivs = list(cert_r.intervals)
@@ -271,22 +273,10 @@ def conjecture_results(kmax: int):
     """The ConjectureResult for each k = 1 .. kmax, in order, as an iterator.
 
     Step k certifies q_{k+1} from the certificate of q_k, so each step runs
-    once; after an inconclusive step every later k is inconclusive too.
+    once, and the result for one k is the last that conjecture_results(k)
+    yields; after an inconclusive step every later k is inconclusive too.
     """
     _require_int("conjecture_results", kmax)
     if kmax < 1:
         raise ValueError("conjecture_results: kmax must be at least 1")
     return _induction(kmax)
-
-
-def verify_conjecture(k: int) -> ConjectureResult:
-    """Decide the merged-order statement for the root sets of q_k and q_{k+1}.
-
-    The last result of conjecture_results(k): the certificate of q_k comes
-    from the k-1 steps before it.
-    """
-    _require_int("verify_conjecture", k)
-    if k < 1:
-        raise ValueError("verify_conjecture: k must be at least 1")
-    *_, last = _induction(k)
-    return last

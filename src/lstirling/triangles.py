@@ -11,9 +11,10 @@ T(0,0) = 1 and T vanishing outside 0 <= k <= n:
 Setting z = 1 in js/jc recovers ls/lc.  Alongside the recurrences this module
 carries the independent routes to the same numbers (explicit alternating sum,
 vertical recurrence, generating-function products) and the identity checks
-that tie all routes together.  Each identity check is the last step of a
-sweep that builds index n from index n-1 by one more factor, and the
-explicit sum has a row sweep that advances each power by one factor per row.
+that tie all routes together.  Each identity is checked by a sweep that
+yields one CheckResult per index and builds index n from index n-1 by one
+more factor, and the explicit sum has a row sweep that advances each power
+by one factor per row.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import mul
 
-from . import CheckResult, _last, _require_int
+from . import CheckResult, _require_int
 from .algebra import Poly, _convolve, _falling_bases
 
 
@@ -189,7 +190,10 @@ def _difference(n: int, got: Poly, want: Poly) -> CheckResult:
 
 
 def _horizontal_ls_sweep(nmax: int):
-    """Yield horizontal_identity_ls(n) for n = 0..nmax, building each basis once."""
+    """Check x^n = sum_k ls(n,k) x(x-2)(x-6)...(x-(k-1)k) by exact expansion, for n = 0..nmax.
+
+    Yields one CheckResult per n, building each basis once.
+    """
     # bases[k] is x(x-2)(x-6)...(x-(k-1)k), one factor on bases[k-1]
     bases = [Poly((1,))]
     for n in range(nmax + 1):
@@ -201,16 +205,10 @@ def _horizontal_ls_sweep(nmax: int):
         yield _difference(n, rhs, Poly((0,) * n + (1,)))
 
 
-def horizontal_identity_ls(n: int) -> CheckResult:
-    """Check x^n = sum_k ls(n,k) x(x-2)(x-6)...(x-(k-1)k) by exact expansion."""
-    _require_int("horizontal_identity_ls", n)
-    return _last(n, _horizontal_ls_sweep(n))
-
-
 def _vertical_gf_sweep(kmax: int, nmax: int):
-    """Yield vertical_gf_check(k, nmax - k) for k = 1..kmax.
+    """Check prod_{r=1..k} 1/(1 - r(r+1)x) = sum_m ls(m+k,k) x^m up to x^(nmax-k), for k = 1..kmax.
 
-    The product for k, a list of its first nmax - k + 1 coefficients, is
+    Yields one CheckResult per k.  The product for k, a list of its first nmax - k + 1 coefficients, is
     the product for k-1 times the series (k(k+1))^j of 1/(1 - k(k+1)x),
     truncated by the one product loop.
     """
@@ -228,18 +226,11 @@ def _vertical_gf_sweep(kmax: int, nmax: int):
         )
 
 
-def vertical_gf_check(k: int, order: int) -> CheckResult:
-    """Check prod_{r=1..k} 1/(1 - r(r+1)x) = sum_m ls(m+k,k) x^m up to x^order."""
-    _require_int("vertical_gf_check", k, order)
-    if k < 1:
-        raise ValueError("vertical_gf_check: k must be at least 1")
-    if order < 0:
-        raise ValueError("vertical_gf_check: order must be nonnegative")
-    return _last(k, _vertical_gf_sweep(k, order + k))
-
-
 def _horizontal_js_sweep(nmax: int):
-    """Yield horizontal_identity_js(n) for n = 0..nmax, one basis factor per n."""
+    """Check x^n = sum_k js(n,k)(z) prod_{i<k} (x - i(z+i)) over Z[z], for n = 0..nmax.
+
+    Yields one CheckResult per n, one basis factor per n.
+    """
     bases = []
     for n, basis in enumerate(_falling_bases(nmax)):
         bases.append(basis)
@@ -247,22 +238,13 @@ def _horizontal_js_sweep(nmax: int):
         yield _difference(n, rhs, Poly((0,) * n + (1,)))
 
 
-def horizontal_identity_js(n: int) -> CheckResult:
-    """Check x^n = sum_k js(n,k)(z) prod_{i<k} (x - i(z+i)) over Z[z]."""
-    _require_int("horizontal_identity_js", n)
-    return _last(n, _horizontal_js_sweep(n))
-
-
 def _jc_product_sweep(nmax: int):
-    """Yield jc_defining_product(n) for n = 0..nmax, one factor per n."""
+    """Check prod_{i<n} (x + i(z+i)) = sum_k jc(n,k)(z) x^k over Z[z], for n = 0..nmax.
+
+    Yields one CheckResult per n, one factor per n.
+    """
     product = Poly((1,))
     for n in range(nmax + 1):
         if n:
             product = product * Poly((Poly(((n - 1) ** 2, n - 1)), 1))
         yield _difference(n, product, Poly(tuple(jc(n, k) for k in range(n + 1))))
-
-
-def jc_defining_product(n: int) -> CheckResult:
-    """Check prod_{i<n} (x + i(z+i)) = sum_k jc(n,k)(z) x^k over Z[z]."""
-    _require_int("jc_defining_product", n)
-    return _last(n, _jc_product_sweep(n))

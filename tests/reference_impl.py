@@ -45,7 +45,7 @@ into one isolating interval per root.  `verify_conjecture_by_resorting`
 isolates the roots of q_k and q_{k+1} that way, sorts every interval after
 each refinement and bisects the first overlapping neighbours with
 `refine_by_counting`; every sign it reads comes from `_sign_by_terms`.
-`realroots.verify_conjecture` instead certifies q_{k+1} from the intervals of
+`realroots.conjecture_results` instead certifies q_{k+1} from the intervals of
 q_k by interlacing induction and never counts roots, so the two routes share
 only `q_poly`.
 """

@@ -8,13 +8,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from lstirling import gamma, grammar, triangles
 from lstirling.algebra import binomial
 from lstirling.cli import main
 from lstirling.codes import enumerate_codes, phi, phi_inverse
 from lstirling.gamma import (
     closed_forms,
     gamma_poly,
-    gamma_poly_via_ode,
     lc_expansion,
     ls_binomial_expansion,
     ls_nested_sum,
@@ -22,26 +22,12 @@ from lstirling.gamma import (
 from lstirling.grammar import (
     FormalPoly,
     Letter,
-    check_jc_grammar,
-    check_js_grammar,
-    check_stirling1,
-    check_stirling2,
     derive,
     js_grammar,
 )
 from lstirling.partitions import enumerate_partitions, js_brute
-from lstirling.realroots import refine_interval, q_poly, verify_conjecture
-from lstirling.triangles import (
-    horizontal_identity_js,
-    horizontal_identity_ls,
-    jc_defining_product,
-    js,
-    lc,
-    ls,
-    ls_explicit,
-    ls_vertical,
-    vertical_gf_check,
-)
+from lstirling.realroots import conjecture_results, q_poly, refine_interval
+from lstirling.triangles import js, lc, ls, ls_explicit, ls_vertical
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -66,8 +52,8 @@ def test_01_four_route_agreement():
                 failures.append(f"explicit sum differs at n={n}, k={k}")
             if k >= 1 and ls_vertical(n, k) != base:
                 failures.append(f"vertical recurrence differs at n={n}, k={k}")
-    for k in range(1, 26):
-        res = vertical_gf_check(k, 25 - k)
+    # the product for k checked up to x^(25-k), k = 1..25
+    for res in triangles._vertical_gf_sweep(25, 25):
         if not res:
             failures.append(res.detail)
     _report(1, "four computation routes agree for n<=25", failures, time.monotonic() - start, 5)
@@ -76,14 +62,12 @@ def test_01_four_route_agreement():
 def test_02_horizontal_identities():
     start = time.monotonic()
     failures = []
-    for n in range(26):
-        res = horizontal_identity_ls(n)
-        if not res:
-            failures.append(res.detail)
-    for n in range(16):
-        for res in (horizontal_identity_js(n), jc_defining_product(n)):
-            if not res:
-                failures.append(res.detail)
+    for sweep in (
+        triangles._horizontal_ls_sweep(25),
+        triangles._horizontal_js_sweep(15),
+        triangles._jc_product_sweep(15),
+    ):
+        failures += [res.detail for res in sweep if not res]
     _report(
         2,
         "basis-change identities hold (integer n<=25, bivariate n<=15)",
@@ -146,8 +130,8 @@ def test_05_binomial_basis_expansion_three_ways():
                 failures.append(f"expansion differs from triangle at n={n}, k={k}")
             if expansion != ls_nested_sum(n, k):
                 failures.append(f"nested sum differs at n={n}, k={k}")
-    for k in range(11):
-        if gamma_poly_via_ode(k) != gamma_poly(k):
+    for k, p in enumerate(gamma._ode_polys(10)):
+        if p != gamma_poly(k):
             failures.append(f"differential and integer recurrences differ at k={k}")
     _report(5, "coefficient expansion = triangle = nested sum (k<=8, n<=40)", failures, time.monotonic() - start)
 
@@ -179,18 +163,16 @@ def test_07_closed_forms_and_reference_sequences(capsys):
 def test_08_grammar_identities():
     start = time.monotonic()
     failures = []
-    checks = {
-        "set-partition": check_stirling2,
-        "cycle": check_stirling1,
-        "second-kind bivariate": check_js_grammar,
-        "first-kind bivariate": check_jc_grammar,
+    sweeps = {
+        "set-partition": grammar._stirling2_sweep,
+        "cycle": grammar._stirling1_sweep,
+        "second-kind bivariate": grammar._js_sweep,
+        "first-kind bivariate": grammar._jc_sweep,
     }
-    for name, check in checks.items():
-        for n in range(11):
-            res = check(n)
-            if not res:
-                failures.append(f"{name} grammar differs at n={n}: {res.detail}")
-                break
+    for name, sweep in sweeps.items():
+        res = next((r for r in sweep(10) if not r), None)
+        if res is not None:
+            failures.append(f"{name} grammar differs: {res.detail}")
     g = js_grammar()
     rendered = derive(g, derive(g, FormalPoly.letter(Letter("a", 0)))).render()
     if rendered != "a_2 b c^2 + (1+z) a_1 c":
@@ -211,15 +193,15 @@ def test_09_zero_box_statistic():
 def test_10_interlacing_certificates():
     start = time.monotonic()
     failures = []
-    for k in range(2, 9):
-        res = verify_conjecture(k)
+    results = list(conjecture_results(8))
+    for res in results[1:]:
         if res.verdict != "true":
-            failures.append(f"k={k} verdict {res.verdict}: {res.note}")
+            failures.append(f"k={res.k} verdict {res.verdict}: {res.note}")
         elif res.pattern != res.expected_pattern:
-            failures.append(f"k={k} pattern {res.pattern}")
+            failures.append(f"k={res.k} pattern {res.pattern}")
 
     # the k=2 merged roots, refined and compared against their decimal reading
-    res = verify_conjecture(2)
+    res = results[1]
     if res.pattern != "s r s s r s":
         failures.append(f"k=2 pattern {res.pattern}")
     merged = sorted([(iv, 2) for iv in res.lower.intervals] + [(iv, 3) for iv in res.upper.intervals])

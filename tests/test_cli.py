@@ -72,12 +72,17 @@ def test_table_writes_to_file(capsys, tmp_path):
     assert "3,2,8" in target.read_text()
 
 
-def test_table_unwritable_output_is_an_io_error(capsys, tmp_path):
-    rc, _, err = run(
-        capsys, "table", "--family", "ls", "--nmax", "3", "--out", str(tmp_path / "no" / "x.csv")
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--family", "ls", "--nmax", "3"], ["gamma", "--kmax", "3"], ["conjecture", "--kmax", "2"]],
+    ids=["table", "gamma", "conjecture"],
+)
+def test_unwritable_output_is_an_io_error_naming_the_path_given(capsys, tmp_path, argv):
+    # the file is written through a temporary one beside it, which the message does not name
+    target = tmp_path / "no" / "x.csv"
+    rc, _, err = run(capsys, *argv, "--out", str(target))
     assert rc == 3
-    assert "cannot write" in err
+    assert err == f"cannot write {target}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("family", sorted(TABLE_CAPS))

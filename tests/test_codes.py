@@ -51,6 +51,17 @@ def test_symbol_constructors_validate_their_arguments():
         Bb(-1)
 
 
+@pytest.mark.parametrize("bad", ["2", 2.5, None, True])
+@pytest.mark.parametrize(
+    "make",
+    [lambda v: A(v, 2), lambda v: A(1, v), B, Bb],
+    ids=["A-i", "A-j", "B", "Bb"],
+)
+def test_symbol_constructors_reject_a_non_int_box_index(make, bad):
+    with pytest.raises(ValueError, match="must be ints"):
+        make(bad)
+
+
 def test_parse_and_render_round_trip():
     code = parse_code(WORKED_TEXT)
     assert code == (X, X, A(2, 1), B(2), Bb(1))

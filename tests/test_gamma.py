@@ -13,7 +13,6 @@ from lstirling.gamma import (
     gamma_coeff,
     gamma_ode_step,
     gamma_poly,
-    gamma_poly_via_ode,
     gamma_row,
     lc_expansion,
     lemma_binomial_identity,
@@ -89,8 +88,27 @@ def test_differential_step_keeps_integer_coefficients():
 
 
 def test_differential_recurrence_reproduces_integer_recurrence_rows():
-    for k in range(0, 41):
-        assert gamma_poly_via_ode(k) == gamma_poly(k)
+    polys = list(gamma._ode_polys(40))
+    assert len(polys) == 41
+    for k, p in enumerate(polys):
+        assert p == gamma_poly(k)
+
+
+@pytest.mark.parametrize("bad", [2.5, "2", None, [2], True, -1])
+def test_differential_step_rejects_a_bad_k(bad):
+    # a float k would give float coefficients
+    with pytest.raises(ValueError, match="gamma_ode_step"):
+        gamma_ode_step(Poly((1,)), bad)
+
+
+@pytest.mark.parametrize("args", [([1], 3), (True, 3), (1.0, 3), (1, [3]), (1, 3.0)])
+def test_coefficient_checks_its_arguments_before_its_cache(args):
+    # (1, 3) is cached first; True and 1.0 hash as 1 would, and a list is unhashable
+    assert gamma_coeff(1, 3) == 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="gamma_coeff"):
+            gamma_coeff(*args)
+    assert gamma_coeff.cache_info().currsize >= 1
 
 
 def test_deep_coefficient_needs_no_recursion():
@@ -105,11 +123,11 @@ def test_coefficients_beyond_the_row_table_match_the_ode_rows(monkeypatch, table
     # needs; bypass its cache and start from a short table
     table = [gamma_row(k) for k in range(table_rows)]
     monkeypatch.setattr(gamma, "_ROWS", list(table))
-    uncached = gamma_coeff.__wrapped__
-    for k in range(0, 16):
+    uncached = gamma._gamma_coeff.__wrapped__
+    for k, ode in enumerate(gamma._ode_polys(15)):
         lo, hi = support(k)
         got = [uncached(k, i) for i in range(lo - 2, hi + 3)]
-        want = [gamma_poly_via_ode(k).coeffs[i] if lo <= i <= hi else 0 for i in range(lo - 2, hi + 3)]
+        want = [ode.coeffs[i] if lo <= i <= hi else 0 for i in range(lo - 2, hi + 3)]
         assert got == want, k
     assert gamma._ROWS == table  # the cone is kept nowhere
 
@@ -178,7 +196,6 @@ def test_quadratic_shift_identity_on_binomial_polynomials(a, b):
         lambda v: lc_expansion(3, v),
         lambda v: lemma_binomial_identity(v, 0),
         lambda v: lemma_binomial_identity(1, v),
-        gamma_poly_via_ode,
         closed_forms,
         binomial_poly,
     ],
@@ -191,7 +208,6 @@ def test_quadratic_shift_identity_on_binomial_polynomials(a, b):
         "lc_expansion-k",
         "lemma_binomial_identity-a",
         "lemma_binomial_identity-b",
-        "gamma_poly_via_ode",
         "closed_forms",
         "binomial_poly",
     ],

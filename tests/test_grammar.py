@@ -12,10 +12,6 @@ from lstirling.grammar import (
     GrammarError,
     Letter,
     Monomial,
-    check_jc_grammar,
-    check_js_grammar,
-    check_stirling1,
-    check_stirling2,
     derive,
     jc_grammar,
     js_grammar,
@@ -190,45 +186,36 @@ def test_derive_merges_cancelling_terms_and_skips_constants():
 
 
 def test_set_partition_grammar():
-    for n in range(0, 15):
-        assert check_stirling2(n)
+    results = list(grammar._stirling2_sweep(14))
+    assert len(results) == 15 and all(results)
 
 
 def test_cycle_grammar():
-    for n in range(0, 15):
-        assert check_stirling1(n)
+    results = list(grammar._stirling1_sweep(14))
+    assert len(results) == 15 and all(results)
 
 
 def test_second_kind_bivariate_grammar():
-    for n in range(0, 15):
-        assert check_js_grammar(n)
+    results = list(grammar._js_sweep(14))
+    assert len(results) == 15 and all(results)
 
 
 def test_first_kind_bivariate_grammar():
-    for n in range(0, 15):
-        assert check_jc_grammar(n)
+    results = list(grammar._jc_sweep(14))
+    assert len(results) == 15 and all(results)
 
 
 @pytest.mark.parametrize(
-    "check,sweep",
-    [
-        (check_stirling2, grammar._stirling2_sweep),
-        (check_stirling1, grammar._stirling1_sweep),
-        (check_js_grammar, grammar._js_sweep),
-        (check_jc_grammar, grammar._jc_sweep),
-    ],
+    "sweep",
+    [grammar._stirling2_sweep, grammar._stirling1_sweep, grammar._js_sweep, grammar._jc_sweep],
+    ids=["stirling2", "stirling1", "js", "jc"],
 )
-def test_each_check_is_the_last_result_of_its_sweep(check, sweep, monkeypatch):
-    results = list(sweep(12))
-    assert len(results) == 13 and all(results)
-    assert [check(n) for n in range(13)] == results
+def test_each_sweep_derives_once_per_power(sweep, monkeypatch):
     # one derive per power, not one per power and per n
     calls = []
     real = grammar.derive
     monkeypatch.setattr(grammar, "derive", lambda g, p: calls.append(1) or real(g, p))
     assert len(list(sweep(12))) == 13 and len(calls) == 12
-    with pytest.raises(ValueError):
-        check(-1)
 
 
 def test_a_wrong_value_fails_its_power_only(monkeypatch, off_by_one):
@@ -236,7 +223,6 @@ def test_a_wrong_value_fails_its_power_only(monkeypatch, off_by_one):
     results = list(grammar._js_sweep(8))
     assert [bool(r) for r in results] == [n != 5 for n in range(9)]
     assert results[5].detail.startswith("n=5: D^n(a_0) = a_5 b^10 c^5 + ")
-    assert check_js_grammar(5) == results[5] and check_js_grammar(6)
 
 
 def test_second_kind_grammar_first_two_derivatives_render_exactly():

@@ -171,8 +171,13 @@ star = {}
 exec("from lstirling import *", star)
 problems += [f"* misses {name}" for name in lstirling.__all__ if star.get(name) is not getattr(lstirling, name)]
 problems += [f"dir() lacks module {m}" for m in layers if m not in dir(lstirling)]
-# the last three are names the package used to export
-for gone in ("no_such_name", "NEG_INF", "derive_seq", "Series"):
+# all but the first are names the package used to export
+gone_names = (
+    "no_such_name NEG_INF derive_seq Series horizontal_identity_ls horizontal_identity_js jc_defining_product"
+    " vertical_gf_check check_stirling1 check_stirling2 check_js_grammar check_jc_grammar gamma_poly_via_ode"
+    " verify_conjecture"
+)
+for gone in gone_names.split():
     try:
         getattr(lstirling, gone)
         problems.append(f"no AttributeError for {gone}")
@@ -182,7 +187,7 @@ print(json.dumps({"problems": problems, "names": len(lstirling.__all__), "unique
 """
     )
     assert got["problems"] == []
-    assert got["names"] == got["unique"] == 67
+    assert got["names"] == got["unique"] == 57
 
 
 def test_phi_loads_its_layers_and_no_other():

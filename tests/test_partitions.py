@@ -34,6 +34,12 @@ def test_element_round_trip():
     assert render_element((12, False)) == "12"
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, None, -1, (0, False), (True, False), (1.0, True), (3, 1), (3,)])
+def test_render_element_rejects_what_is_not_an_element(bad):
+    with pytest.raises(ValueError, match="render_element"):
+        render_element(bad)
+
+
 def test_bad_element_tokens_are_rejected():
     for tok in ("", "x", "3''", "'3", "0"):
         with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ from lstirling.realroots import (
     expected_pattern,
     q_poly,
     refine_interval,
-    verify_conjecture,
 )
 
 
@@ -272,6 +271,12 @@ def test_refine_interval_gives_int_and_fraction_endpoints_one_exact_interval(lo,
     assert not any(isinstance(end, float) for end in got)
 
 
+@pytest.mark.parametrize("interval", [(1.0, 2), ("1", 2), (None, 2), (True, 2), (-2, 0.5), None, (-2, 0, 1)])
+def test_refine_interval_rejects_an_interval_that_is_not_two_exact_endpoints(interval):
+    with pytest.raises(ValueError, match="refine_interval"):
+        refine_interval(Poly((1, 1)), interval)
+
+
 @given(_square_free())
 def test_refine_interval_agrees_with_refinement_by_counting(case):
     cs, _, _ = case
@@ -298,8 +303,7 @@ def test_q_poly_strips_the_exact_zero_multiplicity():
 
 
 def test_certificates_report_all_roots_real_with_sign_changes():
-    for k in range(2, 7):
-        res = verify_conjecture(k)
+    for res in list(conjecture_results(6))[1:]:
         for cert in (res.lower, res.upper):
             assert cert.square_free
             assert cert.all_real
@@ -321,15 +325,22 @@ def test_expected_pattern_shape():
     assert len(expected_pattern(5)) == (2 * 5 - 2) + (2 * 6 - 2)
 
 
+@pytest.mark.parametrize("bad", [0, -1])
+def test_expected_pattern_rejects_a_k_with_no_pattern(bad):
+    # a non-int k is a case of test_index_only_functions_reject_a_non_int_with_value_error
+    with pytest.raises(ValueError, match="expected_pattern"):
+        expected_pattern(bad)
+
+
 def test_degenerate_case_is_vacuous():
-    res = verify_conjecture(1)
+    (res,) = conjecture_results(1)
     assert res.verdict == "vacuous"
     assert res.pattern == "s s"
     assert res.ok
 
 
 def test_first_nontrivial_case():
-    res = verify_conjecture(2)
+    _, res = conjecture_results(2)
     assert res.verdict == "true"
     assert res.pattern == "s r s s r s"
     assert res.pattern == res.expected_pattern
@@ -337,8 +348,7 @@ def test_first_nontrivial_case():
 
 
 def test_certified_range_of_cases():
-    for k in range(3, 7):
-        res = verify_conjecture(k)
+    for res in list(conjecture_results(6))[2:]:
         assert res.verdict == "true", res.note
         assert res.pattern == res.expected_pattern
 
@@ -367,11 +377,9 @@ def test_every_certified_interval_holds_one_root_by_the_sturm_count():
                 assert count_roots(chain, lo, hi) == 1, (res.k, cert.k, lo, hi)
 
 
-def test_each_result_is_verify_conjecture_at_its_k():
+def test_each_result_hands_its_upper_certificate_to_the_next():
     results = list(conjecture_results(6))
     assert [r.k for r in results] == [1, 2, 3, 4, 5, 6]
-    for res in results:
-        assert verify_conjecture(res.k) == res
     for res, nxt in zip(results, results[1:]):
         # the certificate of q_{k+1} is the one step k+1 refines
         assert res.upper.k == nxt.lower.k and res.upper.degree == nxt.lower.degree
@@ -393,7 +401,6 @@ def test_exhausted_budget_is_inconclusive_and_keeps_the_isolating_intervals(monk
     assert not res.upper.square_free and res.upper.intervals == [] and not res.upper.all_real
     assert after.verdict == "inconclusive" and after.note == "q_3 was not certified"
     assert not after.lower.all_real and not after.upper.all_real
-    assert res == verify_conjecture(2)
 
 
 def test_a_gap_whose_endpoint_moved_is_checked_again():
@@ -457,16 +464,14 @@ def test_refine_cap_counts_bisections_per_interval_exactly(monkeypatch):
 
 
 def test_invalid_k_is_rejected():
-    # both entry points check their argument when called, not when iterated
+    # the argument is checked when conjecture_results is called, not when iterated
     for bad in (0, -1, 2.5, "3", True, None):
-        with pytest.raises(ValueError):
-            verify_conjecture(bad)
         with pytest.raises(ValueError):
             conjecture_results(bad)
 
 
 def test_result_serialization_shape():
-    res = verify_conjecture(2)
+    _, res = conjecture_results(2)
     doc = res.to_json_dict()
     assert doc["k"] == 2
     assert doc["verdict"] == "true"
@@ -485,7 +490,7 @@ def test_certificate_dataclass_flags():
     assert cert.all_real
     assert not RootCertificate(3, 4, True, []).all_real
     assert not RootCertificate(3, 4, False, []).all_real
-    assert isinstance(verify_conjecture(1), ConjectureResult)
+    assert isinstance(next(conjecture_results(1)), ConjectureResult)
 
 
 def test_result_classes_compare_and_print_as_dataclasses():
@@ -495,12 +500,12 @@ def test_result_classes_compare_and_print_as_dataclasses():
         "ConjectureResult",
         ["k", "lower", "upper", "pattern", "expected_pattern", "verdict", ("note", object, field(default=None))],
     )
-    res = verify_conjecture(2)
+    _, res, third = conjecture_results(3)
     lower = cert_dc(res.lower.k, res.lower.degree, res.lower.square_free, res.lower.intervals)
     upper = cert_dc(res.upper.k, res.upper.degree, res.upper.square_free, res.upper.intervals)
     assert repr(res.lower) == repr(lower)
     assert repr(res) == repr(result_dc(2, lower, upper, res.pattern, res.expected_pattern, res.verdict))
-    assert res == verify_conjecture(2) and res != verify_conjecture(3)
+    assert res == list(conjecture_results(2))[1] and res != third
     assert res.lower != lower  # a different class, as between two dataclasses
     assert res.lower == RootCertificate(2, 2, True, list(res.lower.intervals))
     assert res.lower != RootCertificate(2, 2, False, list(res.lower.intervals))

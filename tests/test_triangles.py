@@ -10,19 +10,8 @@ from lstirling import CheckResult, algebra, grammar, realroots, triangles
 from lstirling.algebra import Poly
 from lstirling.cli import TABLE_CAPS
 from lstirling.codes import count_codes
-from lstirling.gamma import gamma_coeff, gamma_row, support
-from lstirling.triangles import (
-    horizontal_identity_js,
-    horizontal_identity_ls,
-    jc,
-    jc_defining_product,
-    js,
-    lc,
-    ls,
-    ls_explicit,
-    ls_vertical,
-    vertical_gf_check,
-)
+from lstirling.gamma import gamma_coeff, gamma_poly, gamma_row, support
+from lstirling.triangles import jc, js, lc, ls, ls_explicit, ls_vertical
 
 # Rows frozen from running the defining recurrences by hand; they double as
 # regression anchors for every other computation route below.
@@ -219,6 +208,12 @@ def test_explicit_sum_checks_its_arguments_on_every_call(call, bad):
             call(bad)
 
 
+def test_triangle_lookups_index_a_bool_as_its_int():
+    # the hot lookup path checks nothing: True and False index as 1 and 0
+    assert ls(True, 0) == ls(1, 0) and ls(2, True) == ls(2, 1)
+    assert js(True, 1) == js(1, 1) and jc(3, False) == jc(3, 0)
+
+
 def test_vertical_recurrence_agrees_with_recurrence():
     for n in range(1, 13):
         for j in range(1, n + 1):
@@ -244,9 +239,8 @@ def test_vertical_recurrence_rejects_out_of_range_column():
         lambda v: count_codes(3, v),
         support,
         gamma_row,
-        # past its cache, whose keys cannot tell True from 1
-        lambda v: gamma_coeff.__wrapped__(v, 5),
-        lambda v: gamma_coeff.__wrapped__(3, v),
+        lambda v: gamma_coeff(v, 5),
+        lambda v: gamma_coeff(3, v),
     ],
     ids=[
         "ls_explicit-n",
@@ -273,17 +267,12 @@ def test_non_int_arguments_raise_value_error(call, bad):
         pytest.param(lambda v: algebra.binomial(v, 1), id="binomial-n"),
         pytest.param(lambda v: algebra.binomial(4, v), id="binomial-k"),
         pytest.param(algebra.falling_basis, id="falling_basis"),
-        pytest.param(grammar.check_stirling1, id="check_stirling1"),
-        pytest.param(grammar.check_stirling2, id="check_stirling2"),
-        pytest.param(grammar.check_js_grammar, id="check_js_grammar"),
-        pytest.param(grammar.check_jc_grammar, id="check_jc_grammar"),
         pytest.param(grammar.jc_grammar, id="jc_grammar"),
         pytest.param(realroots.expected_pattern, id="expected_pattern"),
-        pytest.param(horizontal_identity_ls, id="horizontal_identity_ls"),
-        pytest.param(horizontal_identity_js, id="horizontal_identity_js"),
-        pytest.param(jc_defining_product, id="jc_defining_product"),
-        pytest.param(lambda v: vertical_gf_check(v, 5), id="vertical_gf_check-k"),
-        pytest.param(lambda v: vertical_gf_check(2, v), id="vertical_gf_check-order"),
+        pytest.param(realroots.q_poly, id="q_poly"),
+        # checked when called, before the induction is iterated
+        pytest.param(realroots.conjecture_results, id="conjecture_results"),
+        pytest.param(gamma_poly, id="gamma_poly"),
     ],
 )
 def test_index_only_functions_reject_a_non_int_with_value_error(call, bad):
@@ -292,60 +281,33 @@ def test_index_only_functions_reject_a_non_int_with_value_error(call, bad):
 
 
 def test_vertical_generating_function_route():
-    for k in range(1, 7):
-        assert vertical_gf_check(k, 12)
-    with pytest.raises(ValueError):
-        vertical_gf_check(0, 5)
+    # the product for k checked up to x^(18-k), at least x^12, for k = 1..6
+    results = list(triangles._vertical_gf_sweep(6, 18))
+    assert len(results) == 6 and all(results)
 
 
 # -- identities ----------------------------------------------------------------
 
 
 def test_power_basis_expands_in_shifted_factorial_basis():
-    for n in range(11):
-        assert horizontal_identity_ls(n)
+    results = list(triangles._horizontal_ls_sweep(10))
+    assert len(results) == 11 and all(results)
 
 
 def test_bivariate_horizontal_identity():
-    for n in range(9):
-        assert horizontal_identity_js(n)
+    results = list(triangles._horizontal_js_sweep(8))
+    assert len(results) == 9 and all(results)
 
 
 def test_first_kind_defining_product():
-    for n in range(9):
-        assert jc_defining_product(n)
-
-
-@pytest.mark.parametrize(
-    "check,sweep",
-    [
-        (horizontal_identity_ls, triangles._horizontal_ls_sweep),
-        (horizontal_identity_js, triangles._horizontal_js_sweep),
-        (jc_defining_product, triangles._jc_product_sweep),
-    ],
-)
-def test_each_identity_check_is_the_last_result_of_its_sweep(check, sweep):
-    results = list(sweep(12))
-    assert len(results) == 13 and all(results)
-    assert [check(n) for n in range(13)] == results
-    with pytest.raises(ValueError):
-        check(-1)
+    results = list(triangles._jc_product_sweep(8))
+    assert len(results) == 9 and all(results)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])
 def test_vertical_check_at_order_zero_reads_the_diagonal(k):
-    # one coefficient: the product of the constant terms, ls(k, k) = 1
-    assert vertical_gf_check(k, 0)
+    # at k = kmax one coefficient: the product of the constant terms, ls(k, k) = 1
     assert [bool(r) for r in triangles._vertical_gf_sweep(k, k)] == [True] * k
-
-
-def test_each_vertical_check_is_the_last_result_of_its_sweep():
-    # the sweep to kmax checks order nmax - k at each k
-    results = list(triangles._vertical_gf_sweep(12, 12))
-    assert len(results) == 12 and all(results)
-    assert [vertical_gf_check(k, 12 - k) for k in range(1, 13)] == results
-    with pytest.raises(ValueError):
-        vertical_gf_check(3, -1)
 
 
 def _counted(monkeypatch, name):
@@ -359,7 +321,7 @@ def test_the_vertical_sweep_multiplies_one_series_per_k(monkeypatch):
     calls = _counted(monkeypatch, "_convolve")
     for k in range(1, 9):
         calls.clear()
-        assert vertical_gf_check(k, 6)
+        assert all(triangles._vertical_gf_sweep(k, k + 6))
         assert len(calls) == k
     # each product is the previous one, truncated, times one geometric series
     assert [size for _, _, size in calls] == list(range(14, 6, -1))
@@ -413,7 +375,6 @@ def test_a_wrong_vertical_value_fails_its_k_only(monkeypatch):
     results = list(triangles._vertical_gf_sweep(8, 8))
     assert [bool(r) for r in results] == [k != 3 for k in range(1, 9)]
     assert results[2].detail == "k=3: coefficient of x^5 is 585536, triangle gives 585537"
-    assert vertical_gf_check(3, 5) == results[2] and vertical_gf_check(4, 4)
 
 
 def test_z_equal_one_specializes_to_integer_triangles():
