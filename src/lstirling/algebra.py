@@ -6,15 +6,19 @@ floating point anywhere.  `Poly` is a dense univariate polynomial whose
 coefficients may be ints, Fractions, or again `Poly` values; the nested form
 gives polynomials in x over Z[z], which is all the bivariate structure the
 rest of the package needs.  A Poly is falsy exactly when it is zero, and
-every product, of polynomials or of truncated coefficient lists, runs through
-the one product loop `_convolve`.
+every general product, of polynomials or of truncated coefficient lists, runs
+through the one product loop `_convolve`.  The one specialised product is
+`_add_linear_multiple`, p + (a + bz) q in one pass, the cell step of the
+Jacobi-Stirling triangles.  The public constructor rejects a float
+coefficient; results of Poly arithmetic, whose coefficients come from Poly
+values and exact scalars, are wrapped unchecked by `_trusted`.
 `fractions` is imported only where a Fraction is built, so integer-only work
 such as a table never loads it.
 """
 from __future__ import annotations
 
 import sys
-from itertools import accumulate, zip_longest
+from itertools import accumulate, repeat, zip_longest
 from math import comb
 from operator import mul
 
@@ -64,11 +68,31 @@ def _coeff_list(coeffs) -> list:
     return list(coeffs)
 
 
+def _trim(cs: list) -> tuple:
+    """Pop the trailing zeros off the list cs and return what is left as a tuple."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _trusted(cs: list) -> "Poly":
+    """A Poly over the list cs, trimmed, its coefficients taken unchecked.
+
+    For results of Poly arithmetic only: their coefficients come from Poly
+    values and exact scalars, so the public constructor's checks would
+    read every coefficient again to no purpose.
+    """
+    p = object.__new__(Poly)
+    p.coeffs = _trim(cs)
+    return p
+
+
 def _convolve(a, b, size: int) -> list:
     """The first size coefficients of the product of the sequences a and b.
 
-    The package's one product loop, for Poly products and for truncated
-    power series given as coefficient lists.  A zero coefficient of a is
+    The package's general product loop, for Poly products and for truncated
+    power series given as coefficient lists; `_add_linear_multiple` is the
+    one specialised product, by a linear factor.  A zero coefficient of a is
     skipped, and each term is added as out[j] + x * y, so an int 0 slot
     takes a Poly term through Poly.__radd__.  For a Poly product both
     slices are whole, and a tuple returns a whole slice uncopied.  Slots
@@ -86,6 +110,21 @@ def _convolve(a, b, size: int) -> list:
     return out
 
 
+def _add_linear_multiple(p: "Poly", q: "Poly", a, b) -> "Poly":
+    """p + (a + bz) q for Polys p and q in z and scalars a and b, in one pass.
+
+    Coefficient i is p[i] + a q[i] + b q[i-1], read off the three padded
+    coefficient tuples by one comprehension; the result is trimmed, so a
+    cancelled leading term goes.  It is the cell step of the js and jc
+    triangles, and equals p + Poly((a, b)) * q.
+
+    >>> _add_linear_multiple(Poly((1, 2)), Poly((3,)), 4, 5) == Poly((13, 17))
+    True
+    """
+    qc = q.coeffs
+    return _trusted([x + a * y + b * w for x, y, w in zip_longest(p.coeffs, qc, (0, *qc), fillvalue=0)])
+
+
 def _is_scalar(c) -> bool:
     """Whether c is an int or a Fraction, the scalars Poly arithmetic accepts."""
     if isinstance(c, int):
@@ -101,7 +140,8 @@ class Poly:
     The zero polynomial is the empty coefficient tuple, the one falsy Poly,
     and its degree is -1, one below a constant's.  Arithmetic
     works for any coefficient ring closed under + and *: ints, Fractions, or
-    Poly itself; every coefficient is zero exactly when it is falsy.
+    Poly itself; every coefficient is zero exactly when it is falsy.  A
+    float coefficient raises ValueError: nothing here is approximate.
 
     >>> p = Poly([-1, 0, 1])
     >>> p.render()
@@ -116,9 +156,10 @@ class Poly:
 
     def __init__(self, coeffs=()):
         cs = _coeff_list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        if any(map(isinstance, cs, repeat(float))):
+            bad = next(c for c in cs if isinstance(c, float))
+            raise ValueError(f"Poly: coefficients must be exact, got the float {bad!r}")
+        self.coeffs = _trim(cs)
 
     # -- structure ---------------------------------------------------------
 
@@ -140,12 +181,12 @@ class Poly:
             if not _is_scalar(other):
                 return NotImplemented
             other = Poly((other,))
-        return Poly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
+        return _trusted([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(-c for c in self.coeffs)
+        return _trusted([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -161,10 +202,10 @@ class Poly:
         if not isinstance(other, Poly):
             if not _is_scalar(other):
                 return NotImplemented
-            return Poly(c * other for c in self.coeffs)
+            return _trusted([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         # a zero factor leaves every slot 0, and the trim takes them all
-        return Poly(_convolve(a, b, len(a) + len(b) - 1))
+        return _trusted(_convolve(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -200,12 +241,12 @@ class Poly:
             for i, c in enumerate(other.coeffs):
                 rem[shift + i] = rem[shift + i] - t * c
             rem.pop()
-        return Poly(quo), Poly(rem)
+        return _trusted(quo), _trusted(rem)
 
     # -- calculus and evaluation --------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i >= 1)
+        return _trusted([i * c for i, c in enumerate(self.coeffs) if i >= 1])
 
     def eval(self, point):
         """Evaluate by Horner's rule; exact for int/Fraction points."""

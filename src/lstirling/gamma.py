@@ -112,8 +112,10 @@ def gamma_ode_step(p: Poly, k: int) -> Poly:
                   + (1+x)^2 x^3 / 2 gamma_k''
 
     All divisions are exact: gamma_k''/2 has integer coefficients because
-    i(i-1) is always even.  k must be a nonnegative int.
+    i(i-1) is always even.  p must be a Poly and k a nonnegative int.
     """
+    if not isinstance(p, Poly):
+        raise ValueError(f"gamma_ode_step: p must be a Poly, got {p!r}")
     _require_int("gamma_ode_step", k)
     if k < 0:
         raise ValueError("gamma_ode_step: k must be nonnegative")

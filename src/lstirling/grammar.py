@@ -206,8 +206,8 @@ def _sweep(nmax: int, seed: FormalPoly, step, triangle: Triangle, monomial, labe
             yield CheckResult(False, f"n={n}: {label} = {p.render()}")
 
 
-_stirling2 = Triangle(lambda n, k: k, tag="stirling2")
-_stirling1 = Triangle(lambda n, k: n - 1, tag="stirling1")  # unsigned first kind
+_stirling2 = Triangle(lambda n, k, left, right: left + k * right, tag="stirling2")
+_stirling1 = Triangle(lambda n, k, left, right: left + (n - 1) * right, tag="stirling1")  # unsigned first kind
 
 
 def _stirling2_sweep(nmax: int):

@@ -66,8 +66,10 @@ def refine_interval(p: Poly, interval):
     midpoint alone picks the half that keeps the root.  A midpoint that is
     the root is boxed at half the distance to the nearer endpoint.  An
     interval that is not a tuple of two ints or Fractions (a bool is
-    neither) raises ValueError.
+    neither), or a p that is not a Poly, raises ValueError.
     """
+    if not isinstance(p, Poly):
+        raise ValueError(f"refine_interval: p must be a Poly, got {p!r}")
     lo, hi = interval if isinstance(interval, tuple) and len(interval) == 2 else (None, None)
     if type(lo) not in _ENDPOINT_TYPES or type(hi) not in _ENDPOINT_TYPES:
         raise ValueError(f"refine_interval: expected a pair of int or Fraction endpoints, got {interval!r}")

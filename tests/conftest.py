@@ -29,7 +29,7 @@ def off_by_one():
 
     def make(triangle, at):
         n, k = at
-        fresh = Triangle(triangle.factor, triangle.one, triangle.zero, triangle.tag)
+        fresh = Triangle(triangle.step, triangle.one, triangle.zero, triangle.tag)
         step = fresh._next_row
 
         def next_row(prev):

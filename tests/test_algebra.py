@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lstirling import algebra
-from lstirling.algebra import Poly, _convolve, binomial, falling_basis
+from lstirling.algebra import Poly, _add_linear_multiple, _convolve, binomial, falling_basis
 
 small_ints = st.integers(min_value=-50, max_value=50)
 polys = st.lists(small_ints, max_size=6).map(lambda cs: Poly(cs))
@@ -29,6 +29,22 @@ def schoolbook(a, b) -> tuple:
     return tuple(
         sum((a[i] * b[n - i] for i in range(len(a)) if 0 <= n - i < len(b)), 0) for n in range(len(a) + len(b) - 1)
     )
+
+
+# -- the fused cell step -------------------------------------------------------
+
+
+@given(int_lists, int_lists, small_ints, small_ints)
+@example([], [1, 2], 3, 4)  # p zero
+@example([1, 2], [], 3, 4)  # q zero
+@example([1, 2, 3], [4, 5], 0, 0)  # a = b = 0
+@example([1, 2], [3, 4], -2, -1)  # negative a and b
+@example([0, 0, 3], [0, 3], 0, -1)  # the z^2 terms cancel, and so does the rest
+@example([1, 2], [2], 0, -1)  # the leading z term cancels, leaving 1
+@example([5, 0, 7], [1], 2, 3)  # p longer than q z
+def test_add_linear_multiple_is_p_plus_a_linear_factor_times_q(p, q, a, b):
+    # == compares trimmed coefficient tuples, so an untrimmed result fails it
+    assert _add_linear_multiple(Poly(p), Poly(q), a, b) == Poly(p) + Poly((a, b)) * Poly(q)
 
 
 # -- binomial ---------------------------------------------------------------
@@ -309,6 +325,28 @@ def test_falling_basis_specializes_to_integer_product():
 def test_bad_poly_input_raises_value_error(bad, message):
     with pytest.raises(ValueError, match=message):
         Poly(bad)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        pytest.param((0.5, 1), id="tuple"),
+        pytest.param([1.5, 2], id="list"),
+        pytest.param((c / 2 for c in (1, 2)), id="generator"),
+        pytest.param((1, 0, 2.0), id="leading-float"),
+        pytest.param((1, 0.0), id="trimmed-float-zero"),
+        pytest.param((Fraction(1, 2), type("Real", (float,), {})(1.0)), id="float-subclass"),
+    ],
+)
+def test_a_float_coefficient_raises_value_error(coeffs):
+    with pytest.raises(ValueError, match="must be exact, got the float"):
+        Poly(coeffs)
+
+
+def test_scaling_by_a_float_raises_value_error():
+    # scale's factor is unchecked, so its result goes through the public constructor
+    with pytest.raises(ValueError, match="must be exact"):
+        Poly((1, 2)).scale(0.5)
 
 
 def test_an_error_raised_while_coefficients_are_read_reaches_the_caller():

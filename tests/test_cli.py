@@ -130,7 +130,7 @@ def test_table_json_yields_one_triangle_row_per_chunk(family):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_streams_its_rows_past_the_cache(capsys, monkeypatch, fmt):
-    fresh = triangles.Triangle(triangles.ls_triangle.factor, tag="ls")
+    fresh = triangles.Triangle(triangles.ls_triangle.step, tag="ls")
     monkeypatch.setattr(triangles, "ls_triangle", fresh)
     rc, out, _ = run(capsys, "table", "--family", "ls", "--nmax", "200", "--format", fmt)
     assert (rc, len(fresh._rows)) == (0, 1)
@@ -342,7 +342,7 @@ def test_z_equals_1_stops_at_the_js_jc_table_cap(capsys, monkeypatch):
     # fresh triangles, so that rows filled by other tests do not count
     for name in ("js_triangle", "jc_triangle"):
         old = getattr(triangles, name)
-        monkeypatch.setattr(triangles, name, triangles.Triangle(old.factor, old.one, old.zero, old.tag))
+        monkeypatch.setattr(triangles, name, triangles.Triangle(old.step, old.one, old.zero, old.tag))
     streamed = []
     real = triangles.Triangle.rows
     monkeypatch.setattr(triangles.Triangle, "rows", lambda t, nmax: streamed.append((t.tag, nmax)) or real(t, nmax))

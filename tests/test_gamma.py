@@ -101,6 +101,12 @@ def test_differential_step_rejects_a_bad_k(bad):
         gamma_ode_step(Poly((1,)), bad)
 
 
+@pytest.mark.parametrize("bad", [None, (1,), [1], 1])
+def test_differential_step_rejects_a_p_that_is_not_a_poly(bad):
+    with pytest.raises(ValueError, match="gamma_ode_step: p must be a Poly"):
+        gamma_ode_step(bad, 1)
+
+
 @pytest.mark.parametrize("args", [([1], 3), (True, 3), (1.0, 3), (1, [3]), (1, 3.0)])
 def test_coefficient_checks_its_arguments_before_its_cache(args):
     # (1, 3) is cached first; True and 1.0 hash as 1 would, and a list is unhashable

@@ -277,6 +277,12 @@ def test_refine_interval_rejects_an_interval_that_is_not_two_exact_endpoints(int
         refine_interval(Poly((1, 1)), interval)
 
 
+@pytest.mark.parametrize("bad", [None, (1, 1), [1, 1], 3])
+def test_refine_interval_rejects_a_p_that_is_not_a_poly(bad):
+    with pytest.raises(ValueError, match="refine_interval: p must be a Poly"):
+        refine_interval(bad, (-1, 0))
+
+
 @given(_square_free())
 def test_refine_interval_agrees_with_refinement_by_counting(case):
     cs, _, _ = case

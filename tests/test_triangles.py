@@ -71,8 +71,31 @@ def test_jc_matches_frozen_rows():
         assert [jc(n, k) for k in range(n + 1)] == [Poly(cs) for cs in row]
 
 
+@pytest.mark.parametrize(
+    "name, factor",
+    [("js", lambda n, k: Poly((k * k, k))), ("jc", lambda n, k: Poly(((n - 1) ** 2, n - 1)))],
+)
+def test_z_triangle_rows_equal_rows_built_by_generic_poly_arithmetic(name, factor):
+    # the fill's fused kernel against T(n-1,k-1) + f(n,k) T(n-1,k) through Poly's + and *
+    row = [Poly((1,))]
+    for n, got in enumerate(_fresh(getattr(triangles, f"{name}_triangle")).rows(60)):
+        if n:
+            cells = [Poly(), *row, Poly()]
+            row = [cells[k] + factor(n, k) * cells[k + 1] for k in range(n + 1)]
+        assert got == row
+
+
+def test_the_identity_sweeps_never_call_the_fused_kernel(monkeypatch):
+    # rows already cached, so a call could come only from a sweep's own products
+    js(15, 0), jc(15, 0)
+    for module in (algebra, triangles):
+        monkeypatch.setattr(module, "_add_linear_multiple", lambda *a: pytest.fail("the fill's kernel was called"))
+    assert all(triangles._horizontal_js_sweep(15)) and all(triangles._jc_product_sweep(15))
+    assert all(grammar._js_sweep(15)) and all(grammar._jc_sweep(15))
+
+
 def _fresh(triangle):
-    return triangles.Triangle(triangle.factor, triangle.one, triangle.zero, triangle.tag)
+    return triangles.Triangle(triangle.step, triangle.one, triangle.zero, triangle.tag)
 
 
 ROW_TRIANGLES = {
