@@ -9,9 +9,10 @@ rest of the package needs.  A Poly is falsy exactly when it is zero, and
 every general product, of polynomials or of truncated coefficient lists, runs
 through the one product loop `_convolve`.  The one specialised product is
 `_add_linear_multiple`, p + (a + bz) q in one pass, the cell step of the
-Jacobi-Stirling triangles.  The public constructor rejects a float
-coefficient; results of Poly arithmetic, whose coefficients come from Poly
-values and exact scalars, are wrapped unchecked by `_trusted`.
+Jacobi-Stirling triangles.  The public constructor rejects a coefficient
+that is not an int, a Fraction or a Poly (a float above all), and a set or
+dict of coefficients; results of Poly arithmetic, whose coefficients come
+from Poly values and exact scalars, are wrapped unchecked by `_trusted`.
 `fractions` is imported only where a Fraction is built, so integer-only work
 such as a table never loads it.
 """
@@ -52,15 +53,19 @@ def _binomial(n: int, k: int) -> int:
 
 
 def _coeff_list(coeffs) -> list:
-    """coeffs read once into a new list; ValueError when it is a str or not iterable.
+    """coeffs read once into a new list; ValueError when it is a str, a set,
+    a dict or not iterable.
 
     An exact tuple is read as it is, and for anything else only iter() is
     guarded, so an error raised while an iterable is read reaches the caller
-    unchanged.  A str is iterable, but its characters are not coefficients.
+    unchanged.  A str is iterable, but its characters are not coefficients,
+    and a set or a dict has no order to give the coefficients.
     """
     if coeffs.__class__ is not tuple:
         if isinstance(coeffs, str):
             raise ValueError(f"Poly: coefficients must not be a str, got {coeffs!r}")
+        if isinstance(coeffs, (set, frozenset, dict)):
+            raise ValueError(f"Poly: coefficients must be in order, not a {type(coeffs).__name__}: {coeffs!r}")
         try:
             coeffs = iter(coeffs)
         except TypeError:
@@ -125,13 +130,19 @@ def _add_linear_multiple(p: "Poly", q: "Poly", a, b) -> "Poly":
     return _trusted([x + a * y + b * w for x, y, w in zip_longest(p.coeffs, qc, (0, *qc), fillvalue=0)])
 
 
-def _is_scalar(c) -> bool:
-    """Whether c is an int or a Fraction, the scalars Poly arithmetic accepts."""
-    if isinstance(c, int):
-        return True
-    # a Fraction exists only once fractions is loaded, so this never loads it
+def _scalar_types() -> tuple:
+    """int and Fraction, the scalars Poly arithmetic accepts.
+
+    A Fraction exists only once fractions is loaded, so until then the
+    tuple is (int,), and this never loads it.
+    """
     fractions = sys.modules.get("fractions")
-    return fractions is not None and isinstance(c, fractions.Fraction)
+    return (int,) if fractions is None else (int, fractions.Fraction)
+
+
+def _is_scalar(c) -> bool:
+    """Whether c is an int or a Fraction."""
+    return isinstance(c, int) or isinstance(c, _scalar_types())
 
 
 class Poly:
@@ -139,9 +150,10 @@ class Poly:
 
     The zero polynomial is the empty coefficient tuple, the one falsy Poly,
     and its degree is -1, one below a constant's.  Arithmetic
-    works for any coefficient ring closed under + and *: ints, Fractions, or
-    Poly itself; every coefficient is zero exactly when it is falsy.  A
-    float coefficient raises ValueError: nothing here is approximate.
+    works over the exact coefficients the constructor accepts: ints,
+    Fractions, or Poly itself; every coefficient is zero exactly when it is
+    falsy.  Any other coefficient, a float above all, raises ValueError:
+    nothing here is approximate.
 
     >>> p = Poly([-1, 0, 1])
     >>> p.render()
@@ -156,9 +168,11 @@ class Poly:
 
     def __init__(self, coeffs=()):
         cs = _coeff_list(coeffs)
-        if any(map(isinstance, cs, repeat(float))):
-            bad = next(c for c in cs if isinstance(c, float))
-            raise ValueError(f"Poly: coefficients must be exact, got the float {bad!r}")
+        exact = (Poly, *_scalar_types())
+        if not all(map(isinstance, cs, repeat(exact))):
+            bad = next(c for c in cs if not isinstance(c, exact))
+            kind = "float" if isinstance(bad, float) else type(bad).__name__
+            raise ValueError(f"Poly: coefficients must be exact, got the {kind} {bad!r}; use ints, Fractions or Polys")
         self.coeffs = _trim(cs)
 
     # -- structure ---------------------------------------------------------

@@ -27,7 +27,10 @@ one depth-first walk of that tree, _walk, which builds each node's
 partition from its parent's; phi stays the path for a single code.
 
 Symbols are plain tuples: ("X",), ("A", i, j), ("B", s), ("Bb", s); box
-indices are ints, never bools.
+indices are ints, never bools.  Every symbol that the package hands out, from
+A, B and Bb, parse_code, the walk or phi_inverse, with box indices up to 64,
+is one object from a shared table in partitions (partitions._symbol_at), so
+the codes a caller keeps share their symbols.
 """
 from __future__ import annotations
 
@@ -36,9 +39,8 @@ from functools import lru_cache
 from operator import itemgetter
 
 from . import CheckResult, _require_int
-from .partitions import ENUM_LIMIT, LSPartition, _code_of, validate
-
-X = ("X",)
+from .partitions import _X as X
+from .partitions import ENUM_LIMIT, LSPartition, _code_of, _symbol_at, validate
 
 
 def A(i: int, j: int) -> tuple:
@@ -47,21 +49,21 @@ def A(i: int, j: int) -> tuple:
         raise ValueError("A(i,j) requires distinct box indices")
     if i < 1 or j < 1:
         raise ValueError("A(i,j) box indices start at 1")
-    return ("A", i, j)
+    return _symbol_at(i, j)
 
 
 def B(s: int) -> tuple:
     _require_int("B(s)", s)
     if s < 1:
         raise ValueError("B(s) box index starts at 1")
-    return ("B", s)
+    return _symbol_at(s, 0)
 
 
 def Bb(s: int) -> tuple:
     _require_int("Bb(s)", s)
     if s < 1:
         raise ValueError("Bb(s) box index starts at 1")
-    return ("Bb", s)
+    return _symbol_at(0, s)
 
 
 def n_x(code) -> int:

@@ -20,17 +20,25 @@ D^n once, from D^(n-1), and checks it against its triangle row n.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from . import CheckResult, _FrozenRecord, _require_int
 from .algebra import Poly
 from .triangles import Triangle, jc_triangle, js_triangle
 
 
 class Letter(_FrozenRecord):
-    """A named letter, optionally indexed: Letter('b') or Letter('a', 2)."""
+    """A named letter, optionally indexed: Letter('b') or Letter('a', 2).
+
+    The family is a str and the index None or an int (never a bool), else
+    ValueError.
+    """
 
     __slots__ = ("family", "index")
 
     def __init__(self, family: str, index: int | None = None):
+        if not isinstance(family, str) or not (index is None or type(index) is int):
+            raise ValueError(f"Letter: expected a str family and an int or no index, got {family!r}, {index!r}")
         _set_family(self, family)
         _set_index(self, index)
 
@@ -46,15 +54,34 @@ _set_family = Letter.family.__set__
 _set_index = Letter.index.__set__
 
 
+def _iterate(where: str, items):
+    """iter(items), or ValueError naming where when items is not iterable."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise ValueError(f"{where}: expected an iterable of pairs, got {items!r}") from None
+
+
 class Monomial:
     """A finite product of letters with positive integer exponents."""
 
     __slots__ = ("powers", "_hash")
 
     def __init__(self, powers=()):
-        """Powers from (letter, exponent) pairs; a repeated letter's exponents add up."""
+        """Powers from (letter, exponent) pairs; a repeated letter's exponents add up.
+
+        Each pair is a Letter and an int exponent (never a bool), else
+        ValueError; a letter whose exponents add up to less than zero is
+        rejected too.
+        """
         acc: dict = {}
-        for letter, e in powers:
+        for pair in _iterate("Monomial", powers):
+            try:
+                letter, e = pair
+            except (TypeError, ValueError):  # not a pair
+                letter = e = None
+            if not isinstance(letter, Letter) or type(e) is not int:
+                raise ValueError(f"Monomial: expected (Letter, int exponent) pairs, got {pair!r}")
             acc[letter] = acc.get(letter, 0) + e
         for letter, e in acc.items():
             if e < 0:
@@ -94,17 +121,23 @@ def _zpoly(c) -> Poly:
 class FormalPoly:
     """Finite Z[z]-linear combination of monomials in letters.
 
-    Built from (monomial, coefficient) pairs, an int or a Poly in z each;
-    the coefficients of a repeated monomial add up, and zero coefficients
-    are dropped.  Terms live in a dict Monomial -> Poly (in z).  Treat
-    instances as immutable: they are compared and rendered.
+    Built from (monomial, coefficient) pairs, an int or a Poly in z each,
+    else ValueError; the coefficients of a repeated monomial add up, and
+    zero coefficients are dropped.  Terms live in a dict Monomial -> Poly
+    (in z).  Treat instances as immutable: they are compared and rendered.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
         acc: dict = {}
-        for mono, coeff in terms:
+        for term in _iterate("FormalPoly", terms):
+            try:
+                mono, coeff = term
+            except (TypeError, ValueError):  # not a pair
+                mono = coeff = None
+            if not isinstance(mono, Monomial) or not isinstance(coeff, (int, Poly)):
+                raise ValueError(f"FormalPoly: expected (Monomial, int or Poly) pairs, got {term!r}")
             prev = acc.get(mono)
             coeff = _zpoly(coeff) if prev is None else prev + coeff
             if not coeff:
@@ -158,27 +191,36 @@ class GrammarError(ValueError):
 class Grammar:
     """Substitution rules: a callable or mapping Letter -> FormalPoly.
 
-    A letter whose rule is FormalPoly() is a constant and derives to zero.
-    Deriving a letter for which the rules produce None raises GrammarError
-    naming the letter.
+    Rules of any other kind raise ValueError.  A letter whose rule is
+    FormalPoly() is a constant and derives to zero.  Deriving a letter for
+    which the rules produce None, or anything but a FormalPoly, raises
+    GrammarError naming the letter.
     """
 
     def __init__(self, rules):
         if callable(rules):
             self._rules = rules
+        elif isinstance(rules, Mapping):
+            self._rules = dict(rules).get
         else:
-            table = dict(rules)
-            self._rules = table.get
+            raise ValueError(f"Grammar: rules must be a callable or a mapping, got {rules!r}")
 
     def image(self, letter: Letter) -> FormalPoly:
         out = self._rules(letter)
         if out is None:
             raise GrammarError(f"no rule for letter {letter!r}")
+        if not isinstance(out, FormalPoly):
+            raise GrammarError(f"the rule for letter {letter!r} gives {out!r}, not a FormalPoly")
         return out
 
 
 def derive(g: Grammar, p: FormalPoly) -> FormalPoly:
-    """Apply the derivation once: Leibniz over each monomial, rules on letters."""
+    """Apply the derivation once: Leibniz over each monomial, rules on letters.
+
+    g must be a Grammar and p a FormalPoly, else ValueError.
+    """
+    if not isinstance(g, Grammar) or not isinstance(p, FormalPoly):
+        raise ValueError(f"derive: expected a Grammar and a FormalPoly, got {g!r} and {p!r}")
     terms = []
     for mono, coeff in p.terms.items():
         for letter, e in mono.powers:
@@ -246,7 +288,7 @@ def js_grammar() -> Grammar:
     """Rules a_j -> a_{j+1} b^j c, b -> 2b, c -> (1+z)c, one grammar for all steps."""
 
     def rule(letter: Letter):
-        if letter.family == "a":
+        if letter.family == "a" and letter.index is not None:
             j = letter.index
             return FormalPoly.term(
                 Monomial.of((Letter("a", j + 1), 1), (Letter("b"), j), (Letter("c"), 1))
@@ -278,7 +320,7 @@ def jc_grammar(k: int) -> Grammar:
     def rule(letter: Letter):
         if letter.family == "a":
             return FormalPoly.term(Monomial.of((letter, 1)), coeff)
-        if letter.family == "b":
+        if letter.family == "b" and letter.index is not None:
             return FormalPoly.letter(Letter("b", letter.index + 1))
         return None
 

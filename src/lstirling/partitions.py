@@ -129,7 +129,30 @@ def parse(text: str) -> LSPartition:
     return LSPartition(max(values, default=0), tuple(boxes), zero)
 
 
-_X = ("X",)  # the code symbol that opens a box, as in codes.X
+_X = ("X",)  # the code symbol that opens a box: codes.X
+
+# the shared non-X code symbols, _SYMBOLS[a][b] for slots a, b <= 64, each
+# made on first use by _symbol_at; the table is not prebuilt, since its
+# 4,225 tuples would cost every importer about 0.3 MB
+_SYMBOLS = [[None] * 65 for _ in range(65)]
+
+
+def _symbol_at(a: int, b: int) -> tuple:
+    """The non-X symbol that puts a value's plain copy in slot a and its
+    barred copy in slot b, for unequal slots >= 0 (slot 0 the zero box):
+    A(a, b) when both are nonzero boxes, B(a) when b is the zero box, Bb(b)
+    when a is.
+
+    Unchecked.  Every symbol the package hands out is built here, so equal
+    symbols from the walk, parse_code and phi_inverse are one object.  A
+    slot past 64 builds a fresh symbol, equal by value, so the table never
+    grows with the input.
+    """
+    sym = ("A", a, b) if a and b else ("B", a) if a else ("Bb", b)
+    if a < len(_SYMBOLS) and b < len(_SYMBOLS):
+        row = _SYMBOLS[a]
+        sym = row[b] = row[b] or sym
+    return sym
 
 
 def _homes(p: LSPartition):
@@ -189,6 +212,7 @@ def _code_of(p: LSPartition):
         return None
     pairs = zip(*homes)
     next(pairs)  # slot 0
+    symbols = _SYMBOLS
     out = []
     t = 0  # boxes opened so far
     for a, b in pairs:
@@ -199,12 +223,12 @@ def _code_of(p: LSPartition):
             out.append(_X)
         elif a > t or b > t:
             return None
-        elif a and b:
-            out.append(("A", a, b))
-        elif a:
-            out.append(("B", a))
         else:
-            out.append(("Bb", b))
+            # read inline, so that _symbol_at runs only on a symbol's first use
+            try:
+                out.append(symbols[a][b] or _symbol_at(a, b))
+            except IndexError:  # a slot past the table's bound
+                out.append(_symbol_at(a, b))
     return tuple(out) if t == len(p.boxes) else None
 
 

@@ -1,6 +1,7 @@
 """Polynomial, truncated product, and binomial arithmetic."""
 import doctest
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -341,6 +342,41 @@ def test_bad_poly_input_raises_value_error(bad, message):
 def test_a_float_coefficient_raises_value_error(coeffs):
     with pytest.raises(ValueError, match="must be exact, got the float"):
         Poly(coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs, kind",
+    [
+        pytest.param((0.5j, 1), "complex", id="complex"),
+        pytest.param((Decimal("0.5"), 1), "Decimal", id="Decimal"),
+        pytest.param(("a", 1), "str", id="str"),
+        pytest.param((None, 1), "NoneType", id="None"),
+        pytest.param([[1]], "list", id="nested-list"),
+        pytest.param((1, 2, [3]), "list", id="leading-list"),
+    ],
+)
+def test_a_coefficient_that_is_not_exact_raises_value_error(coeffs, kind):
+    # only ints, Fractions and Polys are coefficients
+    with pytest.raises(ValueError, match=f"must be exact, got the {kind} "):
+        Poly(coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        pytest.param({2, 1}, id="set"),
+        pytest.param(frozenset({5, 7}), id="frozenset"),
+        pytest.param({3: 0, 1: 0}, id="dict"),
+    ],
+)
+def test_an_unordered_collection_of_coefficients_raises_value_error(coeffs):
+    with pytest.raises(ValueError, match="must be in order"):
+        Poly(coeffs)
+
+
+def test_exact_coefficients_build_as_before():
+    assert Poly((1, Fraction(1, 2), Poly((0, 1)))).coeffs == (1, Fraction(1, 2), Poly((0, 1)))
+    assert Poly(range(3)).coeffs == (0, 1, 2) and Poly(iter([True, 0])).coeffs == (True,)
 
 
 def test_scaling_by_a_float_raises_value_error():

@@ -13,7 +13,8 @@ from reference_impl import (
 )
 from strategies import JSON_LIKE
 
-from lstirling import codes
+import lstirling
+from lstirling import codes, partitions
 from lstirling.codes import (
     A,
     B,
@@ -453,3 +454,29 @@ def test_a_code_longer_than_the_element_pair_table_replays_without_growing_it():
     assert p.boxes[-1] == frozenset({(m, False), (m, True)})
     assert phi_inverse(p) == code
     assert len(codes._PAIRS) == size
+
+
+def test_every_producer_hands_out_the_shared_symbols():
+    # the walk, phi_inverse and parse_code give one object per symbol, and
+    # the constructors give the walk's
+    assert lstirling.X is partitions._X is X
+    for n in range(1, 6):
+        for code in enumerate_codes(n):
+            for decoded in (phi_inverse(phi(code)), parse_code(render_code(code))):
+                assert decoded == code
+                assert all(x is y for x, y in zip(code, decoded))
+    assert A(2, 1) is A(2, 1) is partitions._SYMBOLS[2][1]
+    assert B(3) is B(3) is partitions._SYMBOLS[3][0] and Bb(1) is Bb(1) is partitions._SYMBOLS[0][1]
+
+
+def test_a_code_past_the_symbol_table_round_trips_without_growing_it():
+    bound = len(partitions._SYMBOLS) - 1
+    code = (X,) * (bound + 2) + (A(bound + 2, 1), A(1, bound + 1), B(bound + 2), Bb(bound + 1), A(2, 3))
+    assert n_x(code) == 66 > bound
+    decoded = phi_inverse(phi(code))
+    assert decoded == code and decoded is not code
+    assert parse_code(render_code(code)) == code
+    # symbols within the bound are shared, those past it are equal but fresh
+    assert decoded[-1] is A(2, 3) and decoded[-5] is not A(bound + 2, 1)
+    assert len(partitions._SYMBOLS) == bound + 1 == 65
+    assert all(len(row) == bound + 1 for row in partitions._SYMBOLS)

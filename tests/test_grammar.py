@@ -155,6 +155,91 @@ def test_grammar_unknown_letter_raises():
         derive(js_grammar(), FormalPoly.letter(Letter("d")))
 
 
+@pytest.mark.parametrize("rules", [5, None, [1], [(b, FormalPoly())]], ids=["int", "None", "list", "pairs"])
+def test_rules_that_are_neither_callable_nor_a_mapping_raise_value_error(rules):
+    with pytest.raises(ValueError, match="must be a callable or a mapping"):
+        Grammar(rules)
+
+
+@pytest.mark.parametrize(
+    "g, p",
+    [
+        pytest.param(None, None, id="None-None"),
+        pytest.param(js_grammar(), None, id="no-poly"),
+        pytest.param(None, FormalPoly.letter(b), id="no-grammar"),
+        pytest.param(js_grammar(), Monomial.of((b, 1)), id="monomial-for-poly"),
+    ],
+)
+def test_derive_rejects_what_is_not_a_grammar_and_a_formal_poly(g, p):
+    with pytest.raises(ValueError, match="derive: expected a Grammar and a FormalPoly"):
+        derive(g, p)
+
+
+@pytest.mark.parametrize("image", [5, "b", Monomial.of((b, 1)), Poly((1,))], ids=["int", "str", "monomial", "poly"])
+def test_a_rule_that_gives_no_formal_poly_is_a_grammar_error(image):
+    with pytest.raises(GrammarError, match="the rule for letter a gives .*, not a FormalPoly"):
+        derive(Grammar(lambda letter: image), FormalPoly.letter(Letter("a")))
+    with pytest.raises(GrammarError, match="the rule for letter b gives"):
+        derive(Grammar({b: image}), FormalPoly.letter(b))
+
+
+@pytest.mark.parametrize(
+    "powers",
+    [
+        pytest.param([(b, "x")], id="str-exponent"),
+        pytest.param([5], id="not-a-pair"),
+        pytest.param([(b, 1, 2)], id="triple"),
+        pytest.param([("a", 1)], id="str-letter"),
+        pytest.param([(b, 1.5)], id="float-exponent"),
+        pytest.param([(b, True)], id="bool-exponent"),
+        pytest.param([(c, 1), (None, 1)], id="second-pair"),
+        pytest.param(None, id="None"),
+        pytest.param(1.5, id="float"),
+    ],
+)
+def test_a_monomial_of_anything_but_letter_exponent_pairs_raises_value_error(powers):
+    with pytest.raises(ValueError, match="Monomial: expected"):
+        Monomial(powers)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        pytest.param([(1, 2)], id="int-for-monomial"),
+        pytest.param([(Monomial(), "x")], id="str-coefficient"),
+        pytest.param([(Monomial(), 2), (Monomial(), "x")], id="str-added-to-a-term"),
+        pytest.param([(Monomial(), 1.5)], id="float-coefficient"),
+        pytest.param([5], id="not-a-pair"),
+        pytest.param([(b, 1)], id="letter-for-monomial"),
+        pytest.param(None, id="None"),
+        pytest.param(True, id="bool"),
+    ],
+)
+def test_a_formal_poly_of_anything_but_monomial_coefficient_pairs_raises_value_error(terms):
+    with pytest.raises(ValueError, match="FormalPoly: expected"):
+        FormalPoly(terms)
+
+
+@pytest.mark.parametrize(
+    "family, index",
+    [(5, None), (None, None), ("a", "x"), ("a", 1.0), ("a", True), ("a", [1])],
+    ids=["int-family", "None-family", "str-index", "float-index", "bool-index", "list-index"],
+)
+def test_a_letter_of_a_non_str_family_or_non_int_index_raises_value_error(family, index):
+    with pytest.raises(ValueError, match="Letter: expected a str family"):
+        Letter(family, index)
+
+
+@pytest.mark.parametrize(
+    "g, letter",
+    [(js_grammar(), Letter("a")), (jc_grammar(2), Letter("b"))],
+    ids=["js-unindexed-a", "jc-unindexed-b"],
+)
+def test_an_indexed_family_has_no_rule_for_its_unindexed_letter(g, letter):
+    with pytest.raises(GrammarError, match=f"no rule for letter {letter.family}$"):
+        derive(g, FormalPoly.letter(letter))
+
+
 def test_derivative_obeys_the_leibniz_rule():
     x, y = Letter("x"), Letter("y")
     g = Grammar({x: FormalPoly.term(Monomial.of((x, 1), (y, 1))), y: FormalPoly.letter(y)})
