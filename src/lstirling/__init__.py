@@ -103,15 +103,15 @@ def _require_int(where: str, *values) -> None:
 
 # the public names of each layer module, in the order __all__ lists them
 _EXPORTS = {
-    "algebra": "Poly binomial falling_basis",
-    "codes": "A B Bb X count_codes enumerate_codes n_x parse_code phi phi_inverse render_code validate_code",
+    "algebra": "Poly",
+    "codes": "A B Bb X count_codes enumerate_codes parse_code phi phi_inverse render_code validate_code",
     "gamma": (
-        "binomial_poly closed_forms gamma_coeff gamma_ode_step gamma_poly gamma_row"
+        "closed_forms gamma_coeff gamma_ode_step gamma_poly gamma_row"
         " lc_expansion lemma_binomial_identity ls_binomial_expansion ls_nested_sum support"
     ),
     "grammar": "FormalPoly Grammar GrammarError Letter Monomial derive jc_grammar js_grammar",
     "partitions": (
-        "ENUM_LIMIT LSPartition enumerate_partitions from_json_dict js_brute parse"
+        "ENUM_LIMIT LSPartition enumerate_partitions js_brute parse"
         " parse_element render_element validate"
     ),
     "realroots": (

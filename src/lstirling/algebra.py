@@ -23,30 +23,21 @@ from itertools import accumulate, repeat, zip_longest
 from math import comb
 from operator import mul
 
-from . import _require_int
 
-
-def binomial(n: int, k: int) -> int:
+def _binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) = n(n-1)...(n-k+1) / k! for any integer n.
 
     The upper argument may be negative, following
-    C(-m, k) = (-1)^k C(m+k-1, k).  The lower argument must be >= 0.
+    C(-m, k) = (-1)^k C(m+k-1, k).  Unchecked: the callers pass int
+    indices with k >= 0 by construction.
 
-    >>> binomial(5, 3)
+    >>> _binomial(5, 3)
     10
-    >>> binomial(-2, 3)
+    >>> _binomial(-2, 3)
     -4
-    >>> binomial(2, 5)
+    >>> _binomial(2, 5)
     0
     """
-    _require_int("binomial", n, k)
-    if k < 0:
-        raise ValueError(f"binomial: lower index must be nonnegative, got {k}")
-    return _binomial(n, k)
-
-
-def _binomial(n: int, k: int) -> int:
-    # binomial without the checks, for int indices with k >= 0 by construction
     if n >= 0:
         return comb(n, k)
     return (-1) ** k * comb(k - n - 1, k)
@@ -310,24 +301,15 @@ class Poly:
         return f"Poly('{self.render()}')"
 
 
-def falling_basis(k: int) -> Poly:
-    """Product of (x - i(z+i)) for i = 0..k-1, as a poly in x over Z[z].
+def _falling_bases(kmax: int):
+    """Yield the product of (x - i(z+i)) for i = 0..k-1, for k = 0..kmax,
+    each one factor x - i(z+i) on the one before.
 
-    Coefficients of the result are Poly values in z.  k = 0 gives 1.
-    Specializing z to 1 yields the basis used by the Legendre-Stirling
-    horizontal identity, x(x-2)(x-6)...
+    The products are polys in x over Z[z]; k = 0 gives 1.  Specializing z
+    to 1 yields the basis of the Legendre-Stirling horizontal identity,
+    x(x-2)(x-6)...
 
-    >>> falling_basis(2) == Poly((Poly(()), Poly((-1, -1)), 1))
+    >>> list(_falling_bases(2))[-1] == Poly((Poly(()), Poly((-1, -1)), 1))
     True
     """
-    _require_int("falling_basis", k)
-    if k < 0:
-        raise ValueError("falling_basis: k must be nonnegative")
-    *_, basis = _falling_bases(k)
-    return basis
-
-
-def _falling_bases(kmax: int):
-    """Yield falling_basis(k) for k = 0..kmax, each one factor x - i(z+i) on the one before."""
     return accumulate((Poly((Poly((-i * i, -i)), 1)) for i in range(kmax)), mul, initial=Poly((1,)))
-

@@ -19,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import CheckResult, _Record
+from . import CheckResult
 
 TABLE_CAPS = {"ls": 200, "lc": 200, "js": 60, "jc": 60}
 GAMMA_KMAX_CAP = 20
@@ -29,30 +29,12 @@ CACHE_ENV = "LSTIRLING_CACHE_DIR"
 FETCH_TIMEOUT_S = 30
 
 
-class Report(_Record):
-    """One verification line: what ran, with what bounds, and how it went."""
-
-    __slots__ = ("command", "params", "ok", "counterexample", "seconds")
-
-    def __init__(self, command: str, params: dict, ok: bool, counterexample: str | None = None, seconds: float = 0.0):
-        self.command = command
-        self.params = params
-        self.ok = ok
-        self.counterexample = counterexample
-        self.seconds = seconds
-
-    def line(self) -> str:
-        params = " ".join(f"{k}={v}" for k, v in self.params.items())
-        head = "ok  " if self.ok else "FAIL"
-        tail = f" counterexample: {self.counterexample}" if self.counterexample else ""
-        return f"{head} {self.command} {params} {self.seconds:.2f}s{tail}"
-
-
-def _run_check(name: str, params: dict, results) -> Report:
-    """Report the first failed CheckResult of results, iterated up to it and timed."""
+def _run_check(name: str, bounds: str, results) -> tuple:
+    """(ok, report line) for the first failed CheckResult of results, iterated up to it and timed."""
     start = time.perf_counter()
     first = next((r for r in results if not r), CheckResult(True))
-    return Report(name, params, first.ok, first.detail, time.perf_counter() - start)
+    tail = f" counterexample: {first.detail}" if first.detail else ""
+    return first.ok, f"{'ok  ' if first.ok else 'FAIL'} {name} {bounds} {time.perf_counter() - start:.2f}s{tail}"
 
 
 class BFileError(Exception):
@@ -235,10 +217,10 @@ def _verify_identities(nmax: int) -> list:
     pairs = zip(triangles._horizontal_js_sweep(jmax), triangles._jc_product_sweep(jmax))
     bivariate = (r for pair in pairs for r in pair)
     return [
-        _run_check("identities.four_way", {"nmax": nmax}, four_way()),
-        _run_check("identities.horizontal_ls", {"nmax": nmax}, triangles._horizontal_ls_sweep(nmax)),
-        _run_check("identities.bivariate", {"nmax": jmax}, bivariate),
-        _run_check("identities.z_equals_1", {"nmax": zmax}, specialize()),
+        _run_check("identities.four_way", f"nmax={nmax}", four_way()),
+        _run_check("identities.horizontal_ls", f"nmax={nmax}", triangles._horizontal_ls_sweep(nmax)),
+        _run_check("identities.bivariate", f"nmax={jmax}", bivariate),
+        _run_check("identities.z_equals_1", f"nmax={zmax}", specialize()),
     ]
 
 
@@ -277,7 +259,7 @@ def _verify_bijection(nmax: int) -> list:
                 return
         print(f"     bijection n={n}: {sum(by_k.values())} partitions round-tripped")
 
-    return [_run_check("bijection.round_trip", {"n": n}, round_trip(n)) for n in range(1, nmax + 1)]
+    return [_run_check("bijection.round_trip", f"n={n}", round_trip(n)) for n in range(1, nmax + 1)]
 
 
 def _verify_grammar(nmax: int) -> list:
@@ -290,7 +272,7 @@ def _verify_grammar(nmax: int) -> list:
         "grammar.js": grammar._js_sweep,
         "grammar.jc": grammar._jc_sweep,
     }
-    return [_run_check(name, {"nmax": nmax}, sweep(nmax)) for name, sweep in sweeps.items()]
+    return [_run_check(name, f"nmax={nmax}", sweep(nmax)) for name, sweep in sweeps.items()]
 
 
 def _verify_zstat(nmax: int) -> list:
@@ -302,7 +284,7 @@ def _verify_zstat(nmax: int) -> list:
                 if partitions.js_brute(n, k) != triangles.js(n, k):
                     yield CheckResult(False, f"js_brute({n},{k}) != js({n},{k})")
 
-    return [_run_check("zstat.brute_vs_triangle", {"nmax": nmax}, sweep())]
+    return [_run_check("zstat.brute_vs_triangle", f"nmax={nmax}", sweep())]
 
 
 def cmd_verify(args) -> int:
@@ -322,11 +304,10 @@ def cmd_verify(args) -> int:
         "grammar": _verify_grammar,
         "zstat": _verify_zstat,
     }[args.suite]
-    reports = runner(nmax)
     ok = True
-    for r in reports:
-        print(r.line())
-        ok = ok and r.ok
+    for check_ok, line in runner(nmax):
+        print(line)
+        ok = ok and check_ok
     return 0 if ok else 1
 
 
@@ -533,7 +514,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the rest goes to devnull, so that the
+        # flush at shutdown does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
+    return code
 
 
 if __name__ == "__main__":

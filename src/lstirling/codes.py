@@ -66,14 +66,6 @@ def Bb(s: int) -> tuple:
     return _symbol_at(0, s)
 
 
-def n_x(code) -> int:
-    """Number of X symbols, i.e. the number of pair boxes the code opens.
-
-    The code is read as render_code reads it, and fails the same way.
-    """
-    return _known_symbols("n_x", code).count(X)
-
-
 def _read_code(code) -> tuple | None:
     """The code read once as a tuple, or None when it is not iterable.
 
@@ -94,19 +86,6 @@ def _read_code(code) -> tuple | None:
 
 # each symbol's tag with its length
 _SHAPES = (("X", 1), ("A", 3), ("B", 2), ("Bb", 2))
-
-
-def _known_symbols(where: str, code) -> tuple:
-    """The code read through _read_code, each symbol a tuple of a known tag
-    and arity; ValueError otherwise.  Box indices are not checked, so an
-    illegal but well-formed code such as (X, B(2)) still reads."""
-    read = _read_code(code)
-    if read is None:
-        raise ValueError(f"{where}: {type(code).__name__} object is not iterable")
-    for sym in read:
-        if type(sym) is not tuple or sym[:1] + (len(sym),) not in _SHAPES:
-            raise ValueError(f"{where}: unknown symbol {sym!r}")
-    return read
 
 
 def validate_code(code) -> CheckResult:
@@ -319,11 +298,16 @@ def render_code(code) -> str:
 
     Any iterable of symbols of a known tag and arity renders, legal or not:
     (X, B(0)) renders as 'X,B(0)'.  A non-iterable argument or an unknown
-    symbol raises ValueError.
+    symbol raises ValueError.  Box indices are not checked.
     """
+    read = _read_code(code)
+    if read is None:
+        raise ValueError(f"render_code: {type(code).__name__} object is not iterable")
+    for sym in read:
+        if type(sym) is not tuple or sym[:1] + (len(sym),) not in _SHAPES:
+            raise ValueError(f"render_code: unknown symbol {sym!r}")
     return ",".join(
-        "X" if sym == X else f"A({sym[1]},{sym[2]})" if len(sym) == 3 else f"{sym[0]}({sym[1]})"
-        for sym in _known_symbols("render_code", code)
+        "X" if sym == X else f"A({sym[1]},{sym[2]})" if len(sym) == 3 else f"{sym[0]}({sym[1]})" for sym in read
     )
 
 

@@ -183,14 +183,14 @@ def lc_expansion(n: int, k: int) -> int:
 
 
 def closed_forms(kmax: int) -> CheckResult:
-    """Verify the four closed forms for 1 <= k <= kmax.
+    """Verify the three closed forms for 1 <= k <= kmax.
 
     gamma(k, k+2) = 1
     gamma(k, 3k)  = (3k)! / (k! 6^k)
     gamma_k(-1)   = (-1)^k (k+1)! k! / 2^k
-    2^k gamma(k, 3k) / (3k)! = 1 / (k! 3^k)  (the leading coefficient)
 
-    The last is checked in integers, cleared of its denominators.
+    The second is the leading coefficient: 2^k gamma(k, 3k) / (3k)! is
+    1 / (k! 3^k).
     """
     _require_int("closed_forms", kmax)
     if kmax < 1:
@@ -207,10 +207,6 @@ def closed_forms(kmax: int) -> CheckResult:
                 gamma_poly(k).eval(-1)
                 == (-1) ** k * factorial(k + 1) * factorial(k) // 2 ** k,
             ),
-            (
-                "leading coefficient 1/(k! 3^k)",
-                2 ** k * gamma_coeff(k, 3 * k) * factorial(k) * 3 ** k == factorial(3 * k),
-            ),
         )
         for name, ok in checks:
             if not ok:
@@ -218,11 +214,11 @@ def closed_forms(kmax: int) -> CheckResult:
     return CheckResult(True)
 
 
-def binomial_poly(m: int) -> Poly:
-    """C(x, m) = x(x-1)...(x-m+1)/m! as a polynomial with Fraction coefficients."""
-    _require_int("binomial_poly", m)
-    if m < 0:
-        raise ValueError("binomial_poly: m must be nonnegative")
+def _binomial_poly(m: int) -> Poly:
+    """C(x, m) = x(x-1)...(x-m+1)/m! as a polynomial with Fraction coefficients.
+
+    Unchecked: its one caller passes an int m >= 0.
+    """
     from fractions import Fraction
 
     out = Poly((Fraction(1),))
@@ -240,11 +236,11 @@ def lemma_binomial_identity(a: int, b: int) -> CheckResult:
     from fractions import Fraction
 
     xb = Poly((Fraction(-b), Fraction(1)))
-    lhs = xb * (xb - 1) * Fraction(1, 2) * binomial_poly(a)
+    lhs = xb * (xb - 1) * Fraction(1, 2) * _binomial_poly(a)
     rhs = (
-        binomial_poly(a + 2) * _binomial(a + 2, 2)
-        + binomial_poly(a + 1) * ((a + 1) * (a - b))
-        + binomial_poly(a) * _binomial(a - b, 2)
+        _binomial_poly(a + 2) * _binomial(a + 2, 2)
+        + _binomial_poly(a + 1) * ((a + 1) * (a - b))
+        + _binomial_poly(a) * _binomial(a - b, 2)
     )
     if lhs == rhs:
         return CheckResult(True)

@@ -66,13 +66,6 @@ class LSPartition(_FrozenRecord):
         inner = "".join("{" + _render_box(b) + "}" for b in self.boxes)
         return inner + "<" + _render_box(self.zero_box) + ">"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "boxes": [[render_element(e) for e in sorted(b)] for b in self.boxes],
-            "zero_box": [render_element(e) for e in sorted(self.zero_box)],
-        }
-
     def __repr__(self):
         try:
             return f"LSPartition('{self.render()}')"
@@ -84,18 +77,6 @@ class LSPartition(_FrozenRecord):
 _set_n = LSPartition.n.__set__
 _set_boxes = LSPartition.boxes.__set__
 _set_zero_box = LSPartition.zero_box.__set__
-
-
-def from_json_dict(doc: dict) -> LSPartition:
-    """Inverse of LSPartition.to_json_dict; a malformed document raises ValueError."""
-    if not isinstance(doc, dict) or not {"n", "boxes", "zero_box"} <= doc.keys():
-        raise ValueError("partition document needs the keys n, boxes and zero_box")
-    n, boxes, zero = doc["n"], doc["boxes"], doc["zero_box"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"partition document: n must be a nonnegative int, got {n!r}")
-    if not isinstance(zero, list) or not isinstance(boxes, list) or not all(isinstance(b, list) for b in boxes):
-        raise ValueError("partition document: boxes must be a list of lists and zero_box a list")
-    return LSPartition(n, tuple(map(_parse_box, boxes)), _parse_box(zero))
 
 
 def _parse_box(tokens: list) -> frozenset:

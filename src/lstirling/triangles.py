@@ -61,8 +61,15 @@ class Triangle:
         return [step(m, j, cells[j], cells[j + 1]) for j in range(m + 1)]
 
     def value(self, n: int, k: int):
-        if n < 0 or k < 0:
-            raise ValueError(f"triangle {self.tag}: indices must be nonnegative")
+        # a cached cell is read before any check: a non-int index fails the
+        # read and reaches the checks below, and a bool indexes as its int
+        try:
+            if n >= 0 and k >= 0:
+                return self._rows[n][k]
+        except (IndexError, TypeError):
+            pass
+        if not (isinstance(n, int) and isinstance(k, int)) or n < 0 or k < 0:
+            raise ValueError(f"triangle {self.tag}: indices must be nonnegative ints, got ({n!r}, {k!r})")
         if k > n:
             return self.zero
         while len(self._rows) <= n:

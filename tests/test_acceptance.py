@@ -6,10 +6,10 @@ overruns its time budget.
 """
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from lstirling import gamma, grammar, triangles
-from lstirling.algebra import binomial
 from lstirling.cli import main
 from lstirling.codes import enumerate_codes, phi, phi_inverse
 from lstirling.gamma import (
@@ -104,16 +104,16 @@ def test_04_near_diagonal_anchor_identities():
     start = time.monotonic()
     failures = []
     for n in range(41):
-        if ls(n + 1, n) != 2 * binomial(n + 2, 3):
+        if ls(n + 1, n) != 2 * comb(n + 2, 3):
             failures.append(f"first subdiagonal differs at n={n}")
-        if ls(n + 2, n) != 40 * binomial(n + 3, 6) + 32 * binomial(n + 3, 5) + 4 * binomial(n + 3, 4):
+        if ls(n + 2, n) != 40 * comb(n + 3, 6) + 32 * comb(n + 3, 5) + 4 * comb(n + 3, 4):
             failures.append(f"second subdiagonal differs at n={n}")
         third = 8 * (
-            280 * binomial(n + 4, 9)
-            + 448 * binomial(n + 4, 8)
-            + 219 * binomial(n + 4, 7)
-            + 34 * binomial(n + 4, 6)
-            + binomial(n + 4, 5)
+            280 * comb(n + 4, 9)
+            + 448 * comb(n + 4, 8)
+            + 219 * comb(n + 4, 7)
+            + 34 * comb(n + 4, 6)
+            + comb(n + 4, 5)
         )
         if ls(n + 3, n) != third:
             failures.append(f"third subdiagonal differs at n={n}")

@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lstirling import algebra
-from lstirling.algebra import Poly, _add_linear_multiple, _convolve, binomial, falling_basis
+from lstirling.algebra import Poly, _add_linear_multiple, _binomial, _convolve, _falling_bases
 
 small_ints = st.integers(min_value=-50, max_value=50)
 polys = st.lists(small_ints, max_size=6).map(lambda cs: Poly(cs))
@@ -54,24 +54,19 @@ def test_add_linear_multiple_is_p_plus_a_linear_factor_times_q(p, q, a, b):
 def test_binomial_matches_math_comb_for_nonnegative_upper():
     for n in range(0, 12):
         for k in range(0, 14):
-            assert binomial(n, k) == math.comb(n, k)
+            assert _binomial(n, k) == math.comb(n, k)
 
 
 def test_binomial_negative_upper_values():
-    assert binomial(-1, 0) == 1
-    assert binomial(-1, 3) == -1
-    assert binomial(-2, 3) == -4
-    assert binomial(-3, 2) == 6
-
-
-def test_binomial_rejects_negative_lower():
-    with pytest.raises(ValueError):
-        binomial(5, -1)
+    assert _binomial(-1, 0) == 1
+    assert _binomial(-1, 3) == -1
+    assert _binomial(-2, 3) == -4
+    assert _binomial(-3, 2) == 6
 
 
 @given(st.integers(min_value=-30, max_value=30), st.integers(min_value=1, max_value=12))
 def test_binomial_pascal_rule_holds_for_any_integer_upper(n, k):
-    assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+    assert _binomial(n, k) == _binomial(n - 1, k - 1) + _binomial(n - 1, k)
 
 
 # -- Poly basics ------------------------------------------------------------
@@ -282,16 +277,14 @@ def test_scale_multiplies_by_a_coefficient_ring_element():
 
 
 def test_falling_basis_small_cases():
-    assert falling_basis(0) == Poly((1,))
     # k=1: a single factor x - 0 = x
-    assert falling_basis(1) == Poly((Poly(()), Poly((1,))))
+    assert list(_falling_bases(1)) == [Poly((1,)), Poly((Poly(()), Poly((1,))))]
 
 
 @given(small_ints, small_ints)
 def test_falling_basis_is_its_product_built_from_scratch(x, z):
     scratch = Poly((1,))
-    for k in range(16):
-        basis = falling_basis(k)
+    for k, basis in enumerate(_falling_bases(15)):
         assert basis == scratch
         value = sum((c(z) if isinstance(c, Poly) else c) * x**e for e, c in enumerate(basis.coeffs))
         assert value == math.prod(x - i * (z + i) for i in range(k))
@@ -300,8 +293,8 @@ def test_falling_basis_is_its_product_built_from_scratch(x, z):
 
 def test_falling_basis_specializes_to_integer_product():
     # at z = 1 the factors become x - i(i+1)
-    for k in range(5):
-        specialized = Poly(c.eval(1) if isinstance(c, Poly) else c for c in falling_basis(k).coeffs)
+    for k, basis in enumerate(_falling_bases(4)):
+        specialized = Poly(c.eval(1) if isinstance(c, Poly) else c for c in basis.coeffs)
         direct = Poly((1,))
         for i in range(k):
             direct = direct * Poly((-i * (i + 1), 1))

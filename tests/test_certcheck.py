@@ -1,6 +1,8 @@
 """The independent certificate checker: its own q_k, its sign rule, and hostile input."""
 import json
+import re
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -62,3 +64,20 @@ def test_a_certificate_with_one_value_replaced_raises_only_the_checker_errors(li
     lines = list(_LINES)
     lines[line] = json.dumps(doc)
     _check("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("k", 3, "line 2 q_2: stated for q_3"),
+        # the second interval of q_2 with its endpoints swapped
+        ("intervals", [[[-11, 16], [-5, 8]], [[-1, 8], [-3, 16]]], "line 2 q_2: interval 1 is empty"),
+    ],
+    ids=["k", "empty-interval"],
+)
+def test_a_root_set_that_does_not_prove_its_own_polynomial_is_invalid(field, value, message):
+    doc = json.loads(_LINES[1])
+    doc["lower"][field] = value
+    text = "\n".join([_LINES[0], json.dumps(doc), _LINES[2]])
+    with pytest.raises(certcheck.InvalidCertificate, match=re.escape(message)):
+        certcheck.check(text, 16)

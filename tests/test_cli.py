@@ -8,6 +8,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 import threading
 import urllib.request
 from fractions import Fraction
@@ -19,12 +21,13 @@ from hypothesis import strategies as st
 
 from reference_impl import gamma_csv_by_csv_writer, table_csv_by_csv_writer, table_json_by_json_dumps
 
-from lstirling import CheckResult, cli, codes, gamma, grammar, triangles
+from lstirling import CheckResult, cli, codes, gamma, grammar, partitions, triangles
 from lstirling.algebra import Poly
-from lstirling.cli import CACHE_ENV, FETCH_TIMEOUT_S, TABLE_CAPS, BFileError, Report, main, parse_bfile
+from lstirling.cli import CACHE_ENV, FETCH_TIMEOUT_S, TABLE_CAPS, BFileError, main, parse_bfile
 from lstirling.partitions import LSPartition
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = str(Path(__file__).parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -185,6 +188,20 @@ def test_verify_bijection_reports_an_invalid_image(capsys, monkeypatch):
     assert "n=1" in fail[0] and "counterexample: X: phi_inverse: invalid partition" in fail[0]
 
 
+def test_verify_bijection_reports_a_count_that_disagrees_with_the_triangle(capsys, monkeypatch):
+    # every code round-trips, but count_codes is one too large at n=3, k=2
+    real = codes.count_codes
+    monkeypatch.setattr(codes, "count_codes", lambda n, k: real(n, k) + ((n, k) == (3, 2)))
+    rc, out, _ = run(capsys, "verify", "bijection", "--nmax", "3")
+    assert rc == 1
+    lines = re.sub(r" \d+\.\d+s", "", out).splitlines()
+    assert lines[-3:] == [
+        "ok   bijection.round_trip n=1",
+        "ok   bijection.round_trip n=2",
+        "FAIL bijection.round_trip n=3 counterexample: count at k=2 is 8, ls gives 8, count_codes gives 9",
+    ]
+
+
 @pytest.mark.parametrize(
     "code,detail",
     [
@@ -219,6 +236,16 @@ def test_verify_sweep_output_is_stable(capsys, suite, digest):
     assert rc == 0
     stripped = re.sub(r" \d+\.\d+s$", "", out, flags=re.M)
     assert hashlib.sha256(stripped.encode()).hexdigest() == digest
+
+
+def test_verify_zstat_reports_the_first_disagreeing_polynomial(capsys, monkeypatch):
+    real = partitions.js_brute
+    monkeypatch.setattr(partitions, "js_brute", lambda n, k: real(n, k) + ((n, k) == (3, 2)))
+    rc, out, _ = run(capsys, "verify", "zstat", "--nmax", "4")
+    assert rc == 1
+    assert re.sub(r" \d+\.\d+s", "", out) == (
+        "FAIL zstat.brute_vs_triangle nmax=4 counterexample: js_brute(3,2) != js(3,2)\n"
+    )
 
 
 def test_verify_grammar_reports_the_first_wrong_power(capsys, monkeypatch, off_by_one):
@@ -293,6 +320,17 @@ def _off_by_one_at(monkeypatch, off_by_one, at, *names):
                 "FAIL identities.horizontal_ls nmax=8 counterexample: n=8: difference 12x-8x^2+x^3",
                 "ok   identities.bivariate nmax=8",
                 "FAIL identities.z_equals_1 nmax=8 counterexample: js(8,3) at z=1 != ls(8,3)",
+            ],
+        ),
+        (
+            # the vertical recurrence alone is wrong, and the explicit sum agrees with the triangle
+            ("ls_vertical",),
+            (5, 2),
+            [
+                "FAIL identities.four_way nmax=8 counterexample: ls_vertical(5,2) != 320",
+                "ok   identities.horizontal_ls nmax=8",
+                "ok   identities.bivariate nmax=8",
+                "ok   identities.z_equals_1 nmax=8",
             ],
         ),
     ],
@@ -701,12 +739,32 @@ def test_out_overwrites_a_file_in_place_when_its_directory_takes_no_new_files(ca
     assert list(tmp_path.iterdir()) == [target]
 
 
-def test_plain_records_compare_and_print_as_dataclasses_did():
-    assert Report("x", {"n": 1}, True) == Report("x", {"n": 1}, True, None, 0.0)
-    assert Report("x", {"n": 1}, True) != Report("x", {"n": 1}, False)
-    assert repr(Report("x", {}, False, "c", 1.5)) == (
-        "Report(command='x', params={}, ok=False, counterexample='c', seconds=1.5)"
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # megabytes of rows: the pipe fills, and the next write fails mid-table
+        (["table", "--family", "ls", "--nmax", "200"], 1),
+        # a few report lines, which fail at their first write or at the last flush
+        (["verify", "bijection", "--nmax", "4"], 0),
+    ],
+    ids=["table", "verify"],
+)
+def test_a_closed_stdout_ends_the_command_quietly_with_the_io_exit_code(argv, lines):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lstirling.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
     )
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 3, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_plain_records_compare_and_print_as_dataclasses_did():
+    assert CheckResult(True) == CheckResult(True, None) != CheckResult(False)
     assert CheckResult(False, "why") == CheckResult(False, "why") != CheckResult(True)
     assert repr(CheckResult(False, "why")) == "CheckResult(ok=False, detail='why')"
 

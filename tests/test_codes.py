@@ -22,7 +22,6 @@ from lstirling.codes import (
     X,
     count_codes,
     enumerate_codes,
-    n_x,
     parse_code,
     phi,
     phi_inverse,
@@ -67,7 +66,7 @@ def test_parse_and_render_round_trip():
     code = parse_code(WORKED_TEXT)
     assert code == (X, X, A(2, 1), B(2), Bb(1))
     assert render_code(code) == WORKED_TEXT
-    assert n_x(code) == 2
+    assert code.count(X) == 2
 
 
 def test_parse_tolerates_spaces():
@@ -295,22 +294,20 @@ def test_a_rejected_token_raises_on_every_parse():
             parse_code("X,B(0)")
 
 
-def test_render_code_and_n_x_reject_what_is_not_a_code_with_value_error():
-    for fn in (render_code, n_x):
-        with pytest.raises(ValueError, match="int object is not iterable"):
-            fn(5)
-        for sym in (("Q",), ("B",), ("A", 1), ("X", 1), ("Bb", 1, 2), (), ["B", 1], "X", None):
-            with pytest.raises(ValueError, match="unknown symbol"):
-                fn([X, sym])
+def test_render_code_rejects_what_is_not_a_code_with_value_error():
+    with pytest.raises(ValueError, match="int object is not iterable"):
+        render_code(5)
+    for sym in (("Q",), ("B",), ("A", 1), ("X", 1), ("Bb", 1, 2), (), ["B", 1], "X", None):
+        with pytest.raises(ValueError, match="unknown symbol"):
+            render_code([X, sym])
     assert render_code(iter([X, B(1)])) == "X,B(1)"
-    assert n_x(sym for sym in (X, X, A(2, 1))) == 2
-    assert render_code(()) == "" and n_x(None) == 0
+    assert render_code(sym for sym in (X, X, A(2, 1))) == "X,X,A(2,1)"
+    assert render_code(()) == "" and render_code(None) == ""
 
 
 def test_render_code_renders_a_well_formed_illegal_code():
     # the bijection sweep names an illegal code by its rendering
     assert render_code((X, ("B", 0), ("A", 3, 3), ("Bb", True))) == "X,B(0),A(3,3),Bb(True)"
-    assert n_x((X, ("B", 0), X)) == 2
 
 
 def test_phi_rejects_invalid_codes():
@@ -405,7 +402,7 @@ def test_enumerated_codes_are_valid_and_counted_by_x_symbols():
         for code in enumerate_codes(n):
             assert len(code) == n
             assert validate_code(code)
-            histogram[n_x(code)] = histogram.get(n_x(code), 0) + 1
+            histogram[code.count(X)] = histogram.get(code.count(X), 0) + 1
         assert histogram == {k: ls(n, k) for k in range(1, n + 1) if ls(n, k)}
 
 
@@ -415,11 +412,17 @@ def test_count_codes_matches_triangle():
             assert count_codes(n, k) == ls(n, k)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_count_codes_rejects_a_length_below_one(n):
+    with pytest.raises(ValueError, match="count_codes: n must be at least 1"):
+        count_codes(n, 1)
+
+
 def test_count_codes_agrees_with_exhaustive_enumeration():
     for n in range(1, 6):
         by_x: dict = {}
         for code in enumerate_codes(n):
-            by_x[n_x(code)] = by_x.get(n_x(code), 0) + 1
+            by_x[code.count(X)] = by_x.get(code.count(X), 0) + 1
         for k in range(0, n + 2):
             assert count_codes(n, k) == by_x.get(k, 0)
 
@@ -450,7 +453,7 @@ def test_a_code_longer_than_the_element_pair_table_replays_without_growing_it():
     assert len(code) > size
     p = phi(code)
     m = len(code)
-    assert p.n == m and len(p.boxes) == n_x(code)
+    assert p.n == m and len(p.boxes) == code.count(X)
     assert p.boxes[-1] == frozenset({(m, False), (m, True)})
     assert phi_inverse(p) == code
     assert len(codes._PAIRS) == size
@@ -472,7 +475,7 @@ def test_every_producer_hands_out_the_shared_symbols():
 def test_a_code_past_the_symbol_table_round_trips_without_growing_it():
     bound = len(partitions._SYMBOLS) - 1
     code = (X,) * (bound + 2) + (A(bound + 2, 1), A(1, bound + 1), B(bound + 2), Bb(bound + 1), A(2, 3))
-    assert n_x(code) == 66 > bound
+    assert code.count(X) == 66 > bound
     decoded = phi_inverse(phi(code))
     assert decoded == code and decoded is not code
     assert parse_code(render_code(code)) == code

@@ -1,14 +1,15 @@
 """Binomial-basis expansion coefficients and their two recurrences."""
-from math import factorial
+import re
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lstirling import gamma
-from lstirling.algebra import Poly, binomial
+from lstirling.algebra import Poly, _binomial
 from lstirling.gamma import (
-    binomial_poly,
+    _binomial_poly,
     closed_forms,
     gamma_coeff,
     gamma_ode_step,
@@ -72,6 +73,23 @@ def test_polynomial_value_at_minus_one():
 
 def test_closed_forms_bundle():
     assert closed_forms(12)
+
+
+@pytest.mark.parametrize(
+    "name, at, message",
+    [
+        ("gamma_coeff", (3, 5), "k=3: gamma(k,k+2)=1 fails"),
+        ("gamma_coeff", (3, 9), "k=3: gamma(k,3k)=(3k)!/(k! 6^k) fails"),
+        ("gamma_poly", (3,), "k=3: gamma_k(-1)=(-1)^k (k+1)! k!/2^k fails"),
+    ],
+    ids=["lowest", "leading", "at-minus-one"],
+)
+def test_closed_forms_report_the_first_form_that_fails(monkeypatch, name, at, message):
+    # one value of row 3 is one too large: its lowest or its leading coefficient, or all of gamma_3
+    real = getattr(gamma, name)
+    monkeypatch.setattr(gamma, name, lambda *args: real(*args) + (args == at))
+    result = closed_forms(5)
+    assert not result and result.detail == message
 
 
 @pytest.mark.parametrize("kmax", [0, -5])
@@ -155,16 +173,16 @@ def test_nested_sum_matches_binomial_expansion():
 
 def test_near_diagonal_closed_forms():
     for n in range(0, 21):
-        assert ls(n + 1, n) == 2 * binomial(n + 2, 3)
+        assert ls(n + 1, n) == 2 * comb(n + 2, 3)
         assert ls(n + 2, n) == (
-            40 * binomial(n + 3, 6) + 32 * binomial(n + 3, 5) + 4 * binomial(n + 3, 4)
+            40 * comb(n + 3, 6) + 32 * comb(n + 3, 5) + 4 * comb(n + 3, 4)
         )
         assert ls(n + 3, n) == 8 * (
-            280 * binomial(n + 4, 9)
-            + 448 * binomial(n + 4, 8)
-            + 219 * binomial(n + 4, 7)
-            + 34 * binomial(n + 4, 6)
-            + binomial(n + 4, 5)
+            280 * comb(n + 4, 9)
+            + 448 * comb(n + 4, 8)
+            + 219 * comb(n + 4, 7)
+            + 34 * comb(n + 4, 6)
+            + comb(n + 4, 5)
         )
 
 
@@ -179,15 +197,41 @@ def test_first_kind_expansion_reflects_the_triangle():
 
 def test_binomial_poly_interpolates_binomial_coefficients():
     for m in range(0, 6):
-        p = binomial_poly(m)
+        p = _binomial_poly(m)
         assert p.degree == m or (m == 0 and p == Poly((1,)))
         for t in range(-8, 9):
-            assert p.eval(t) == binomial(t, m)
+            assert p.eval(t) == _binomial(t, m)
 
 
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=-5, max_value=8))
 def test_quadratic_shift_identity_on_binomial_polynomials(a, b):
     assert lemma_binomial_identity(a, b)
+
+
+def test_the_lemma_reports_the_difference_of_its_two_sides(monkeypatch):
+    # C(x, 3) one too large spoils the C(a+2, 2) C(x, a+2) term of the right side at a = 1
+    real = gamma._binomial_poly
+    monkeypatch.setattr(gamma, "_binomial_poly", lambda m: real(m) + (m == 3))
+    result = lemma_binomial_identity(1, 0)
+    assert not result and result.detail == "a=1, b=0: difference -3"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ls_binomial_expansion(-1, 1), "ls_binomial_expansion: indices must be nonnegative"),
+        (lambda: ls_binomial_expansion(1, -1), "ls_binomial_expansion: indices must be nonnegative"),
+        (lambda: ls_nested_sum(0, 1), "ls_nested_sum: need n >= 1 and k >= 1"),
+        (lambda: ls_nested_sum(1, 0), "ls_nested_sum: need n >= 1 and k >= 1"),
+        (lambda: lc_expansion(0, 0), "lc_expansion: need n >= 1 and 0 <= k <= n-1"),
+        (lambda: lc_expansion(3, -1), "lc_expansion: need n >= 1 and 0 <= k <= n-1"),
+        (lambda: lc_expansion(3, 3), "lc_expansion: need n >= 1 and 0 <= k <= n-1"),
+    ],
+    ids=["expansion-n", "expansion-k", "nested-n", "nested-k", "lc-n", "lc-negative-k", "lc-k-past-n"],
+)
+def test_expansions_reject_an_index_out_of_their_range(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("bad", [2.5, "2", None, True])
@@ -203,7 +247,6 @@ def test_quadratic_shift_identity_on_binomial_polynomials(a, b):
         lambda v: lemma_binomial_identity(v, 0),
         lambda v: lemma_binomial_identity(1, v),
         closed_forms,
-        binomial_poly,
     ],
     ids=[
         "ls_binomial_expansion-n",
@@ -215,7 +258,6 @@ def test_quadratic_shift_identity_on_binomial_polynomials(a, b):
         "lemma_binomial_identity-a",
         "lemma_binomial_identity-b",
         "closed_forms",
-        "binomial_poly",
     ],
 )
 def test_non_int_arguments_raise_value_error(call, bad):

@@ -15,7 +15,6 @@ from lstirling.partitions import (
     ENUM_LIMIT,
     LSPartition,
     enumerate_partitions,
-    from_json_dict,
     js_brute,
     parse,
     parse_element,
@@ -66,29 +65,6 @@ def test_parse_returns_or_raises_value_error_only(text):
     assert isinstance(p, LSPartition)
 
 
-ELEMENT_LISTS = st.lists(st.one_of(st.sampled_from(["1", "1'", "2", "2'", "0", "x"]), JSON_LIKE), max_size=4)
-
-
-@given(
-    st.one_of(
-        JSON_LIKE,
-        st.fixed_dictionaries(
-            {
-                "n": st.one_of(st.integers(-2, 6), JSON_LIKE),
-                "boxes": st.one_of(st.lists(ELEMENT_LISTS, max_size=3), JSON_LIKE),
-                "zero_box": st.one_of(ELEMENT_LISTS, JSON_LIKE),
-            }
-        ),
-    )
-)
-def test_from_json_dict_returns_or_raises_value_error_only(doc):
-    try:
-        p = from_json_dict(doc)
-    except ValueError:
-        return
-    assert isinstance(p, LSPartition)
-
-
 def test_parse_rejects_malformed_text():
     for text in ("", "{1,1'}", "<>{1,1'}", "{1,1'}<2,2'>extra", None, 12, b"{1,1'}<>"):
         with pytest.raises(ValueError):
@@ -102,11 +78,10 @@ def test_parse_rejects_a_box_that_lists_an_element_twice(text):
         parse(text)
 
 
-def test_json_rejects_a_box_that_lists_an_element_twice():
-    with pytest.raises(ValueError, match="element 2 is listed twice"):
-        from_json_dict({"n": 2, "boxes": [["1", "1'", "2", "2"]], "zero_box": ["2'"]})
-    with pytest.raises(ValueError, match="element 2' is listed twice"):
-        from_json_dict({"n": 2, "boxes": [["1", "1'", "2"]], "zero_box": ["2'", "2'"]})
+@pytest.mark.parametrize("text", ["{}<>", "{1,1'}{ }<>"])
+def test_parse_rejects_an_empty_nonzero_box(text):
+    with pytest.raises(ValueError, match="empty nonzero box"):
+        parse(text)
 
 
 def test_empty_zero_box_renders_and_parses():
@@ -119,32 +94,6 @@ def test_empty_zero_box_renders_and_parses():
 def test_doubling_a_nonminimum_value_is_invalid():
     res = validate(parse("{1,1',2,2'}<>"))
     assert not res
-
-
-def test_json_round_trip():
-    p = parse(WORKED)
-    assert from_json_dict(p.to_json_dict()) == p
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"boxes": [], "zero_box": []},
-        {"n": 1, "zero_box": []},
-        {"n": 1, "boxes": [["1", "1'"]]},
-        {"n": 1, "boxes": "1,1'", "zero_box": []},
-        {"n": 1, "boxes": [["1", "1'"]], "zero_box": None},
-        {"n": 1, "boxes": ["1"], "zero_box": []},
-        {"n": 1, "boxes": [[1]], "zero_box": []},
-        {"n": "x", "boxes": [], "zero_box": []},
-        {"n": -1, "boxes": [], "zero_box": []},
-        {"n": True, "boxes": [], "zero_box": []},
-        ["n", "boxes", "zero_box"],
-    ],
-)
-def test_json_malformed_documents_raise_value_error(doc):
-    with pytest.raises(ValueError):
-        from_json_dict(doc)
 
 
 # -- validation rules -----------------------------------------------------------
@@ -329,6 +278,12 @@ def test_a_partition_survives_pickle_copy_and_match():
 def test_enumeration_entry_points_reject_non_int_arguments(call):
     with pytest.raises(ValueError, match="must be ints"):
         call()
+
+
+@pytest.mark.parametrize("n", [0, ENUM_LIMIT + 1])
+def test_js_brute_rejects_a_length_past_the_enumeration_cap(n):
+    with pytest.raises(ValueError, match=rf"js_brute: n must be in 1\.\.{ENUM_LIMIT}, got {n}"):
+        js_brute(n, 1)
 
 
 def _rule(res):

@@ -297,6 +297,13 @@ def test_refine_interval_agrees_with_refinement_by_counting(case):
 # -- certificate inputs ------------------------------------------------------------
 
 
+def test_q_poly_refuses_a_gamma_poly_of_the_wrong_zero_multiplicity(monkeypatch):
+    # gamma_2 shifted up by one power of x: q_2 would silently gain a factor x
+    monkeypatch.setattr(realroots, "gamma_poly", lambda k: Poly((0,) * (k + 3) + (1, 8, 10)))
+    with pytest.raises(ArithmeticError, match="q_poly: x=0 multiplicity is 5 for k=2, expected 4"):
+        q_poly(2)
+
+
 def test_q_poly_strips_the_exact_zero_multiplicity():
     assert q_poly(1) == Poly((1,))
     assert q_poly(2) == Poly((1, 8, 10))

@@ -232,9 +232,19 @@ def test_explicit_sum_checks_its_arguments_on_every_call(call, bad):
 
 
 def test_triangle_lookups_index_a_bool_as_its_int():
-    # the hot lookup path checks nothing: True and False index as 1 and 0
+    # True and False index as 1 and 0, cached or not
     assert ls(True, 0) == ls(1, 0) and ls(2, True) == ls(2, 1)
     assert js(True, 1) == js(1, 1) and jc(3, False) == jc(3, 0)
+    assert ls(True, 2) == 0 and _fresh(triangles.lc_triangle).value(True, True) == lc(1, 1)
+
+
+@pytest.mark.parametrize("lookup", [ls, lc, js, jc])
+@pytest.mark.parametrize("index", [(2, 3.0), (2.0, 3), (2, 1.0), (2.0, 1), (None, 1), ("2", 1), (1, [0])], ids=str)
+def test_triangle_lookups_reject_a_non_int_index(lookup, index):
+    lookup(3, 3)  # row 2 is cached, so (2, 1.0) is rejected on the cached path
+    # a float past the row used to read as a vacuous zero
+    with pytest.raises(ValueError, match="must be nonnegative ints"):
+        lookup(*index)
 
 
 def test_vertical_recurrence_agrees_with_recurrence():
@@ -287,9 +297,6 @@ def test_non_int_arguments_raise_value_error(call, bad):
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda v: algebra.binomial(v, 1), id="binomial-n"),
-        pytest.param(lambda v: algebra.binomial(4, v), id="binomial-k"),
-        pytest.param(algebra.falling_basis, id="falling_basis"),
         pytest.param(grammar.jc_grammar, id="jc_grammar"),
         pytest.param(realroots.expected_pattern, id="expected_pattern"),
         pytest.param(realroots.q_poly, id="q_poly"),
