@@ -117,7 +117,7 @@ _EXPORTS = {
     "realroots": (
         "REFINE_CAP ConjectureResult RootCertificate conjecture_results expected_pattern q_poly refine_interval"
     ),
-    "triangles": "jc js lc ls ls_explicit ls_vertical",
+    "triangles": "jc js lc ls ls_explicit",
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
 

@@ -191,13 +191,15 @@ def _verify_identities(nmax: int) -> list:
     from . import triangles
 
     def four_way():
-        for n, explicit in enumerate(triangles._explicit_rows(nmax)):
-            for k in range(n + 1):
-                byrec = triangles.ls(n, k)
-                if explicit[k] != byrec:
-                    yield CheckResult(False, f"ls_explicit({n},{k}) != {byrec}")
-                if 1 <= k <= n and triangles.ls_vertical(n, k) != byrec:
-                    yield CheckResult(False, f"ls_vertical({n},{k}) != {byrec}")
+        # three routes to ls: the recurrence rows, the explicit-sum rows and
+        # the generating-function products, whose column k is the vertical
+        # recurrence's; the check keeps its name, which the pinned sha256 of
+        # this suite's output in perfbench/expected_outputs.json covers
+        rows = zip(triangles.ls_triangle.rows(nmax), triangles._explicit_rows(nmax))
+        for n, (byrec, explicit) in enumerate(rows):
+            for k, (want, got) in enumerate(zip(byrec, explicit)):
+                if got != want:
+                    yield CheckResult(False, f"ls_explicit({n},{k}) != {want}")
         yield from triangles._vertical_gf_sweep(nmax, nmax)
 
     def specialize():

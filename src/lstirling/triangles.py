@@ -17,18 +17,17 @@ identity sweeps build their products through Poly arithmetic and never call
 that kernel, so they stay independent of the fill.
 
 Alongside the recurrences this module carries the independent routes to
-the same numbers (explicit alternating sum, vertical recurrence,
-generating-function products) and the identity checks that tie all routes
-together.  Each identity is checked by a sweep that
-yields one CheckResult per index and builds index n from index n-1 by one
-more factor, and the explicit sum has a row sweep that advances each power
-by one factor per row.
+the same numbers (explicit alternating sum, generating-function products)
+and the identity checks that tie all routes together.  Each identity is
+checked by a sweep that yields one CheckResult per index and builds index n
+from index n-1 by one more factor, and the explicit sum has a row sweep that
+advances each power by one factor per row.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
-from operator import mul
+from operator import index, mul
 
 from . import CheckResult, _require_int
 from .algebra import Poly, _add_linear_multiple, _convolve, _falling_bases
@@ -61,20 +60,26 @@ class Triangle:
         return [step(m, j, cells[j], cells[j + 1]) for j in range(m + 1)]
 
     def value(self, n: int, k: int):
-        # a cached cell is read before any check: a non-int index fails the
-        # read and reaches the checks below, and a bool indexes as its int
+        # a cached cell is read before any check: an index that is not
+        # int-like fails the read and reaches the checks below
         try:
             if n >= 0 and k >= 0:
                 return self._rows[n][k]
         except (IndexError, TypeError):
             pass
-        if not (isinstance(n, int) and isinstance(k, int)) or n < 0 or k < 0:
+        # a miss takes any index-like int (a bool, numpy.int64) as its int,
+        # so the answer does not depend on what is cached
+        try:
+            i, j = index(n), index(k)
+        except TypeError:
+            i = j = -1  # rejected below, as a negative index is
+        if i < 0 or j < 0:
             raise ValueError(f"triangle {self.tag}: indices must be nonnegative ints, got ({n!r}, {k!r})")
-        if k > n:
+        if j > i:
             return self.zero
-        while len(self._rows) <= n:
+        while len(self._rows) <= i:
             self._rows.append(self._next_row(self._rows[-1]))
-        return self._rows[n][k]
+        return self._rows[i][j]
 
     def rows(self, nmax: int):
         """Yield the rows n = 0..nmax as lists [T(n,0), ..., T(n,n)].
@@ -193,18 +198,6 @@ def _explicit_rows(nmax: int):
         powers = [p * (r * r + r) for r, p in enumerate(powers)]
         powers.append((n * n + n) ** n)
         yield [_explicit(n, k, weights[k], powers) for k in range(n + 1)]
-
-
-def ls_vertical(n: int, j: int) -> int:
-    """ls(n,j) by the vertical recurrence.
-
-    Sum over k = j..n of ls(k-1, j-1) (j(j+1))^(n-k); requires 1 <= j <= n.
-    """
-    _require_int("ls_vertical", n, j)
-    if not 1 <= j <= n:
-        raise ValueError("ls_vertical: need 1 <= j <= n")
-    ratio = j * (j + 1)
-    return sum(ls(k - 1, j - 1) * ratio ** (n - k) for k in range(j, n + 1))
 
 
 def _difference(n: int, got: Poly, want: Poly) -> CheckResult:

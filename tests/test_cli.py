@@ -312,7 +312,7 @@ def _off_by_one_at(monkeypatch, off_by_one, at, *names):
             # the other routes agree with the wrong value, so only the
             # generating function of column 3 tells it from the truth; the
             # explicit sum is spoiled in the formula its row sweep shares
-            ("ls", "_explicit", "ls_vertical"),
+            ("ls", "_explicit"),
             (8, 3),
             [
                 "FAIL identities.four_way nmax=8 counterexample: k=3: coefficient of x^5 is 585536,"
@@ -323,11 +323,11 @@ def _off_by_one_at(monkeypatch, off_by_one, at, *names):
             ],
         ),
         (
-            # the vertical recurrence alone is wrong, and the explicit sum agrees with the triangle
-            ("ls_vertical",),
+            # the explicit sum alone is wrong, and the generating function agrees with the triangle
+            ("_explicit",),
             (5, 2),
             [
-                "FAIL identities.four_way nmax=8 counterexample: ls_vertical(5,2) != 320",
+                "FAIL identities.four_way nmax=8 counterexample: ls_explicit(5,2) != 320",
                 "ok   identities.horizontal_ls nmax=8",
                 "ok   identities.bivariate nmax=8",
                 "ok   identities.z_equals_1 nmax=8",
@@ -387,7 +387,8 @@ def test_z_equals_1_stops_at_the_js_jc_table_cap(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify", "identities", "--nmax", "61")
     assert rc == 0
     assert re.search(r"^ok   identities\.z_equals_1 nmax=60 ", out, flags=re.M)
-    assert streamed == [("js", 60), ("ls", 60), ("jc", 60), ("lc", 60)]
+    # four_way streams ls to 61, then z_equals_1 its four triangles to 60
+    assert streamed == [("ls", 61), ("js", 60), ("ls", 60), ("jc", 60), ("lc", 60)]
     # z_equals_1 streams its rows: js and jc are cached only to the bivariate sweep's row 15
     assert len(triangles.js_triangle._rows) == len(triangles.jc_triangle._rows) == 16
 

@@ -11,7 +11,7 @@ from lstirling.algebra import Poly
 from lstirling.cli import TABLE_CAPS
 from lstirling.codes import count_codes
 from lstirling.gamma import gamma_coeff, gamma_poly, gamma_row, support
-from lstirling.triangles import jc, js, lc, ls, ls_explicit, ls_vertical
+from lstirling.triangles import jc, js, lc, ls, ls_explicit
 
 # Rows frozen from running the defining recurrences by hand; they double as
 # regression anchors for every other computation route below.
@@ -247,17 +247,25 @@ def test_triangle_lookups_reject_a_non_int_index(lookup, index):
         lookup(*index)
 
 
-def test_vertical_recurrence_agrees_with_recurrence():
-    for n in range(1, 13):
-        for j in range(1, n + 1):
-            assert ls_vertical(n, j) == ls(n, j)
+class _IndexLike:
+    """An index as numpy.int64 is one: __index__ and comparisons, but not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __ge__(self, other):
+        return self.value >= other
 
 
-def test_vertical_recurrence_rejects_out_of_range_column():
-    with pytest.raises(ValueError):
-        ls_vertical(4, 0)
-    with pytest.raises(ValueError):
-        ls_vertical(4, 5)
+@pytest.mark.parametrize("name", sorted(ROW_TRIANGLES))
+def test_triangle_lookups_take_an_index_like_int_cached_or_not(name):
+    t = _fresh(ROW_TRIANGLES[name])
+    t.value(3, 3)  # row 2 is cached and row 9 is not
+    for n, k in [(2, 1), (9, 4)]:
+        assert t.value(_IndexLike(n), _IndexLike(k)) == ROW_TRIANGLES[name].value(n, k)
 
 
 @pytest.mark.parametrize("bad", [2.5, "1", None, True])
@@ -266,8 +274,6 @@ def test_vertical_recurrence_rejects_out_of_range_column():
     [
         lambda v: ls_explicit(v, 1),
         lambda v: ls_explicit(3, v),
-        lambda v: ls_vertical(v, 1),
-        lambda v: ls_vertical(3, v),
         lambda v: count_codes(v, 1),
         lambda v: count_codes(3, v),
         support,
@@ -278,8 +284,6 @@ def test_vertical_recurrence_rejects_out_of_range_column():
     ids=[
         "ls_explicit-n",
         "ls_explicit-k",
-        "ls_vertical-n",
-        "ls_vertical-j",
         "count_codes-n",
         "count_codes-k",
         "support",
