@@ -268,6 +268,24 @@ def test_triangle_lookups_take_an_index_like_int_cached_or_not(name):
         assert t.value(_IndexLike(n), _IndexLike(k)) == ROW_TRIANGLES[name].value(n, k)
 
 
+@pytest.mark.parametrize("name", sorted(ROW_TRIANGLES))
+def test_triangle_lookups_reject_a_negative_index_like_int_cached_or_not(name):
+    t = _fresh(ROW_TRIANGLES[name])
+    t.value(3, 3)  # row 2 is cached and row 9 is not
+    for index in [(_IndexLike(-1), 0), (2, _IndexLike(-1)), (9, _IndexLike(-1)), (_IndexLike(-9), _IndexLike(4))]:
+        with pytest.raises(ValueError, match="must be nonnegative ints"):
+            t.value(*index)
+    assert len(t._rows) == 4
+
+
+def test_vertical_recurrence_agrees_with_recurrence():
+    # ls(n, j) = sum_{k=j..n} ls(k-1, j-1) (j(j+1))^(n-k), the identity whose
+    # generating function _vertical_gf_sweep checks, taken here term by term
+    for n in range(1, 13):
+        for j in range(1, n + 1):
+            assert sum(ls(k - 1, j - 1) * (j * (j + 1)) ** (n - k) for k in range(j, n + 1)) == ls(n, j)
+
+
 @pytest.mark.parametrize("bad", [2.5, "1", None, True])
 @pytest.mark.parametrize(
     "call",
