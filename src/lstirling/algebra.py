@@ -19,9 +19,8 @@ such as a table never loads it.
 from __future__ import annotations
 
 import sys
-from itertools import accumulate, repeat, zip_longest
+from itertools import repeat, zip_longest
 from math import comb
-from operator import mul
 
 
 def _binomial(n: int, k: int) -> int:
@@ -218,9 +217,16 @@ class Poly:
         """Multiply every coefficient by c.
 
         This is scalar multiplication in the coefficient ring; use it when c
-        lives one level down (e.g. a z-polynomial scaling a poly in x).
+        lives one level down (e.g. a z-polynomial scaling a poly in x).  The
+        factor is checked once, and a float or any other inexact factor
+        raises ValueError; the products are then exact and wrapped unchecked.
+
+        >>> Poly((1, 2)).scale(Poly((0, 1))).render()
+        '(z)+(2z)x'
         """
-        return Poly(co * c for co in self.coeffs)
+        if not (isinstance(c, Poly) or _is_scalar(c)):
+            raise ValueError(f"Poly.scale: the factor must be exact, got {c!r}; use an int, a Fraction or a Poly")
+        return _trusted([co * c for co in self.coeffs])
 
     # -- euclidean division (field coefficients) ----------------------------
 
@@ -300,16 +306,3 @@ class Poly:
     def __repr__(self):
         return f"Poly('{self.render()}')"
 
-
-def _falling_bases(kmax: int):
-    """Yield the product of (x - i(z+i)) for i = 0..k-1, for k = 0..kmax,
-    each one factor x - i(z+i) on the one before.
-
-    The products are polys in x over Z[z]; k = 0 gives 1.  Specializing z
-    to 1 yields the basis of the Legendre-Stirling horizontal identity,
-    x(x-2)(x-6)...
-
-    >>> list(_falling_bases(2))[-1] == Poly((Poly(()), Poly((-1, -1)), 1))
-    True
-    """
-    return accumulate((Poly((Poly((-i * i, -i)), 1)) for i in range(kmax)), mul, initial=Poly((1,)))

@@ -53,10 +53,10 @@ def parse_bfile(text: str) -> list:
         parts = line.split()
         if len(parts) != 2:
             raise BFileError(line_no, f"expected 'index value', got {raw!r}")
-        try:
-            idx, val = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise BFileError(line_no, f"non-integer field in {raw!r}") from None
+        # ASCII digits only: int() alone would also take "1_0", "+5" and non-ASCII digits
+        if not all(re.fullmatch(r"-?[0-9]+", part) for part in parts):
+            raise BFileError(line_no, f"non-integer field in {raw!r}")
+        idx, val = map(int, parts)
         if entries and idx <= entries[-1][0]:
             raise BFileError(line_no, "indices must be strictly increasing")
         entries.append((idx, val))
@@ -189,6 +189,7 @@ def cmd_table(args) -> int:
 
 def _verify_identities(nmax: int) -> list:
     from . import triangles
+    from .algebra import Poly
 
     def four_way():
         # three routes to ls: the recurrence rows, the explicit-sum rows and
@@ -200,10 +201,10 @@ def _verify_identities(nmax: int) -> list:
             for k, (want, got) in enumerate(zip(byrec, explicit)):
                 if got != want:
                     yield CheckResult(False, f"ls_explicit({n},{k}) != {want}")
-        yield from triangles._vertical_gf_sweep(nmax, nmax)
+        yield from triangles._vertical_gf_sweep(nmax)
 
     def specialize():
-        # row by row, so that js and jc past the bivariate sweep's rows are never cached
+        # row by row, so that js and jc are never cached
         rows = zip(*(getattr(triangles, f"{family}_triangle").rows(zmax) for family in ("js", "ls", "jc", "lc")))
         for n, (js_row, ls_row, jc_row, lc_row) in enumerate(rows):
             for k in range(n + 1):
@@ -215,12 +216,15 @@ def _verify_identities(nmax: int) -> list:
     jmax = min(nmax, 15)
     # js and jc are swept only up to their table cap
     zmax = min(nmax, TABLE_CAPS["js"])
+    # the roots are stated here, never read off the steps they check
+    horizontal_ls = triangles._horizontal_sweep(nmax, triangles.ls_triangle, lambda i: i * (i + 1))
+    horizontal_js = triangles._horizontal_sweep(jmax, triangles.js_triangle, lambda i: Poly((i * i, i)))
     # js(n) then jc(n) for each n, one sweep each
-    pairs = zip(triangles._horizontal_js_sweep(jmax), triangles._jc_product_sweep(jmax))
+    pairs = zip(horizontal_js, triangles._jc_product_sweep(jmax))
     bivariate = (r for pair in pairs for r in pair)
     return [
         _run_check("identities.four_way", f"nmax={nmax}", four_way()),
-        _run_check("identities.horizontal_ls", f"nmax={nmax}", triangles._horizontal_ls_sweep(nmax)),
+        _run_check("identities.horizontal_ls", f"nmax={nmax}", horizontal_ls),
         _run_check("identities.bivariate", f"nmax={jmax}", bivariate),
         _run_check("identities.z_equals_1", f"nmax={zmax}", specialize()),
     ]

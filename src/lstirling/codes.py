@@ -311,7 +311,8 @@ def render_code(code) -> str:
     )
 
 
-_TOKEN = re.compile(r"X|A\(\d+,\d+\)|Bb?\(\d+\)")
+# [0-9], not \d, which would take any Unicode digit
+_TOKEN = re.compile(r"X|A\([0-9]+,[0-9]+\)|Bb?\([0-9]+\)")
 # the longest prefix of tokens and separators, which ends at the first bad token
 _PREFIX = re.compile(rf"(?:[, ]*(?:{_TOKEN.pattern}))*[, ]*")
 _CONSTRUCTORS = {"A": A, "B": B, "Bb": Bb}

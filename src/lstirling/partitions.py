@@ -38,7 +38,7 @@ def render_element(e: Element) -> str:
 
 
 def parse_element(tok: str) -> Element:
-    m = re.fullmatch(r"(\d+)(')?", tok.strip()) if isinstance(tok, str) else None
+    m = re.fullmatch(r"([0-9]+)(')?", tok.strip()) if isinstance(tok, str) else None
     if not m or int(m.group(1)) < 1:
         raise ValueError(f"bad element token {tok!r}")
     return (int(m.group(1)), m.group(2) == "'")

@@ -21,7 +21,14 @@ the same numbers (explicit alternating sum, generating-function products)
 and the identity checks that tie all routes together.  Each identity is
 checked by a sweep that yields one CheckResult per index and builds index n
 from index n-1 by one more factor, and the explicit sum has a row sweep that
-advances each power by one factor per row.
+advances each power by one factor per row.  The two horizontal identities,
+x^n = sum_k T(n,k) prod_{i<k} (x - root(i)) for ls with root i(i+1) and
+for js with root i(z+i), are one sweep, and its caller supplies the root:
+the identity holds for every triangle T(n,k) = T(n-1,k-1) + f(k) T(n-1,k)
+with root f, so a root read off the triangle's step would check nothing.
+Every sweep reads its triangle's rows as `Triangle.rows` streams them,
+except the generating-function sweep, whose ls(n, k) lookups fill the ls
+cache to row nmax.
 """
 from __future__ import annotations
 
@@ -30,7 +37,7 @@ from math import comb, factorial
 from operator import index, mul
 
 from . import CheckResult, _require_int
-from .algebra import Poly, _add_linear_multiple, _convolve, _falling_bases
+from .algebra import Poly, _add_linear_multiple, _convolve
 
 
 class Triangle:
@@ -207,31 +214,32 @@ def _difference(n: int, got: Poly, want: Poly) -> CheckResult:
     return CheckResult(False, f"n={n}: difference {(got - want).render()}")
 
 
-def _horizontal_ls_sweep(nmax: int):
-    """Check x^n = sum_k ls(n,k) x(x-2)(x-6)...(x-(k-1)k) by exact expansion, for n = 0..nmax.
+def _horizontal_sweep(nmax: int, triangle: Triangle, root):
+    """Check x^n = sum_k T(n,k) prod_{i<k} (x - root(i)) by exact expansion, for n = 0..nmax.
 
-    Yields one CheckResult per n, building each basis once.
+    T streams from triangle.rows, and root(i) is an int or a Poly in z,
+    stated by the caller and never read off the triangle's step (see the
+    module docstring).  Yields one CheckResult per n: basis k is basis k-1
+    times x - root(k-1), so row n adds one factor, and each basis is scaled
+    by its cell.
     """
-    # bases[k] is x(x-2)(x-6)...(x-(k-1)k), one factor on bases[k-1]
     bases = [Poly((1,))]
-    for n in range(nmax + 1):
+    for n, row in enumerate(triangle.rows(nmax)):
         if n:
-            bases.append(bases[-1] * Poly((-(n - 1) * n, 1)))
-        rhs = Poly()
-        for k in range(n + 1):
-            rhs = rhs + bases[k] * ls(n, k)
+            bases.append(bases[-1] * Poly((-root(n - 1), 1)))
+        rhs = sum(map(Poly.scale, bases, row), Poly())
         yield _difference(n, rhs, Poly((0,) * n + (1,)))
 
 
-def _vertical_gf_sweep(kmax: int, nmax: int):
-    """Check prod_{r=1..k} 1/(1 - r(r+1)x) = sum_m ls(m+k,k) x^m up to x^(nmax-k), for k = 1..kmax.
+def _vertical_gf_sweep(nmax: int):
+    """Check prod_{r=1..k} 1/(1 - r(r+1)x) = sum_m ls(m+k,k) x^m up to x^(nmax-k), for k = 1..nmax.
 
     Yields one CheckResult per k.  The product for k, a list of its first nmax - k + 1 coefficients, is
     the product for k-1 times the series (k(k+1))^j of 1/(1 - k(k+1)x),
     truncated by the one product loop.
     """
     prod = [1]
-    for k in range(1, kmax + 1):
+    for k in range(1, nmax + 1):
         ratio, size = k * (k + 1), nmax - k + 1
         prod = _convolve(prod, [ratio**j for j in range(size)], size)
         yield next(
@@ -244,25 +252,13 @@ def _vertical_gf_sweep(kmax: int, nmax: int):
         )
 
 
-def _horizontal_js_sweep(nmax: int):
-    """Check x^n = sum_k js(n,k)(z) prod_{i<k} (x - i(z+i)) over Z[z], for n = 0..nmax.
-
-    Yields one CheckResult per n, one basis factor per n.
-    """
-    bases = []
-    for n, basis in enumerate(_falling_bases(nmax)):
-        bases.append(basis)
-        rhs = sum((b.scale(js(n, k)) for k, b in enumerate(bases)), Poly())
-        yield _difference(n, rhs, Poly((0,) * n + (1,)))
-
-
 def _jc_product_sweep(nmax: int):
     """Check prod_{i<n} (x + i(z+i)) = sum_k jc(n,k)(z) x^k over Z[z], for n = 0..nmax.
 
     Yields one CheckResult per n, one factor per n.
     """
     product = Poly((1,))
-    for n in range(nmax + 1):
+    for n, row in enumerate(jc_triangle.rows(nmax)):
         if n:
             product = product * Poly((Poly(((n - 1) ** 2, n - 1)), 1))
-        yield _difference(n, product, Poly(tuple(jc(n, k) for k in range(n + 1))))
+        yield _difference(n, product, Poly(row))

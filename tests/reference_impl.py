@@ -110,7 +110,7 @@ def validate_code_rule_by_rule(code) -> CheckResult:
     return CheckResult(True)
 
 
-_TOKEN = re.compile(r"X|A\((\d+),(\d+)\)|(B|Bb)\((\d+)\)")
+_TOKEN = re.compile(r"X|A\(([0-9]+),([0-9]+)\)|(B|Bb)\(([0-9]+)\)")
 
 
 def parse_code_by_scanning(text: str):

@@ -10,6 +10,7 @@ from math import comb
 from pathlib import Path
 
 from lstirling import gamma, grammar, triangles
+from lstirling.algebra import Poly
 from lstirling.cli import main
 from lstirling.codes import enumerate_codes, phi, phi_inverse
 from lstirling.gamma import (
@@ -51,7 +52,7 @@ def test_01_three_route_agreement():
                 failures.append(f"explicit sum differs at n={n}, k={k}")
     # the product for k checked up to x^(25-k), k = 1..25; its coefficient of
     # x^(n-k) is the vertical recurrence's ls(n, k), so this covers that route
-    for res in triangles._vertical_gf_sweep(25, 25):
+    for res in triangles._vertical_gf_sweep(25):
         if not res:
             failures.append(res.detail)
     _report(1, "three computation routes agree for n<=25", failures, time.monotonic() - start, 5)
@@ -61,8 +62,8 @@ def test_02_horizontal_identities():
     start = time.monotonic()
     failures = []
     for sweep in (
-        triangles._horizontal_ls_sweep(25),
-        triangles._horizontal_js_sweep(15),
+        triangles._horizontal_sweep(25, triangles.ls_triangle, lambda i: i * (i + 1)),
+        triangles._horizontal_sweep(15, triangles.js_triangle, lambda i: Poly((i * i, i))),
         triangles._jc_product_sweep(15),
     ):
         failures += [res.detail for res in sweep if not res]

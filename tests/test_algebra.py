@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lstirling import algebra
-from lstirling.algebra import Poly, _add_linear_multiple, _binomial, _convolve, _falling_bases
+from lstirling.algebra import Poly, _add_linear_multiple, _binomial, _convolve
 
 small_ints = st.integers(min_value=-50, max_value=50)
 polys = st.lists(small_ints, max_size=6).map(lambda cs: Poly(cs))
@@ -276,31 +276,6 @@ def test_scale_multiplies_by_a_coefficient_ring_element():
     assert q == Poly((z_plus_1, Poly((0, 1, 1))))
 
 
-def test_falling_basis_small_cases():
-    # k=1: a single factor x - 0 = x
-    assert list(_falling_bases(1)) == [Poly((1,)), Poly((Poly(()), Poly((1,))))]
-
-
-@given(small_ints, small_ints)
-def test_falling_basis_is_its_product_built_from_scratch(x, z):
-    scratch = Poly((1,))
-    for k, basis in enumerate(_falling_bases(15)):
-        assert basis == scratch
-        value = sum((c(z) if isinstance(c, Poly) else c) * x**e for e, c in enumerate(basis.coeffs))
-        assert value == math.prod(x - i * (z + i) for i in range(k))
-        scratch = scratch * Poly((Poly((-k * k, -k)), 1))
-
-
-def test_falling_basis_specializes_to_integer_product():
-    # at z = 1 the factors become x - i(i+1)
-    for k, basis in enumerate(_falling_bases(4)):
-        specialized = Poly(c.eval(1) if isinstance(c, Poly) else c for c in basis.coeffs)
-        direct = Poly((1,))
-        for i in range(k):
-            direct = direct * Poly((-i * (i + 1), 1))
-        assert specialized == direct
-
-
 # -- construction ---------------------------------------------------------------
 
 
@@ -373,9 +348,21 @@ def test_exact_coefficients_build_as_before():
 
 
 def test_scaling_by_a_float_raises_value_error():
-    # scale's factor is unchecked, so its result goes through the public constructor
+    # scale checks its factor once, before any product is formed
     with pytest.raises(ValueError, match="must be exact"):
         Poly((1, 2)).scale(0.5)
+
+
+@pytest.mark.parametrize("bad", [Decimal("0.5"), "2", None, 1j, [1]])
+def test_scaling_by_any_other_inexact_factor_raises_value_error(bad):
+    with pytest.raises(ValueError, match="must be exact"):
+        Poly((1, 2)).scale(bad)
+
+
+@pytest.mark.parametrize("factor", [3, 0, Fraction(1, 2), Poly((1, 1)), Poly()])
+def test_scale_agrees_with_the_constructor_over_each_exact_factor(factor):
+    p = Poly((1, Fraction(-2, 3), Poly((0, 5))))
+    assert p.scale(factor).coeffs == Poly(c * factor for c in p.coeffs).coeffs
 
 
 def test_an_error_raised_while_coefficients_are_read_reaches_the_caller():

@@ -387,10 +387,19 @@ def test_z_equals_1_stops_at_the_js_jc_table_cap(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify", "identities", "--nmax", "61")
     assert rc == 0
     assert re.search(r"^ok   identities\.z_equals_1 nmax=60 ", out, flags=re.M)
-    # four_way streams ls to 61, then z_equals_1 its four triangles to 60
-    assert streamed == [("ls", 61), ("js", 60), ("ls", 60), ("jc", 60), ("lc", 60)]
-    # z_equals_1 streams its rows: js and jc are cached only to the bivariate sweep's row 15
-    assert len(triangles.js_triangle._rows) == len(triangles.jc_triangle._rows) == 16
+    # four_way and horizontal_ls stream ls to 61, bivariate js and jc to 15,
+    # then z_equals_1 its four triangles to 60
+    assert streamed == [
+        *[("ls", 61)] * 2,
+        ("js", 15),
+        ("jc", 15),
+        ("js", 60),
+        ("ls", 60),
+        ("jc", 60),
+        ("lc", 60),
+    ]
+    # every sweep streams its js and jc rows: those triangles cache only row 0
+    assert len(triangles.js_triangle._rows) == len(triangles.jc_triangle._rows) == 1
 
 
 def test_verify_reports_name_each_check(capsys):
@@ -799,6 +808,13 @@ def test_parse_bfile_rejects_malformed_lines_with_line_number():
     assert exc.value.line_no == 2
 
 
+@pytest.mark.parametrize("line", ["1_0 5", "2 \uff15", "\u0661 5", "+2 5", "2 +5", "2 5_0", "2 --5"])
+def test_parse_bfile_takes_ascii_digits_only(line):
+    # int() alone reads each of these fields as a number
+    with pytest.raises(BFileError, match="non-integer field"):
+        parse_bfile(f"1 1\n{line}\n")
+
+
 def test_parse_bfile_rejects_nonincreasing_indices():
     with pytest.raises(BFileError):
         parse_bfile("2 10\n1 1\n")
@@ -847,6 +863,15 @@ def test_oeis_malformed_file(capsys, tmp_path):
     rc, _, err = run(capsys, "oeis", "A025035", "--source", str(bad))
     assert rc == 3
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("line", ["1_0 5", "2 \uff15"])
+def test_oeis_rejects_a_field_that_is_not_ascii_digits(capsys, tmp_path, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"1 1\n{line}\n", encoding="utf-8")
+    rc, out, err = run(capsys, "oeis", "A025035", "--source", str(bad))
+    assert rc == 3 and out == ""
+    assert "line 2: non-integer field" in err
 
 
 def test_oeis_file_that_is_not_utf8_is_an_io_error(capsys, tmp_path):

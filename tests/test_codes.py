@@ -69,6 +69,15 @@ def test_parse_and_render_round_trip():
     assert code.count(X) == 2
 
 
+@pytest.mark.parametrize("text", ["X,B(\uff11)", "X,X,A(\u0661,2)", "X,X,A(2,\u0661)", "X,Bb(\u0967)"])
+def test_parse_rejects_a_non_ascii_digit(text):
+    # \d would read these digits as 1, and render_code of the code would not give the text back
+    with pytest.raises(ValueError, match="bad code token"):
+        parse_code(text)
+    ascii_text = text.translate({0xFF11: "1", 0x0661: "1", 0x0967: "1"})
+    assert render_code(parse_code(ascii_text)) == ascii_text
+
+
 def test_parse_tolerates_spaces():
     assert parse_code("X, X, A(2,1)") == (X, X, A(2, 1))
 

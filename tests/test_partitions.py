@@ -45,6 +45,14 @@ def test_bad_element_tokens_are_rejected():
             parse_element(tok)
 
 
+@pytest.mark.parametrize("text", ["{\uff11,1'}<>", "{1,\u0661'}<>", "{1,1'}<\uff12,2'>"])
+def test_parse_rejects_a_non_ascii_digit(text):
+    with pytest.raises(ValueError, match="bad element token"):
+        parse(text)
+    ascii_text = text.translate({0xFF11: "1", 0x0661: "1", 0xFF12: "2"})
+    assert parse(ascii_text).render() == ascii_text
+
+
 def test_parse_render_round_trip_on_worked_example():
     p = parse(WORKED)
     assert p.n == 5

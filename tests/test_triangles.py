@@ -49,6 +49,14 @@ JC_ROWS = {
     4: [(), (36, 66, 36, 6), (49, 48, 11), (14, 6), (1,)],
     5: [(), (576, 1200, 840, 240, 24), (820, 1030, 404, 50), (273, 200, 35), (30, 10), (1,)],
 }
+# The roots of the two horizontal identities, the column factors k(k+1) and
+# k(k+z), stated here rather than read off the triangles' steps.
+ROOTS = {"ls": lambda i: i * (i + 1), "js": lambda i: Poly((i * i, i))}
+
+
+def _horizontal(name, nmax):
+    """The horizontal sweep of the module's ls or js triangle against its root."""
+    return triangles._horizontal_sweep(nmax, getattr(triangles, f"{name}_triangle"), ROOTS[name])
 
 
 def test_ls_matches_frozen_rows():
@@ -90,7 +98,7 @@ def test_the_identity_sweeps_never_call_the_fused_kernel(monkeypatch):
     js(15, 0), jc(15, 0)
     for module in (algebra, triangles):
         monkeypatch.setattr(module, "_add_linear_multiple", lambda *a: pytest.fail("the fill's kernel was called"))
-    assert all(triangles._horizontal_js_sweep(15)) and all(triangles._jc_product_sweep(15))
+    assert all(_horizontal("js", 15)) and all(triangles._jc_product_sweep(15))
     assert all(grammar._js_sweep(15)) and all(grammar._jc_sweep(15))
 
 
@@ -333,21 +341,21 @@ def test_index_only_functions_reject_a_non_int_with_value_error(call, bad):
 
 
 def test_vertical_generating_function_route():
-    # the product for k checked up to x^(18-k), at least x^12, for k = 1..6
-    results = list(triangles._vertical_gf_sweep(6, 18))
-    assert len(results) == 6 and all(results)
+    # the product for k checked up to x^(18-k), for k = 1..18
+    results = list(triangles._vertical_gf_sweep(18))
+    assert len(results) == 18 and all(results)
 
 
 # -- identities ----------------------------------------------------------------
 
 
 def test_power_basis_expands_in_shifted_factorial_basis():
-    results = list(triangles._horizontal_ls_sweep(10))
+    results = list(_horizontal("ls", 10))
     assert len(results) == 11 and all(results)
 
 
 def test_bivariate_horizontal_identity():
-    results = list(triangles._horizontal_js_sweep(8))
+    results = list(_horizontal("js", 8))
     assert len(results) == 9 and all(results)
 
 
@@ -358,8 +366,8 @@ def test_first_kind_defining_product():
 
 @pytest.mark.parametrize("k", [1, 2, 7])
 def test_vertical_check_at_order_zero_reads_the_diagonal(k):
-    # at k = kmax one coefficient: the product of the constant terms, ls(k, k) = 1
-    assert [bool(r) for r in triangles._vertical_gf_sweep(k, k)] == [True] * k
+    # at k = nmax one coefficient: the product of the constant terms, ls(k, k) = 1
+    assert [bool(r) for r in triangles._vertical_gf_sweep(k)] == [True] * k
 
 
 def _counted(monkeypatch, name):
@@ -371,24 +379,27 @@ def _counted(monkeypatch, name):
 
 def test_the_vertical_sweep_multiplies_one_series_per_k(monkeypatch):
     calls = _counted(monkeypatch, "_convolve")
-    for k in range(1, 9):
+    for nmax in (1, 2, 8, 14):
         calls.clear()
-        assert all(triangles._vertical_gf_sweep(k, k + 6))
-        assert len(calls) == k
+        assert all(triangles._vertical_gf_sweep(nmax))
+        assert len(calls) == nmax
     # each product is the previous one, truncated, times one geometric series
-    assert [size for _, _, size in calls] == list(range(14, 6, -1))
-    assert [b for _, b, _ in calls] == [[(k * (k + 1)) ** j for j in range(15 - k)] for k in range(1, 9)]
-    assert calls[0][0] == [1] and [len(a) for a, _, _ in calls[1:]] == list(range(14, 7, -1))
+    assert [size for _, _, size in calls] == list(range(14, 0, -1))
+    assert [b for _, b, _ in calls] == [[(k * (k + 1)) ** j for j in range(15 - k)] for k in range(1, 15)]
+    assert calls[0][0] == [1] and [len(a) for a, _, _ in calls[1:]] == list(range(14, 1, -1))
 
 
 def test_the_js_sweep_extends_one_falling_factor_per_index(monkeypatch):
     operands = []
     real = Poly.__mul__
     monkeypatch.setattr(Poly, "__mul__", lambda a, b: operands.append(b) or real(a, b))
-    assert all(triangles._horizontal_js_sweep(10))
+    assert all(_horizontal("js", 10))
     # the factors in x; the other Poly operands are coefficients in z
     factors = [b for b in operands if isinstance(b, Poly) and b.coeffs and isinstance(b.coeffs[0], Poly)]
     assert factors == [Poly((Poly((-i * i, -i)), 1)) for i in range(10)]
+    # at z = 1 they are the ls sweep's factors x - i(i+1)
+    at_1 = [Poly(c.eval(1) if isinstance(c, Poly) else c for c in f.coeffs) for f in factors]
+    assert at_1 == [Poly((-i * (i + 1), 1)) for i in range(10)]
 
 
 def test_the_ls_and_jc_sweeps_extend_one_factor_per_index(monkeypatch):
@@ -396,7 +407,7 @@ def test_the_ls_and_jc_sweeps_extend_one_factor_per_index(monkeypatch):
     real = Poly.__mul__
     monkeypatch.setattr(Poly, "__mul__", lambda a, b: operands.append(b) or real(a, b))
     # the ls sums scale each basis by an int, so every Poly operand is a factor
-    assert all(triangles._horizontal_ls_sweep(10))
+    assert all(_horizontal("ls", 10))
     assert [b for b in operands if isinstance(b, Poly)] == [Poly((-(k - 1) * k, 1)) for k in range(1, 11)]
     operands.clear()
     # the factors in x; the other Poly operands are coefficients in z
@@ -406,25 +417,38 @@ def test_the_ls_and_jc_sweeps_extend_one_factor_per_index(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name,sweep,detail",
+    "name,detail",
     [
-        ("ls", triangles._horizontal_ls_sweep, "n=5: difference -2x+x^2"),
-        ("js", triangles._horizontal_js_sweep, "n=5: difference (-1-z)x+(1)x^2"),
-        ("jc", triangles._jc_product_sweep, "n=5: difference (-1)x^2"),
+        ("ls", "n=5: difference -2x+x^2"),
+        ("js", "n=5: difference (-1-z)x+(1)x^2"),
+        ("jc", "n=5: difference (-1)x^2"),
     ],
 )
-def test_a_wrong_value_fails_its_index_only(monkeypatch, name, sweep, detail):
-    real = getattr(triangles, name)
-    monkeypatch.setattr(triangles, name, lambda n, k: real(n, k) + (1 if (n, k) == (5, 2) else 0))
-    results = list(sweep(8))
+def test_a_wrong_value_fails_its_index_only(monkeypatch, off_by_one, name, detail):
+    # the sweeps read the triangle's rows, so the fault sits in its row step
+    triangle = f"{name}_triangle"
+    monkeypatch.setattr(triangles, triangle, off_by_one(getattr(triangles, triangle), (5, 2)))
+    results = list(triangles._jc_product_sweep(8) if name == "jc" else _horizontal(name, 8))
     assert [bool(r) for r in results] == [n != 5 for n in range(9)]
     assert results[5].detail == detail
+
+
+def test_the_horizontal_root_is_the_callers_not_the_steps():
+    # an ls-shaped triangle with column factor k(k+2) satisfies the identity
+    # for its own root i(i+2), so only a root stated apart from the step tells
+    # it from ls
+    shifted = triangles.Triangle(lambda n, k, left, right: left + k * (k + 2) * right, tag="shifted")
+    assert all(triangles._horizontal_sweep(8, shifted, lambda i: i * (i + 2)))
+    results = list(triangles._horizontal_sweep(8, shifted, ROOTS["ls"]))
+    assert [bool(r) for r in results[:3]] == [True, True, False]
+    assert results[2].detail == "n=2: difference x"
+    assert all(triangles._horizontal_sweep(8, triangles.ls_triangle, ROOTS["ls"]))
 
 
 def test_a_wrong_vertical_value_fails_its_k_only(monkeypatch):
     real = triangles.ls
     monkeypatch.setattr(triangles, "ls", lambda n, k: real(n, k) + (1 if (n, k) == (8, 3) else 0))
-    results = list(triangles._vertical_gf_sweep(8, 8))
+    results = list(triangles._vertical_gf_sweep(8))
     assert [bool(r) for r in results] == [k != 3 for k in range(1, 9)]
     assert results[2].detail == "k=3: coefficient of x^5 is 585536, triangle gives 585537"
 
