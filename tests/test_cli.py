@@ -1,4 +1,5 @@
 """Command-line interface: formats, exit codes, and the b-file cross-check."""
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -21,9 +22,10 @@ from hypothesis import strategies as st
 
 from reference_impl import gamma_csv_by_csv_writer, table_csv_by_csv_writer, table_json_by_json_dumps
 
-from lstirling import CheckResult, cli, codes, gamma, grammar, partitions, triangles
+from lstirling import CheckResult, cli, cli_output, cli_table, codes, gamma, grammar, partitions, triangles
 from lstirling.algebra import Poly
-from lstirling.cli import CACHE_ENV, FETCH_TIMEOUT_S, TABLE_CAPS, BFileError, main, parse_bfile
+from lstirling.cli import TABLE_CAPS, main
+from lstirling.cli_oeis import CACHE_ENV, FETCH_TIMEOUT_S, BFileError, parse_bfile
 from lstirling.partitions import LSPartition
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -123,7 +125,7 @@ def test_table_json_matches_one_json_dumps(capsys, tmp_path, family, nmax):
 @pytest.mark.parametrize("family", sorted(TABLE_CAPS))
 def test_table_json_yields_one_triangle_row_per_chunk(family):
     rows, poly = getattr(triangles, f"{family}_triangle").rows(7), family in ("js", "jc")
-    chunks = list(cli._table_json(rows, poly, 7, family))
+    chunks = list(cli_table._table_json(rows, poly, 7, family))
     assert len(chunks) == 7 + 3
     assert chunks[0] == f'{{"family": "{family}", "nmax": 7, "rows": [' and chunks[-1] == "]}\n"
     doc = json.loads(table_json_by_json_dumps(family, 7))
@@ -699,7 +701,7 @@ def test_out_write_failing_part_way_leaves_no_file(capsys, monkeypatch, tmp_path
             self.chunks += 1
             return self.fh.write(chunk)
 
-    monkeypatch.setattr(cli, "open", lambda *a, **kw: FailsAfterFirstChunk(open(*a, **kw)), raising=False)
+    monkeypatch.setattr(cli_output, "open", lambda *a, **kw: FailsAfterFirstChunk(open(*a, **kw)), raising=False)
     target = tmp_path / "out.txt"
     rc, _, err = run(capsys, *argv, "--out", str(target))
     assert rc == 3
@@ -777,6 +779,55 @@ def test_plain_records_compare_and_print_as_dataclasses_did():
     assert CheckResult(True) == CheckResult(True, None) != CheckResult(False)
     assert CheckResult(False, "why") == CheckResult(False, "why") != CheckResult(True)
     assert repr(CheckResult(False, "why")) == "CheckResult(ok=False, detail='why')"
+
+
+# -- entry point ---------------------------------------------------------------------
+
+
+def test_every_subcommand_resolves_its_handler_without_running_it():
+    # main imports a command's module only when it runs, so a misspelled
+    # module or function name would otherwise fail only a user's run
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == ["check-certs", "conjecture", "gamma", "oeis", "table", "verify"]
+    for name, p in sub.choices.items():
+        module, function = p.get_default("handler")
+        handler = cli._load((module, function))
+        assert callable(handler) and handler.__module__ == f"lstirling.{module}", name
+
+
+INTEGER_OPTIONS = [
+    ["table", "--family", "ls", "--nmax"],
+    ["verify", "identities", "--nmax"],
+    ["gamma", "--kmax"],
+    ["gamma", "--kmax", "3", "--nmax"],
+    ["conjecture", "--kmax"],
+    ["oeis", "A025035", "--count"],
+]
+
+
+@pytest.mark.parametrize("value", ["1_0", "\uff13", "\u0663", " 2", "2 ", "+2", "2.0", "0x10", "abc", ""])
+@pytest.mark.parametrize("argv", INTEGER_OPTIONS, ids=lambda argv: "-".join(a.strip("-") for a in argv[::2]))
+def test_integer_options_take_ascii_digits_only(capsys, argv, value):
+    # int() would read the first eight as numbers; argparse refuses each as
+    # it refuses "abc", with usage and exit 2
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    assert exc.value.code == 2
+    assert f"invalid int value: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gamma", "--kmax", "3", "--nmax", "-3"], "gamma: nmax must be at least 1"),
+        (["verify", "zstat", "--nmax", "-0"], "verify zstat: nmax must be at least 1"),
+        (["oeis", "A025035", "--count", "-1"], "oeis: count must be positive"),
+    ],
+)
+def test_a_negative_integer_option_reaches_its_commands_own_check(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (1, "", message + "\n")
 
 
 # -- b-file parsing -------------------------------------------------------------------

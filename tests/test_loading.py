@@ -1,14 +1,17 @@
 """What a cold run loads: each check runs in a fresh interpreter.
 
 `import lstirling` and `import lstirling.cli` load no layer module; each CLI
-command loads the layers it uses when it runs, and the package root resolves
-each public name from its layer on first use.
+command loads its own command module, the output helpers and the layers it
+uses when it runs, and the package root resolves each public name from its
+layer on first use.
 """
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import lstirling
 
@@ -56,7 +59,60 @@ print(json.dumps({"import": on_import, "table": added()}))
     )
     assert [m for m in got["import"] if m.startswith("lstirling")] == ["lstirling", "lstirling.cli"]
     assert "dataclasses" not in got["import"] and "csv" not in got["import"]
-    assert [m for m in got["table"] if m.startswith("lstirling")] == ["lstirling.algebra", "lstirling.triangles"]
+    assert [m for m in got["table"] if m.startswith("lstirling")] == [
+        "lstirling.algebra",
+        "lstirling.cli_output",
+        "lstirling.cli_table",
+        "lstirling.triangles",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        (("table", "--family", "jc", "--nmax", "3"), "cli_table"),
+        (("verify", "identities", "--nmax", "3"), "cli_verify"),
+        (("verify", "bijection", "--nmax", "3"), "cli_verify"),
+        (("gamma", "--kmax", "3"), "cli_gamma"),
+        (("conjecture", "--kmax", "2"), "cli_certs"),
+        (("oeis", "A025035", "--source", str(FIXTURES / "b025035.txt")), "cli_oeis"),
+    ],
+    ids=["table", "verify-identities", "verify-bijection", "gamma", "conjecture", "oeis"],
+)
+def test_each_command_loads_its_own_module_and_no_other_commands(argv, module):
+    got = child(f"run(*{argv!r})\nprint(json.dumps(added()))")
+    # the command modules are cli_*, beside the helpers in cli_output
+    assert "lstirling.cli_output" in got
+    assert [m for m in got if m.startswith("lstirling.cli_") and m != "lstirling.cli_output"] == [f"lstirling.{module}"]
+
+
+def test_running_the_cli_as_a_module_imports_it_once(tmp_path):
+    # under -m the entry module runs as __main__; a command module that
+    # imported lstirling.cli would compile and run a second copy of it.  A
+    # sitecustomize prints the loaded package modules when the child exits.
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, sys\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('lstirling'))\n"
+        "atexit.register(lambda: print(*loaded(), file=sys.stderr))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), SRC, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-m", "lstirling.cli", "table", "--family", "ls", "--nmax", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:3] == ["n,k,value", "0,0,1", "1,0,0"]
+    assert proc.stderr.split() == [
+        "lstirling",
+        "lstirling.algebra",
+        "lstirling.cli_output",
+        "lstirling.cli_table",
+        "lstirling.triangles",
+    ]
 
 
 def test_light_commands_never_import_dataclasses_or_csv():
@@ -145,7 +201,13 @@ run("check-certs", {str(certs)!r})
 print(json.dumps(added()))
 """
     )
-    assert [m for m in got if m.startswith("lstirling")] == ["lstirling", "lstirling.certcheck", "lstirling.cli"]
+    assert [m for m in got if m.startswith("lstirling")] == [
+        "lstirling",
+        "lstirling.certcheck",
+        "lstirling.cli",
+        "lstirling.cli_certs",
+        "lstirling.cli_output",
+    ]
     assert "dataclasses" not in got
 
 
