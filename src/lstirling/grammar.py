@@ -74,23 +74,11 @@ class Monomial:
         ValueError; a letter whose exponents add up to less than zero is
         rejected too.
         """
-        acc: dict = {}
-        for pair in _iterate("Monomial", powers):
-            try:
-                letter, e = pair
-            except (TypeError, ValueError):  # not a pair
-                letter = e = None
-            if not isinstance(letter, Letter) or type(e) is not int:
-                raise ValueError(f"Monomial: expected (Letter, int exponent) pairs, got {pair!r}")
-            acc[letter] = acc.get(letter, 0) + e
-        for letter, e in acc.items():
+        acc = _merged(_checked_powers(powers))
+        for letter, (e,) in acc.items():
             if e < 0:
                 raise ValueError(f"negative exponent for {letter!r}")
-        self.powers = tuple(
-            sorted(((l, e) for l, e in acc.items() if e), key=lambda le: le[0].sort_key())
-        )
-        # a monomial is a dict key in every derivation step; hash its letters once
-        self._hash = hash(self.powers)
+        _fill(self, acc)
 
     @classmethod
     def of(cls, *pairs) -> "Monomial":
@@ -114,6 +102,48 @@ class Monomial:
         return self.render()
 
 
+def _checked_powers(powers):
+    """The (Letter, int exponent) pairs of powers, or ValueError at the first other item."""
+    for pair in _iterate("Monomial", powers):
+        try:
+            letter, e = pair
+        except (TypeError, ValueError):  # not a pair
+            letter = e = None
+        if not isinstance(letter, Letter) or type(e) is not int:
+            raise ValueError(f"Monomial: expected (Letter, int exponent) pairs, got {pair!r}")
+        yield letter, e
+
+
+def _merged(pairs) -> dict:
+    """Letter -> [sum of its exponents], in first-seen order.
+
+    Letter hashes in Python, so each letter is looked up once, by
+    setdefault, and its exponent is summed in a one-item list.
+    """
+    acc: dict = {}
+    for letter, e in pairs:
+        acc.setdefault(letter, [0])[0] += e
+    return acc
+
+
+def _fill(mono: Monomial, acc: dict) -> None:
+    """Set mono's powers from _merged's dict, zero exponents dropped, and its hash."""
+    mono.powers = tuple(sorted(((l, e) for l, (e,) in acc.items() if e), key=lambda le: le[0].sort_key()))
+    # a monomial is a dict key in every derivation step; hash its letters once
+    mono._hash = hash(mono.powers)
+
+
+def _monomial(pairs) -> Monomial:
+    """A Monomial from (Letter, int) pairs taken unchecked, for derive.
+
+    Its pairs come from Monomials and rule images, so each is a Letter and
+    an int, and no letter's exponents add up to less than zero.
+    """
+    mono = object.__new__(Monomial)
+    _fill(mono, _merged(pairs))
+    return mono
+
+
 def _zpoly(c) -> Poly:
     return c if isinstance(c, Poly) else Poly((c,))
 
@@ -130,21 +160,7 @@ class FormalPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        acc: dict = {}
-        for term in _iterate("FormalPoly", terms):
-            try:
-                mono, coeff = term
-            except (TypeError, ValueError):  # not a pair
-                mono = coeff = None
-            if not isinstance(mono, Monomial) or not isinstance(coeff, (int, Poly)):
-                raise ValueError(f"FormalPoly: expected (Monomial, int or Poly) pairs, got {term!r}")
-            prev = acc.get(mono)
-            coeff = _zpoly(coeff) if prev is None else prev + coeff
-            if not coeff:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = coeff
-        self.terms = acc
+        self.terms = _summed(_checked_terms(terms))
 
     @classmethod
     def term(cls, mono: Monomial, coeff=1) -> "FormalPoly":
@@ -182,6 +198,39 @@ class FormalPoly:
 
     def __repr__(self):
         return f"FormalPoly('{self.render()}')"
+
+
+def _checked_terms(terms):
+    """The (Monomial, Poly) pairs of terms, or ValueError at the first other item."""
+    for term in _iterate("FormalPoly", terms):
+        try:
+            mono, coeff = term
+        except (TypeError, ValueError):  # not a pair
+            mono = coeff = None
+        if not isinstance(mono, Monomial) or not isinstance(coeff, (int, Poly)):
+            raise ValueError(f"FormalPoly: expected (Monomial, int or Poly) pairs, got {term!r}")
+        yield mono, _zpoly(coeff)
+
+
+def _summed(terms) -> dict:
+    """Monomial -> sum of its Poly coefficients, zero sums dropped."""
+    acc: dict = {}
+    for mono, coeff in terms:
+        prev = acc.get(mono)
+        if prev is not None:
+            coeff = prev + coeff
+        if not coeff:
+            acc.pop(mono, None)
+        else:
+            acc[mono] = coeff
+    return acc
+
+
+def _formal(terms) -> FormalPoly:
+    """A FormalPoly from (Monomial, Poly) pairs taken unchecked, for derive."""
+    p = object.__new__(FormalPoly)
+    p.terms = _summed(terms)
+    return p
 
 
 class GrammarError(ValueError):
@@ -227,8 +276,8 @@ def derive(g: Grammar, p: FormalPoly) -> FormalPoly:
             img = g.image(letter)
             c = coeff * e
             # one monomial per term: mono with one letter replaced by m
-            terms += [(Monomial((*mono.powers, (letter, -1), *m.powers)), co * c) for m, co in img.terms.items()]
-    return FormalPoly(terms)
+            terms += [(_monomial((*mono.powers, (letter, -1), *m.powers)), co * c) for m, co in img.terms.items()]
+    return _formal(terms)
 
 
 def _sweep(nmax: int, seed: FormalPoly, step, triangle: Triangle, monomial, label: str):

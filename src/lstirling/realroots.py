@@ -23,21 +23,24 @@ A gap that fails bisects its neighbouring intervals of q_k (the sign of q_k
 at the midpoint alone picks the half that keeps the root), at most
 REFINE_CAP times per interval, and the gaps are retried from the first one
 whose endpoint moved.  A step that runs out of that budget proves nothing and
-is reported as inconclusive.  The sign of an integer polynomial of degree d
-at a/b (b > 0) is the sign of sum c_i a^i b^(d-i), read in ints only, so no
-float reaches a verdict.
+is reported as inconclusive.
+
+Every endpoint is a dyadic rational m/2^e, since the induction starts from -1
+and 0 and only halves, and is kept as its reduced (numerator, denominator)
+int pair, the pair the JSON certificate carries.  The sign of an integer
+polynomial of degree d at m/2^e is the sign of sum c_i m^i 2^(e(d-i)),
+accumulated by Horner's rule in m with each power of 2^e a shift, so the
+induction builds no Fraction and no float reaches a verdict.  `_sign_at` and
+`refine_interval` keep the general rational path, for other endpoints.
 """
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import _Record, _require_int
 from .algebra import Poly
 from .gamma import gamma_poly
 
 REFINE_CAP = 256
-_MINUS_ONE, _ZERO = Fraction(-1), Fraction(0)
-_ENDPOINT_TYPES = (int, Fraction)
+_MINUS_ONE, _ZERO = (-1, 1), (0, 1)
 
 
 def _sign_at(p: Poly, x) -> int:
@@ -68,10 +71,12 @@ def refine_interval(p: Poly, interval):
     interval that is not a tuple of two ints or Fractions (a bool is
     neither), or a p that is not a Poly, raises ValueError.
     """
+    from fractions import Fraction
+
     if not isinstance(p, Poly):
         raise ValueError(f"refine_interval: p must be a Poly, got {p!r}")
     lo, hi = interval if isinstance(interval, tuple) and len(interval) == 2 else (None, None)
-    if type(lo) not in _ENDPOINT_TYPES or type(hi) not in _ENDPOINT_TYPES:
+    if type(lo) not in (int, Fraction) or type(hi) not in (int, Fraction):
         raise ValueError(f"refine_interval: expected a pair of int or Fraction endpoints, got {interval!r}")
     # exact for int endpoints too, so no float is ever formed
     mid = Fraction(lo + hi, 2)
@@ -80,6 +85,62 @@ def refine_interval(p: Poly, interval):
         w = min(mid - lo, hi - mid) / 2
         return (mid - w, mid + w)
     if s != _sign_at(p, lo):
+        return (lo, mid)
+    return (mid, hi)
+
+
+# -- the int kernel of the induction: endpoints are reduced dyadic pairs (m, 2^e)
+
+
+def _dyadic_sign(cs: tuple, x) -> int:
+    """Sign at the dyadic pair x = (m, 2^e) of the polynomial with int coefficients cs.
+
+    p(m/2^e) 2^(ed) = sum c_i m^i 2^(e(d-i)) is accumulated by Horner's rule
+    in m, each power of 2^e a shift.
+    """
+    m, e = x[0], x[1].bit_length() - 1
+    it = reversed(cs)
+    acc = next(it, 0)
+    s = 0
+    for c in it:
+        s += e
+        acc = acc * m + (c << s)
+    return (acc > 0) - (acc < 0)
+
+
+def _reduced(n: int, d: int):
+    """n/d as its reduced pair, for a power of two d."""
+    if not n:
+        return _ZERO
+    t = min((n & -n).bit_length(), d.bit_length()) - 1
+    return (n >> t, d >> t)
+
+
+def _common(*ends):
+    """The numerators of the pairs ends over the largest of their denominators, and it."""
+    d = max(x[1] for x in ends)
+    return [x[0] * (d // x[1]) for x in ends], d
+
+
+def _points(lo, hi):
+    """The midpoint and the two quarter points of (lo, hi), as reduced pairs."""
+    (a, b), d = _common(lo, hi)
+    d <<= 2
+    return _reduced(2 * (a + b), d), _reduced(3 * a + b, d), _reduced(a + 3 * b, d)
+
+
+def _bisect(cs: tuple, interval):
+    """refine_interval on a dyadic interval of the polynomial with int coefficients cs.
+
+    A midpoint that is the root is boxed at half the distance to either
+    endpoint, which is the box between the quarter points.
+    """
+    lo, hi = interval
+    mid, left, right = _points(lo, hi)
+    s = _dyadic_sign(cs, mid)
+    if s == 0:
+        return (left, right)
+    if s != _dyadic_sign(cs, lo):
         return (lo, mid)
     return (mid, hi)
 
@@ -97,8 +158,10 @@ def q_poly(k: int) -> Poly:
 
 
 class RootCertificate(_Record):
-    """Disjoint open rational intervals, each with a strict sign change of q_k.
+    """Disjoint open dyadic intervals, each with a strict sign change of q_k.
 
+    Each endpoint is a reduced (numerator, denominator) int pair whose
+    denominator is a power of two, the form to_json_dict writes.
     square_free is True when the intervals prove every root of q_k real and
     simple, one per interval; an uncertified q_k has square_free False and no
     intervals.
@@ -110,7 +173,7 @@ class RootCertificate(_Record):
         self.k = k
         self.degree = degree
         self.square_free = square_free
-        self.intervals = intervals  # open (Fraction, Fraction) pairs, increasing
+        self.intervals = intervals  # open (lo, hi) pairs of endpoint pairs, increasing
 
     @property
     def all_real(self) -> bool:
@@ -122,10 +185,7 @@ class RootCertificate(_Record):
             "degree": self.degree,
             "square_free": self.square_free,
             "all_real": self.all_real,
-            "intervals": [
-                [[lo.numerator, lo.denominator], [hi.numerator, hi.denominator]]
-                for lo, hi in self.intervals
-            ],
+            "intervals": [[list(lo), list(hi)] for lo, hi in self.intervals],
         }
 
 
@@ -183,18 +243,18 @@ def expected_pattern(k: int) -> list:
     return ["s", "r"] * (k - 1) + ["s", "s"] + ["r", "s"] * (k - 1)
 
 
-def _split(p: Poly, lo, hi):
-    """A point of (lo, hi) where p has the sign opposite to its equal signs at lo and hi.
+def _split(cs: tuple, lo, hi):
+    """A point of (lo, hi) where cs has the sign opposite to its equal signs at lo and hi.
 
-    Only the midpoint and the two quarter points are tried: a deeper search
-    costs far more sign evaluations than refining the neighbours and retrying.
+    Only the midpoint and the two quarter points are tried, in that order: a
+    deeper search costs far more sign evaluations than refining the
+    neighbours and retrying.
     """
-    s = _sign_at(p, lo)
-    if s == 0 or _sign_at(p, hi) != s:
+    s = _dyadic_sign(cs, lo)
+    if s == 0 or _dyadic_sign(cs, hi) != s:
         return None
-    w = hi - lo
-    for m in (lo + w / 2, lo + w / 4, hi - w / 4):
-        if _sign_at(p, m) == -s:
+    for m in _points(lo, hi):
+        if _dyadic_sign(cs, m) == -s:
             return m
     return None
 
@@ -207,6 +267,7 @@ def _step(k: int, p_r: Poly, ivs: list, p_s: Poly):
     bisect (only q_1 has none) or one that would need more than REFINE_CAP
     bisections.
     """
+    cs_r, cs_s = p_r.coeffs, p_s.coeffs
     n = len(ivs)
     used = [0] * n
     middle = k - 1
@@ -216,11 +277,11 @@ def _step(k: int, p_r: Poly, ivs: list, p_s: Poly):
         lo = ivs[g - 1][1] if g else _MINUS_ONE
         hi = ivs[g][0] if g < n else _ZERO
         if g == middle:
-            split = _split(p_s, lo, hi)
+            split = _split(cs_s, lo, hi)
             ok = split is not None
         else:
-            s = _sign_at(p_s, lo)
-            ok = s != 0 and _sign_at(p_s, hi) == -s
+            s = _dyadic_sign(cs_s, lo)
+            ok = s != 0 and _dyadic_sign(cs_s, hi) == -s
         if ok:
             g += 1
             continue
@@ -228,7 +289,8 @@ def _step(k: int, p_r: Poly, ivs: list, p_s: Poly):
         if len(neighbours) == 2:
             # the wider neighbour is the likelier to hide the missing root;
             # bisecting only it cut the sign evaluations by a tenth
-            wl, wr = (ivs[j][1] - ivs[j][0] for j in neighbours)
+            (a, b, c, d), _ = _common(*ivs[g - 1], *ivs[g])
+            wl, wr = b - a, d - c
             if wl != wr:
                 neighbours = neighbours[:1] if wl > wr else neighbours[1:]
         if not neighbours or any(used[j] >= REFINE_CAP for j in neighbours):
@@ -236,7 +298,7 @@ def _step(k: int, p_r: Poly, ivs: list, p_s: Poly):
         restart = g
         for j in neighbours:
             old_lo = ivs[j][0]
-            ivs[j] = refine_interval(p_r, ivs[j])
+            ivs[j] = _bisect(cs_r, ivs[j])
             used[j] += 1
             if j < g and ivs[j][0] != old_lo:
                 restart = g - 1  # gap g-1 ends at the left endpoint just moved

@@ -203,7 +203,9 @@ def test_10_interlacing_certificates():
     res = results[1]
     if res.pattern != "s r s s r s":
         failures.append(f"k=2 pattern {res.pattern}")
-    merged = sorted([(iv, 2) for iv in res.lower.intervals] + [(iv, 3) for iv in res.upper.intervals])
+    # a certificate holds each endpoint as its (numerator, denominator) pair
+    lower, upper = ([tuple(Fraction(*end) for end in iv) for iv in c.intervals] for c in (res.lower, res.upper))
+    merged = sorted([(iv, 2) for iv in lower] + [(iv, 3) for iv in upper])
     stated = [
         Fraction(-83, 100),
         Fraction(-645, 1000),

@@ -533,6 +533,11 @@ def certs16():
     return buf.getvalue().splitlines()
 
 
+def test_conjecture_certificates_at_the_cap_are_byte_stable(certs16):
+    digest = hashlib.sha256("".join(line + "\n" for line in certs16).encode()).hexdigest()
+    assert digest == "87eab213f31b0971b1dce3f28ff78026f443236a6629caaa79a852069ebdeca4"
+
+
 def check_certs(capsys, tmp_path, lines):
     target = tmp_path / "certs.jsonl"
     target.write_text("".join(line + "\n" for line in lines))

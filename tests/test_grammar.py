@@ -130,8 +130,9 @@ def test_derive_builds_one_monomial_per_term(monkeypatch):
     g = Grammar({b: b_image, c: FormalPoly.letter(b), a0: FormalPoly()})
     p = FormalPoly([(Monomial.of((b, 2), (c, 1), (a0, 1)), 3), (Monomial.of((c, 2)), Poly((1, 1)))])
     built = []
-    real = Monomial.__init__
-    monkeypatch.setattr(Monomial, "__init__", lambda self, powers=(): built.append(1) or real(self, powers))
+    real = grammar._monomial
+    # derive builds its monomials through the unchecked builder
+    monkeypatch.setattr(grammar, "_monomial", lambda pairs: built.append(1) or real(pairs))
     got = derive(g, p)
     # two image terms of b and one of c in the first term, one of c in the second
     assert len(built) == 4

@@ -189,6 +189,9 @@ print(json.dumps(added()))
     for layer in ("codes", "partitions", "grammar", "certcheck", "triangles"):
         assert f"lstirling.{layer}" not in got
     assert "dataclasses" not in got
+    # the induction's endpoints are int pairs, so no Fraction is built or met
+    for module in ("fractions", "decimal", "numbers"):
+        assert module not in got
 
 
 def test_check_certs_loads_only_the_checker(tmp_path):

@@ -33,6 +33,16 @@ from lstirling.realroots import (
 )
 
 
+def _rational(interval):
+    """An interval of a certificate, its endpoint pairs read as Fractions."""
+    return tuple(Fraction(*end) for end in interval)
+
+
+def _dyadic(interval):
+    """An interval of Fraction endpoints as a certificate holds it, pairs of ints."""
+    return tuple((end.numerator, end.denominator) for end in interval)
+
+
 def _poly_with_roots(*roots):
     p = Poly((1,))
     for r in roots:
@@ -200,6 +210,41 @@ def test_count_roots_agrees_with_the_reference_count(case, a, b):
     assert count_roots(chain, a, b) == _ref_count(seq, a, b)
 
 
+# -- the induction's int kernel against the general rational path -------------------
+
+_int_coeffs = st.lists(st.integers(-60, 60), max_size=9)
+
+
+@st.composite
+def _dyadic_points(draw):
+    """A reduced (numerator, denominator) pair with a power-of-two denominator."""
+    x = Fraction(draw(st.integers(-(2**12), 2**12)), 2 ** draw(st.integers(0, 12)))
+    return x.numerator, x.denominator
+
+
+@given(_int_coeffs, _dyadic_points(), st.booleans())
+def test_the_shift_evaluator_agrees_with_sign_at_at_dyadic_points(cs, x, root_at_x):
+    # the zero polynomial is the empty list, and a factor den*t - num puts a root at x
+    p = Poly(cs) * Poly((-x[0], x[1])) if root_at_x else Poly(cs)
+    assert realroots._dyadic_sign(p.coeffs, x) == _sign_at(p, Fraction(*x))
+    if root_at_x:
+        assert realroots._dyadic_sign(p.coeffs, x) == 0
+    assert realroots._dyadic_sign((), x) == _sign_at(Poly(()), Fraction(*x)) == 0
+
+
+@given(_int_coeffs, _dyadic_points(), _dyadic_points(), st.booleans())
+def test_the_kernel_bisection_agrees_with_refine_interval(cs, a, b, root_at_mid):
+    assume(a != b)
+    lo, hi = sorted((a, b), key=lambda end: Fraction(*end))
+    p = Poly(cs)
+    if root_at_mid:
+        mid = (Fraction(*lo) + Fraction(*hi)) / 2
+        p = (p or Poly((1,))) * Poly((-mid.numerator, mid.denominator))
+    got = realroots._bisect(p.coeffs, (lo, hi))
+    # the same interval, and each endpoint the reduced pair of its Fraction
+    assert got == _dyadic(refine_interval(p, _rational((lo, hi))))
+
+
 # -- isolation ------------------------------------------------------------------
 
 
@@ -322,7 +367,7 @@ def test_certificates_report_all_roots_real_with_sign_changes():
             assert cert.all_real
             assert len(cert.intervals) == cert.degree
             p = Poly(map(Fraction, q_poly(cert.k).coeffs))
-            for lo, hi in cert.intervals:
+            for lo, hi in map(_rational, cert.intervals):
                 assert lo < 0  # every root is negative
                 va, vb = p.eval(lo), p.eval(hi)
                 assert va != 0 and vb != 0
@@ -385,7 +430,7 @@ def test_every_certified_interval_holds_one_root_by_the_sturm_count():
             assert cert.all_real and len(cert.intervals) == cert.degree
             chain = chains[cert.k]
             assert count_roots(chain) == cert.degree
-            for lo, hi in cert.intervals:
+            for lo, hi in map(_rational, cert.intervals):
                 assert -1 <= lo < hi <= 0
                 assert count_roots(chain, lo, hi) == 1, (res.k, cert.k, lo, hi)
 
@@ -406,7 +451,7 @@ def test_exhausted_budget_is_inconclusive_and_keeps_the_isolating_intervals(monk
     first, res, after = conjecture_results(3)
     assert first.verdict == "vacuous"
     half = Fraction(-1, 2)
-    assert first.upper.intervals == [(Fraction(-1), half), (half, Fraction(0))]
+    assert list(map(_rational, first.upper.intervals)) == [(Fraction(-1), half), (half, Fraction(0))]
     assert res.verdict == "inconclusive"
     assert res.pattern == ""
     assert "budget" in res.note
@@ -425,22 +470,23 @@ def test_a_gap_whose_endpoint_moved_is_checked_again():
     # sign change; no refinement of (-7/8, -1/2) around -13/20 mends gap 0
     p_r = Poly((13, 20)) * Poly((3, 16))
     p_s = Poly((15, 16)) * Poly((3, 4)) * Poly((9, 16)) * Poly((3, 10)) * Poly((1, 16))
-    ivs = [(Fraction(-7, 8), Fraction(-1, 2)), (Fraction(-1, 4), Fraction(-1, 8))]
+    ivs = [_dyadic(iv) for iv in [(Fraction(-7, 8), Fraction(-1, 2)), (Fraction(-1, 4), Fraction(-1, 8))]]
     assert realroots._step(2, p_r, ivs, p_s) is None
 
 
 def _bisections_per_interval(monkeypatch):
-    """Wrap refine_interval; map each interval it returns to the bisections behind it."""
+    """Wrap the induction's bisection; map each interval it returns to the bisections behind it."""
     done = {}
     seen = [0]
+    bisect = realroots._bisect
 
-    def counting(p, interval):
-        out = refine_interval(p, interval)
-        done[(id(p), out)] = done.pop((id(p), interval), 0) + 1
-        seen[0] = max(seen[0], done[(id(p), out)])
+    def counting(cs, interval):
+        out = bisect(cs, interval)
+        done[(id(cs), out)] = done.pop((id(cs), interval), 0) + 1
+        seen[0] = max(seen[0], done[(id(cs), out)])
         return out
 
-    monkeypatch.setattr(realroots, "refine_interval", counting)
+    monkeypatch.setattr(realroots, "_bisect", counting)
     return seen
 
 
